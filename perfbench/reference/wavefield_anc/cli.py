@@ -1,0 +1,76 @@
+"""Command-line entry point.
+
+    wavefield-anc <experiment> --config <path> --out <dir> [--seed N]
+                  [--epochs N] [--paper-scale]
+
+Exit codes: 0 success, 1 check failure, 2 config error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+from .experiments import RUNNERS, ExperimentSpec
+from .pinn import TrainConfig
+from .scenario import ScenarioConfig, default_scenario
+
+PAPER_SCALE_EPOCHS = 500_000
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wavefield-anc",
+        description="Tonal soundfield interpolation and ANC experiments.",
+    )
+    parser.add_argument("experiment", choices=sorted(RUNNERS))
+    parser.add_argument("--config", type=Path, help="scenario JSON (default: built-in)")
+    parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
+    parser.add_argument("--seed", type=int, default=0, help="scenario and training seed")
+    parser.add_argument("--epochs", type=int, help="override the training epoch budget")
+    parser.add_argument(
+        "--paper-scale",
+        action="store_true",
+        help=f"full-budget training ({PAPER_SCALE_EPOCHS} epochs)",
+    )
+    return parser
+
+
+def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
+    if args.config is not None:
+        if not args.config.exists():
+            raise FileNotFoundError(f"config file not found: {args.config}")
+        scenario = ScenarioConfig.load(args.config)
+    else:
+        scenario = default_scenario(args.seed)
+    train = TrainConfig(seed=args.seed)
+    if args.paper_scale:
+        train = dataclasses.replace(train, epochs=PAPER_SCALE_EPOCHS)
+    if args.epochs is not None:
+        train = dataclasses.replace(train, epochs=args.epochs)
+    return ExperimentSpec(
+        experiment=args.experiment, scenario=scenario, train=train, out_dir=args.out
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = resolve_spec(args)
+    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    bundle = RUNNERS[spec.experiment](spec)
+    from .experiments import _json_default
+
+    print(json.dumps(bundle.summary["metrics"], indent=2, default=_json_default))
+    print(f"outputs in {spec.out_dir}")
+    return 0 if bundle.ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,37 @@
+"""Exception types shared across the package."""
+
+
+class WavefieldError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class ZeroDistance(WavefieldError):
+    """Source and receiver coincide; the free-field kernel is singular."""
+
+
+class DelayExceedsFilter(WavefieldError):
+    """Propagation delay does not fit inside the requested FIR length."""
+
+
+class RadiusMismatch(WavefieldError):
+    """Sensor positions are not on a common sphere."""
+
+
+class EmptySignals(WavefieldError):
+    """An operation received no signal data."""
+
+
+class ZeroDenominator(WavefieldError):
+    """A power ratio was requested against an identically-zero reference."""
+
+
+class BufferTooShort(WavefieldError):
+    """A sample buffer is too short for the requested convolution support."""
+
+
+class DivergenceDetected(WavefieldError):
+    """Training loss became non-finite."""
+
+
+class Diverged(WavefieldError):
+    """Adaptive filter weights exceeded the stability bound."""

@@ -1,0 +1,377 @@
+"""Experiment drivers: radius sweep, ANC convergence, field maps, self-check.
+
+Each run writes CSV tables (one per figure), a JSON summary echoing the
+resolved configuration, and the trained model file. CSV content depends only
+on the config and seeds, so re-runs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .acoustics import SampledSignal, propagate_tonal
+from .anc import (
+    MODE_IDEAL,
+    MODE_MULTIPOINT,
+    MODE_PINN,
+    AncWeights,
+    field_grid_power,
+    run_anc,
+)
+from .geometry import Point3, sphere_points
+from .pinn import (
+    AdamState,
+    MlpParams,
+    TrainConfig,
+    TrainReport,
+    adam_step,
+    glorot_init,
+    loss_and_grads,
+    mlp_second_derivs,
+    pde_residual,
+    pinn_predict,
+    save_params,
+    train_pinn,
+)
+from .scenario import MIC_RADIUS, ScenarioConfig, default_scenario
+from .sh import (
+    interpolation_error,
+    max_order,
+    ratio_to_db,
+    real_sh,
+    sh_fit,
+    sh_indices,
+    sh_interpolate,
+    spherical_bessel_j,
+)
+
+DEFAULT_RADII = tuple(np.round(np.arange(0.10, 0.401, 0.02), 10))
+SWEEP_POINTS = 400
+ANC_ITERATIONS = 10_000
+ANC_MU = 1e-5
+EAR_DISK_RADIUS = 0.03
+CSV_FMT = "%.9g"
+
+
+@dataclass
+class ExperimentSpec:
+    experiment: str  # interp-sweep | anc-convergence | field-map | validate
+    scenario: ScenarioConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
+    radii: tuple[float, ...] = DEFAULT_RADII
+    out_dir: Path = Path("results")
+
+    def __post_init__(self):
+        self.out_dir = Path(self.out_dir)
+        radii = tuple(float(r) for r in self.radii)
+        if any(r <= 0 for r in radii) or list(radii) != sorted(radii):
+            raise ValueError("sweep radii must be positive and ascending")
+        self.radii = radii
+
+
+@dataclass
+class OutputBundle:
+    csv_paths: dict[str, Path]
+    json_path: Path
+    model_path: Path | None
+    summary: dict
+    ok: bool = True
+
+
+def _json_default(obj):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Path):
+        return str(obj)
+    if hasattr(obj, "__dict__"):
+        return vars(obj)
+    raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _write_csv(path: Path, header: list[str], rows: np.ndarray):
+    lines = [",".join(header)]
+    for row in np.atleast_2d(rows):
+        lines.append(",".join(CSV_FMT % v for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _train_for(spec: ExperimentSpec) -> tuple[MlpParams, TrainReport, list[SampledSignal]]:
+    sc = spec.scenario
+    mics = [
+        propagate_tonal(sc.primary_source, p, sc.sample_rate, sc.duration, sc.speed_of_sound)
+        for p in sc.monitoring_positions
+    ]
+    params, report = train_pinn(sc, mics, spec.train)
+    return params, report, mics
+
+
+def _summary_base(spec: ExperimentSpec, t0: float) -> dict:
+    return {
+        "experiment": spec.experiment,
+        "config": {
+            "scenario": spec.scenario.to_dict(),
+            "train": asdict(spec.train),
+            "radii": list(spec.radii),
+        },
+        "seeds": {"scenario": spec.scenario.rng_seed, "train": spec.train.seed},
+        "wall_clock_s": round(time.time() - t0, 3),
+    }
+
+
+def _finish(
+    spec: ExperimentSpec,
+    t0: float,
+    csv_paths: dict[str, Path],
+    model_path: Path | None,
+    metrics: dict,
+    ok: bool = True,
+) -> OutputBundle:
+    summary = _summary_base(spec, t0)
+    summary["metrics"] = metrics
+    summary["ok"] = ok
+    json_path = spec.out_dir / "summary.json"
+    json_path.write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
+    return OutputBundle(csv_paths, json_path, model_path, summary, ok)
+
+
+def _tiled_prediction(
+    params: MlpParams, norm, points: list[Point3], sample_rate: float, num_samples: int
+) -> list[SampledSignal]:
+    """Periodic extension of the one-period network output to num_samples."""
+    block = pinn_predict(params, norm, points, sample_rate, norm.duration)
+    reps = int(np.ceil(num_samples / len(block[0])))
+    return [
+        SampledSignal(sample_rate, np.tile(s.samples, reps)[:num_samples]) for s in block
+    ]
+
+
+def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
+    """Interpolation error vs evaluation-sphere radius, SH against the PINN."""
+    t0 = time.time()
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    sc = spec.scenario
+    fs, c = sc.sample_rate, sc.speed_of_sound
+    params, report, mics = _train_for(spec)
+    model_path = spec.out_dir / "model.txt"
+    save_params(params, report.norm, model_path)
+
+    f_max = max(comp.frequency for comp in sc.primary_source.components)
+    U = max_order(f_max, MIC_RADIUS, c)
+    series = sh_fit(sc.monitoring_positions, mics, U)
+
+    rows = []
+    for r_s in spec.radii:
+        pts = sphere_points(r_s, SWEEP_POINTS)
+        truth = [propagate_tonal(sc.primary_source, p, fs, sc.duration, c) for p in pts]
+        est_sh = [sh_interpolate(series, p, c) for p in pts]
+        est_nn = _tiled_prediction(params, report.norm, pts, fs, sc.num_samples)
+        eps_sh = ratio_to_db(interpolation_error(truth, est_sh))
+        eps_nn = ratio_to_db(interpolation_error(truth, est_nn))
+        rows.append((r_s, eps_sh, eps_nn))
+    rows = np.array(rows)
+    csv_path = spec.out_dir / "interp_sweep.csv"
+    _write_csv(csv_path, ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
+
+    in_band = (rows[:, 0] >= 0.2 - 1e-9) & (rows[:, 0] <= 0.4 + 1e-9)
+    metrics = {
+        "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
+        "mean_margin_db_02_04": float(np.mean(rows[in_band, 1] - rows[in_band, 2])),
+        "train_final_data_loss": report.final_data_loss,
+        "restart_scores": report.restart_scores,
+    }
+    return _finish(spec, t0, {"interp_sweep": csv_path}, model_path, metrics)
+
+
+def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
+    """Ear noise-reduction curves for multiple-point and PINN-assisted control."""
+    t0 = time.time()
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    sc = spec.scenario
+    params, report, _ = _train_for(spec)
+    model_path = spec.out_dir / "model.txt"
+    save_params(params, report.norm, model_path)
+
+    mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
+    pn = run_anc(
+        sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
+    )
+    n = min(mp.iterations, pn.iterations)
+    rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
+    csv_path = spec.out_dir / "anc_convergence.csv"
+    _write_csv(csv_path, ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
+
+    metrics = {
+        "multipoint_last1000_mean_db": float(mp.eps_db[-1000:].mean()),
+        "pinn_last1000_mean_db": float(pn.eps_db[-1000:].mean()),
+        "steady_state_gap_db": float(mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()),
+        "multipoint_converged": mp.converged,
+        "pinn_converged": pn.converged,
+    }
+    return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics)
+
+
+def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: list[Point3]) -> np.ndarray:
+    """Grid points within EAR_DISK_RADIUS of either ear, in the xy-plane."""
+    mask = np.zeros(x.shape, dtype=bool)
+    for ear in ears:
+        mask |= (x - ear.x) ** 2 + (y - ear.y) ** 2 <= EAR_DISK_RADIUS**2 + 1e-12
+    return mask
+
+
+def run_field_map(spec: ExperimentSpec) -> OutputBundle:
+    """xy-plane signal-power maps: primary, multipoint residual, PINN residual."""
+    t0 = time.time()
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    sc = spec.scenario
+    params, report, _ = _train_for(spec)
+    model_path = spec.out_dir / "model.txt"
+    save_params(params, report.norm, model_path)
+
+    mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
+    pn = run_anc(
+        sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
+    )
+    gx, gy, p_primary = field_grid_power(sc, None)
+    _, _, p_mp = field_grid_power(sc, mp.weights)
+    _, _, p_pn = field_grid_power(sc, pn.weights)
+
+    ref = p_primary.max()
+    csv_paths = {}
+    disk_means = {}
+    mask = ear_disk_mask(gx, gy, sc.virtual_positions)
+    for name, power in (("primary", p_primary), ("multipoint", p_mp), ("pinn", p_pn)):
+        power_db = 10.0 * np.log10(np.maximum(power / ref, 1e-30))
+        path = spec.out_dir / f"field_{name}.csv"
+        _write_csv(path, ["x", "y", "power_dB"], np.column_stack([gx, gy, power_db]))
+        csv_paths[f"field_{name}"] = path
+        disk_means[name] = float(10.0 * np.log10(np.mean(power[mask]) / ref))
+
+    metrics = {
+        "ear_disk_mean_db": disk_means,
+        "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
+    }
+    return _finish(spec, t0, csv_paths, model_path, metrics)
+
+
+def _validate_checks(seed: int) -> dict:
+    """Small oracle suite: derivatives, special functions, LMS fixed point."""
+    rng = np.random.default_rng(seed)
+    checks = {}
+
+    # gradient vs central finite differences of the full loss
+    max_rel = 0.0
+    for _ in range(5):
+        params = glorot_init(int(rng.integers(1 << 30)), 8)
+        U = rng.normal(size=(6, 4))
+        tgt = rng.normal(size=6)
+        C = rng.normal(size=(5, 4))
+        _, _, grads = loss_and_grads(params, U, tgt, C, 0.5, 2.0)
+        g = grads.to_vector()
+        p0 = params.to_vector()
+        h = 1e-5
+        for i in range(p0.size):
+            for sgn, store in ((1.0, "hi"), (-1.0, "lo")):
+                vec = p0.copy()
+                vec[i] += sgn * h
+                pp = MlpParams.from_vector(vec, params.hidden)
+                ld, lp, _ = loss_and_grads(pp, U, tgt, C, 0.5, 2.0)
+                if store == "hi":
+                    hi = ld + 0.5 * lp
+                else:
+                    lo = ld + 0.5 * lp
+            fd = (hi - lo) / (2 * h)
+            denom = max(abs(fd), abs(g[i]), 1e-8)
+            max_rel = max(max_rel, abs(fd - g[i]) / denom)
+    checks["gradient_max_rel_err"] = {"value": max_rel, "tol": 1e-4, "pass": max_rel < 1e-4}
+
+    # second input derivatives vs finite differences
+    params = glorot_init(seed, 8)
+    pts = rng.normal(size=(10, 4))
+    d2 = mlp_second_derivs(params, pts)
+    h = 1e-4
+    worst = 0.0
+    from .pinn import mlp_forward
+
+    for i in range(4):
+        e = np.zeros(4)
+        e[i] = h
+        fd = (mlp_forward(params, pts + e) - 2 * mlp_forward(params, pts) + mlp_forward(params, pts - e)) / h**2
+        denom = np.maximum(np.abs(fd), 1e-6)
+        worst = max(worst, float(np.max(np.abs(fd - d2[:, i]) / denom)))
+    checks["second_deriv_max_rel_err"] = {"value": worst, "tol": 1e-4, "pass": worst < 1e-4}
+
+    # spherical Bessel spot value
+    j1 = spherical_bessel_j(1, 1.0)
+    checks["j1_at_1"] = {
+        "value": j1,
+        "expected": 0.3011687,
+        "tol": 1e-6,
+        "pass": abs(j1 - 0.3011687) < 1e-6,
+    }
+
+    # SH orthonormality Gram check by quadrature on a dense sphere grid
+    nth, nph = 60, 120
+    theta = (np.arange(nth) + 0.5) * np.pi / nth
+    phi = np.arange(nph) * 2 * np.pi / nph
+    TH, PH = np.meshgrid(theta, phi, indexing="ij")
+    wq = np.sin(TH) * (np.pi / nth) * (2 * np.pi / nph)
+    idxs = sh_indices(2)
+    Y = np.stack([real_sh(ix, TH, PH) for ix in idxs])
+    gram = np.einsum("iab,jab,ab->ij", Y, Y, wq)
+    gram_err = float(np.max(np.abs(gram - np.eye(len(idxs)))))
+    checks["sh_gram_max_err"] = {"value": gram_err, "tol": 1e-3, "pass": gram_err < 1e-3}
+
+    # FxLMS zero-error fixed point: zero primary leaves zero weights bitwise
+    sc = default_scenario(seed)
+    from .acoustics import TonalSource, ToneComponent
+    import dataclasses as _dc
+
+    silent = _dc.replace(
+        sc,
+        primary_source=TonalSource(
+            sc.primary_source.position,
+            tuple(ToneComponent(c.frequency, 0.0, c.phase) for c in sc.primary_source.components),
+        ),
+    )
+    rep = run_anc(silent, MODE_MULTIPOINT, 200, ANC_MU)
+    fixed = bool(np.all(rep.weights.w == 0.0))
+    checks["fxlms_zero_fixed_point"] = {"value": fixed, "pass": fixed}
+
+    # Adam scalar convergence on (w-3)^2
+    cfg = TrainConfig(epochs=1, learning_rate=0.1)
+    p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
+    st = AdamState.zeros(p.to_vector().size)
+    for _ in range(200):
+        g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
+        p, st = adam_step(p, g, st, cfg, learning_rate=0.1)
+    checks["adam_scalar_convergence"] = {
+        "value": p.b2,
+        "target": 3.0,
+        "tol": 0.1,
+        "pass": abs(p.b2 - 3.0) < 0.1,
+    }
+    return checks
+
+
+def run_validate(spec: ExperimentSpec) -> OutputBundle:
+    """Release-gate oracle suite; ok=False when any check fails."""
+    t0 = time.time()
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    checks = _validate_checks(spec.train.seed)
+    ok = all(c["pass"] for c in checks.values())
+    return _finish(spec, t0, {}, None, {"checks": checks}, ok=ok)
+
+
+RUNNERS = {
+    "interp-sweep": run_interp_sweep,
+    "anc-convergence": run_anc_convergence,
+    "field-map": run_field_map,
+    "validate": run_validate,
+}
