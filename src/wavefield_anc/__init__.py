@@ -1,14 +1,13 @@
 """Tonal soundfield simulation, virtual-mic interpolation, and FxLMS control."""
 
 from .acoustics import (
-    FirFilter,
     SampledSignal,
     TonalSource,
     ToneComponent,
     make_path_fir,
     propagate_tonal,
 )
-from .anc import AncRunReport, AncWeights, SecondaryPathBank, noise_reduction, run_anc
+from .anc import AncRunReport, run_anc
 from .experiments import (
     ExperimentSpec,
     OutputBundle,
@@ -33,16 +32,13 @@ from .sh import ShCoeffSeries, ShIndex, interpolation_error, sh_fit, sh_interpol
 
 __all__ = [
     "AncRunReport",
-    "AncWeights",
     "ExperimentSpec",
-    "FirFilter",
     "MlpParams",
     "OutputBundle",
     "NormSpec",
     "Point3",
     "SampledSignal",
     "ScenarioConfig",
-    "SecondaryPathBank",
     "ShCoeffSeries",
     "ShIndex",
     "TonalSource",
@@ -55,7 +51,6 @@ __all__ = [
     "interpolation_error",
     "load_params",
     "make_path_fir",
-    "noise_reduction",
     "pinn_predict",
     "propagate_tonal",
     "run_anc",

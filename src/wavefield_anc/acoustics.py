@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class SampledSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self)) / self.sample_rate
-
     def _check_combinable(self, other: "SampledSignal"):
         if (
             self.sample_rate != other.sample_rate
@@ -82,29 +79,6 @@ class SampledSignal:
     def __sub__(self, other: "SampledSignal") -> "SampledSignal":
         self._check_combinable(other)
         return SampledSignal(self.sample_rate, self.samples - other.samples, self.start_time)
-
-    def power(self) -> float:
-        return float(np.mean(self.samples**2))
-
-
-@dataclass(frozen=True)
-class FirFilter:
-    taps: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", np.asarray(self.taps, dtype=float))
-        if self.taps.size < 1:
-            raise ValueError("filter needs at least one tap")
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError("filter taps must be finite")
-
-    def apply(self, signal: SampledSignal) -> SampledSignal:
-        """Causal convolution, output truncated to the input length."""
-        if len(signal) == 0:
-            raise ValueError("cannot convolve a zero-length signal")
-        y = np.convolve(signal.samples, self.taps)[: len(signal)]
-        return SampledSignal(signal.sample_rate, y, signal.start_time)
 
 
 def propagate_tonal(
@@ -150,8 +124,8 @@ def make_path_fir(
     sample_rate: float,
     num_taps: int,
     c: float,
-) -> FirFilter:
-    """Windowed-sinc fractional-delay FIR with 1/(4 pi d) gain."""
+) -> np.ndarray:
+    """Taps of a windowed-sinc fractional-delay FIR with 1/(4 pi d) gain."""
     d = source_pos.distance_to(receiver_pos)
     if d < 1e-9:
         raise ZeroDistance(f"receiver is {d:.3g} m from the source")
@@ -163,5 +137,4 @@ def make_path_fir(
     k = np.arange(num_taps)
     offset = k - delay
     taps = np.sinc(offset) * _blackman(offset, SINC_WINDOW_HALF_WIDTH)
-    taps /= 4.0 * np.pi * d
-    return FirFilter(taps, sample_rate)
+    return taps / (4.0 * np.pi * d)

@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .acoustics import FirFilter, make_path_fir, propagate_tonal
-from .errors import BufferTooShort, Diverged, ZeroDenominator
+from .acoustics import make_path_fir, propagate_tonal
 from .geometry import Point3
 from .pinn import MlpParams, NormSpec, fundamental_period_samples, pinn_predict
 from .scenario import ScenarioConfig
-from .sh import DB_FLOOR, ratio_to_db
+from .sh import DB_FLOOR
 
-DEFAULT_FILTER_LEN = 96
-DEFAULT_PATH_TAPS = 256
+FILTER_LEN = 96  # adaptive FIR taps per secondary source
+PATH_TAPS = 256  # secondary-path FIR length
 EPS_WINDOW = 480  # trailing samples for the per-iteration reduction ratio
 WEIGHT_BOUND = 1e6
+GRID_HALF_EXTENT = 0.2  # field map spans +-0.2 m in x and y
+GRID_POINTS_PER_SIDE = 21
 
 MODE_MULTIPOINT = "multipoint"
 MODE_PINN = "pinn"
@@ -25,89 +26,52 @@ MODE_IDEAL = "ideal"  # ground-truth virtual primaries; interpolation oracle
 
 
 @dataclass
-class AncWeights:
-    """Adaptive FIR weights, one vector per secondary source."""
-
-    w: np.ndarray  # (L, filter_len)
-
-    @staticmethod
-    def zeros(num_sources: int, filter_len: int = DEFAULT_FILTER_LEN) -> "AncWeights":
-        return AncWeights(np.zeros((num_sources, filter_len)))
-
-    @property
-    def filter_len(self) -> int:
-        return self.w.shape[1]
-
-
-@dataclass
-class SecondaryPathBank:
-    """FIR paths for every (secondary source, error sensor) pair."""
-
-    filters: list[list[FirFilter]]  # indexed [source][sensor]
-
-    @staticmethod
-    def model(
-        sources: list[Point3],
-        sensors: list[Point3],
-        sample_rate: float,
-        c: float,
-        num_taps: int = DEFAULT_PATH_TAPS,
-    ) -> "SecondaryPathBank":
-        return SecondaryPathBank(
-            [[make_path_fir(s, m, sample_rate, num_taps, c) for m in sensors] for s in sources]
-        )
-
-    def taps_array(self) -> np.ndarray:
-        """(L, M, num_taps) stacked taps."""
-        return np.array([[f.taps for f in row] for row in self.filters])
-
-
-@dataclass
 class AncRunReport:
     eps_db: np.ndarray  # per-iteration ear reduction, dB
     sensor_mse: np.ndarray  # per-iteration mean-square error at the active sensors
-    weights: AncWeights
+    weights: np.ndarray  # (L, FILTER_LEN) controller taps, newest lag first
     converged: bool
     iterations: int
 
 
-def filtered_reference(x_buffer: np.ndarray, path: FirFilter, filter_len: int) -> np.ndarray:
-    """Most recent ``filter_len`` lags of the path-filtered reference.
+def path_firs(
+    sources: list[Point3], receivers: list[Point3], sample_rate: float, c: float
+) -> np.ndarray:
+    """(len(sources), len(receivers), PATH_TAPS) FIR models of every source-receiver path."""
+    return np.array(
+        [[make_path_fir(s, r, sample_rate, PATH_TAPS, c) for r in receivers] for s in sources]
+    )
 
-    ``x_buffer`` is newest-first; needs filter_len + len(taps) - 1 samples.
+
+def _fir_sum(inputs: np.ndarray, firs: np.ndarray) -> np.ndarray:
+    """out[..., n] = sum_l sum_t firs[l, ..., t] inputs[l, n - t] for n < N.
+
+    ``inputs`` is (L, N), oldest first; ``firs`` is (L, ..., taps). Each sample is
+    a dot product of the taps with the newest-first input window, summed over l.
     """
-    x_buffer = np.asarray(x_buffer, dtype=float)
-    taps = path.taps
-    need = filter_len + taps.size - 1
-    if x_buffer.size < need:
-        raise BufferTooShort(f"need {need} samples, got {x_buffer.size}")
-    windows = sliding_window_view(x_buffer, taps.size)[:filter_len]
-    return windows @ taps
+    taps = firs.shape[-1]
+    newest_first = np.concatenate([inputs[:, ::-1], np.zeros((len(inputs), taps - 1))], axis=1)
+    windows = sliding_window_view(newest_first, taps, axis=1)
+    return np.einsum("l...t,lkt->...k", firs, windows)[..., ::-1]
+
+
+def filtered_reference(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
+    """``x`` through every FIR of ``firs`` (..., taps), truncated to ``len(x)``.
+
+    With the (L, M, taps) secondary paths this is the whole (L, M, N) filtered
+    reference of FxLMS.
+    """
+    return _fir_sum(x[None], firs[None])
 
 
 def fxlms_step(
-    weights: AncWeights,
-    filtered_refs: np.ndarray,  # (L, M, filter_len)
+    w: np.ndarray,  # (L, filter_len)
+    filtered_refs: np.ndarray,  # (L, M, filter_len), newest lag first
     errors: np.ndarray,  # (M,)
     mu: float,
-) -> AncWeights:
-    """w_l += mu * sum_m x'_{l,m} e_m."""
-    if mu <= 0:
-        raise ValueError("step size must be positive")
-    update = mu * np.einsum("lmn,m->ln", filtered_refs, errors)
-    return AncWeights(weights.w + update)
-
-
-def noise_reduction(
-    ear_residuals: list[np.ndarray], ear_primaries: list[np.ndarray]
-) -> tuple[float, float]:
-    """Residual-to-primary power ratio over the ears; returns (ratio, dB)."""
-    num = sum(float(np.sum(np.asarray(e) ** 2)) for e in ear_residuals)
-    den = sum(float(np.sum(np.asarray(p) ** 2)) for p in ear_primaries)
-    if den == 0.0:
-        raise ZeroDenominator("ear primaries are identically zero")
-    ratio = num / den
-    return ratio, ratio_to_db(ratio)
+) -> np.ndarray:
+    """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3)."""
+    return w + mu * np.einsum("lmn,m->ln", filtered_refs, errors)
 
 
 def _tiled_primary(signal: np.ndarray, n: int) -> np.ndarray:
@@ -121,10 +85,8 @@ def run_anc(
     mode: str = MODE_MULTIPOINT,
     iterations: int = 10_000,
     mu: float = 1e-5,
-    filter_len: int = DEFAULT_FILTER_LEN,
     pinn_params: MlpParams | None = None,
     pinn_norm: NormSpec | None = None,
-    path_taps: int = DEFAULT_PATH_TAPS,
 ) -> AncRunReport:
     """Sample-synchronous FxLMS loop; one iteration advances one sample.
 
@@ -134,10 +96,11 @@ def run_anc(
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    if mu < 0:
+        raise ValueError("step size must be non-negative")
     fs = scenario.sample_rate
     c = scenario.speed_of_sound
     src = scenario.primary_source
-    L = len(scenario.secondary_positions)
 
     if mode == MODE_MULTIPOINT:
         sensors = scenario.monitoring_positions
@@ -145,11 +108,8 @@ def run_anc(
         sensors = scenario.virtual_positions
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    M = len(sensors)
 
-    x = src.waveform(fs, iterations)
     # primary component seen by the error sensors
-    block = scenario.num_samples
     if mode == MODE_PINN:
         if pinn_params is None:
             raise ValueError("pinn mode needs trained parameters")
@@ -167,54 +127,44 @@ def run_anc(
                 for m in sensors
             ]
         )
+    paths = path_firs(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
 
-    paths = SecondaryPathBank.model(scenario.secondary_positions, sensors, fs, c, path_taps)
-    S = paths.taps_array()  # (L, M, taps)
-
-    # ears, for the reported reduction curve (known to the simulation, not the controller)
-    ears = scenario.virtual_positions
-    ear_primary = np.stack(
-        [
-            _tiled_primary(propagate_tonal(src, v, fs, scenario.duration, c).samples, iterations)
-            for v in ears
-        ]
-    )
-    ear_paths = SecondaryPathBank.model(scenario.secondary_positions, ears, fs, c, path_taps)
-    S_ear = ear_paths.taps_array()  # (L, V, taps)
-
-    w = np.zeros((L, filter_len))
-    xbuf = np.zeros(max(filter_len, path_taps))  # newest-first reference history
-    dbuf = np.zeros((L, path_taps))  # newest-first secondary outputs
-    fx = np.zeros((L, M, filter_len))  # newest-first filtered reference lags
-
+    # Histories run newest first: position k holds step iterations - 1 - k and
+    # zeros past the end stand for the samples before n = 0, so the latest
+    # samples at step n are the plain slice starting at k.
+    x = np.concatenate([np.zeros(FILTER_LEN - 1), src.waveform(fs, iterations)])
+    fx = filtered_reference(x, paths)[..., ::-1]
+    x = x[::-1].copy()
+    d = np.zeros((len(paths), iterations + PATH_TAPS - 1))  # secondary outputs
+    w = np.zeros((len(paths), FILTER_LEN))
     sensor_mse = np.empty(iterations)
-    ear_resid = np.empty((len(ears), iterations))
     converged = True
     n_done = iterations
 
     for n in range(iterations):
-        xbuf[1:] = xbuf[:-1]
-        xbuf[0] = x[n]
+        k = iterations - 1 - n
         # secondary outputs (sign keeps the textbook "+mu" update cancelling)
-        d = -(w @ xbuf[:filter_len])
-        dbuf[:, 1:] = dbuf[:, :-1]
-        dbuf[:, 0] = d
-        fx[:, :, 1:] = fx[:, :, :-1]
-        fx[:, :, 0] = np.einsum("lmt,t->lm", S, xbuf[:path_taps])
-        sec = np.einsum("lmt,lt->m", S, dbuf)
-        e = primary[:, n] + sec
-        sec_ear = np.einsum("lvt,lt->v", S_ear, dbuf)
-        ear_resid[:, n] = ear_primary[:, n] + sec_ear
-        sensor_mse[n] = float(np.mean(e**2))
-        w = w + mu * np.einsum("lmn,m->ln", fx, e)
+        d[:, k] = -(w @ x[k : k + FILTER_LEN])
+        e = primary[:, n] + np.einsum("lmt,lt->m", paths, d[:, k : k + PATH_TAPS])
+        sensor_mse[n] = np.mean(e**2)
+        w = fxlms_step(w, fx[:, :, k : k + FILTER_LEN], e, mu)
         if np.max(np.abs(w)) > WEIGHT_BOUND:
             converged = False
             n_done = n + 1
             break
 
-    sensor_mse = sensor_mse[:n_done]
-    ear_resid = ear_resid[:, :n_done]
-    ear_primary = ear_primary[:, :n_done]
+    # ears, for the reported reduction curve (known to the simulation, not the controller)
+    ears = scenario.virtual_positions
+    ear_primary = np.stack(
+        [
+            _tiled_primary(propagate_tonal(src, v, fs, scenario.duration, c).samples, n_done)
+            for v in ears
+        ]
+    )
+    ear_resid = ear_primary + _fir_sum(
+        d[:, iterations - n_done : iterations][:, ::-1],
+        path_firs(scenario.secondary_positions, ears, fs, c),
+    )
 
     # trailing-window power ratio at the ears
     win = min(EPS_WINDOW, n_done)
@@ -232,19 +182,15 @@ def run_anc(
 
     return AncRunReport(
         eps_db=eps_db,
-        sensor_mse=sensor_mse,
-        weights=AncWeights(w),
+        sensor_mse=sensor_mse[:n_done],
+        weights=w,
         converged=converged,
         iterations=n_done,
     )
 
 
 def field_grid_power(
-    scenario: ScenarioConfig,
-    weights: AncWeights | None,
-    half_extent: float = 0.2,
-    points_per_side: int = 21,
-    path_taps: int = DEFAULT_PATH_TAPS,
+    scenario: ScenarioConfig, weights: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signal power on an xy-grid at z=0 under frozen controller weights.
 
@@ -255,29 +201,20 @@ def field_grid_power(
     fs = scenario.sample_rate
     c = scenario.speed_of_sound
     src = scenario.primary_source
-    coords = np.linspace(-half_extent, half_extent, points_per_side)
-    freqs = [comp.frequency for comp in src.components]
-    fundamental = np.gcd.reduce([int(round(f)) for f in freqs])
-    period = round(fs / fundamental)
-    n_total = path_taps + 4 * period
+    coords = np.linspace(-GRID_HALF_EXTENT, GRID_HALF_EXTENT, GRID_POINTS_PER_SIDE)
+    period = fundamental_period_samples(scenario)
+    n_total = PATH_TAPS + 4 * period
 
     if weights is not None:
-        x = src.waveform(fs, n_total)
-        d = np.stack(
-            [
-                -np.convolve(x, wl)[:n_total]
-                for wl in weights.w
-            ]
-        )
+        outputs = -filtered_reference(src.waveform(fs, n_total), weights)
     grid_x, grid_y, power = [], [], []
     for gy in coords:
         for gx in coords:
             p = Point3(float(gx), float(gy), 0.0)
             total = propagate_tonal(src, p, fs, n_total / fs, c).samples
             if weights is not None:
-                for ell, spos in enumerate(scenario.secondary_positions):
-                    fir = make_path_fir(spos, p, fs, path_taps, c)
-                    total = total + np.convolve(d[ell], fir.taps)[:n_total]
+                firs = path_firs(scenario.secondary_positions, [p], fs, c)[:, 0]
+                total = total + _fir_sum(outputs, firs)
             tail = total[-period:]
             grid_x.append(float(gx))
             grid_y.append(float(gy))

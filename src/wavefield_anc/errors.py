@@ -25,13 +25,5 @@ class ZeroDenominator(WavefieldError):
     """A power ratio was requested against an identically-zero reference."""
 
 
-class BufferTooShort(WavefieldError):
-    """A sample buffer is too short for the requested convolution support."""
-
-
 class DivergenceDetected(WavefieldError):
     """Training loss became non-finite."""
-
-
-class Diverged(WavefieldError):
-    """Adaptive filter weights exceeded the stability bound."""

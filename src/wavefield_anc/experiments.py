@@ -15,40 +15,21 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import SampledSignal, propagate_tonal
-from .anc import (
-    MODE_IDEAL,
-    MODE_MULTIPOINT,
-    MODE_PINN,
-    AncWeights,
-    field_grid_power,
-    run_anc,
-)
+from .anc import MODE_MULTIPOINT, MODE_PINN, field_grid_power, run_anc
 from .geometry import Point3, sphere_points
+from .oracles import check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import (
     AdamState,
     MlpParams,
     TrainConfig,
     TrainReport,
     adam_step,
-    glorot_init,
-    loss_and_grads,
-    mlp_second_derivs,
-    pde_residual,
     pinn_predict,
     save_params,
     train_pinn,
 )
-from .scenario import MIC_RADIUS, ScenarioConfig, default_scenario
-from .sh import (
-    interpolation_error,
-    max_order,
-    ratio_to_db,
-    real_sh,
-    sh_fit,
-    sh_indices,
-    sh_interpolate,
-    spherical_bessel_j,
-)
+from .scenario import MIC_RADIUS, ScenarioConfig
+from .sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
 DEFAULT_RADII = tuple(np.round(np.arange(0.10, 0.401, 0.02), 10))
 SWEEP_POINTS = 400
@@ -260,111 +241,25 @@ def run_field_map(spec: ExperimentSpec) -> OutputBundle:
     return _finish(spec, t0, csv_paths, model_path, metrics)
 
 
-def _validate_checks(seed: int) -> dict:
-    """Small oracle suite: derivatives, special functions, LMS fixed point."""
-    rng = np.random.default_rng(seed)
-    checks = {}
-
-    # gradient vs central finite differences of the full loss
-    max_rel = 0.0
-    for _ in range(5):
-        params = glorot_init(int(rng.integers(1 << 30)), 8)
-        U = rng.normal(size=(6, 4))
-        tgt = rng.normal(size=6)
-        C = rng.normal(size=(5, 4))
-        _, _, grads = loss_and_grads(params, U, tgt, C, 0.5, 2.0)
-        g = grads.to_vector()
-        p0 = params.to_vector()
-        h = 1e-5
-        for i in range(p0.size):
-            for sgn, store in ((1.0, "hi"), (-1.0, "lo")):
-                vec = p0.copy()
-                vec[i] += sgn * h
-                pp = MlpParams.from_vector(vec, params.hidden)
-                ld, lp, _ = loss_and_grads(pp, U, tgt, C, 0.5, 2.0)
-                if store == "hi":
-                    hi = ld + 0.5 * lp
-                else:
-                    lo = ld + 0.5 * lp
-            fd = (hi - lo) / (2 * h)
-            denom = max(abs(fd), abs(g[i]), 1e-8)
-            max_rel = max(max_rel, abs(fd - g[i]) / denom)
-    checks["gradient_max_rel_err"] = {"value": max_rel, "tol": 1e-4, "pass": max_rel < 1e-4}
-
-    # second input derivatives vs finite differences
-    params = glorot_init(seed, 8)
-    pts = rng.normal(size=(10, 4))
-    d2 = mlp_second_derivs(params, pts)
-    h = 1e-4
-    worst = 0.0
-    from .pinn import mlp_forward
-
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        fd = (mlp_forward(params, pts + e) - 2 * mlp_forward(params, pts) + mlp_forward(params, pts - e)) / h**2
-        denom = np.maximum(np.abs(fd), 1e-6)
-        worst = max(worst, float(np.max(np.abs(fd - d2[:, i]) / denom)))
-    checks["second_deriv_max_rel_err"] = {"value": worst, "tol": 1e-4, "pass": worst < 1e-4}
-
-    # spherical Bessel spot value
-    j1 = spherical_bessel_j(1, 1.0)
-    checks["j1_at_1"] = {
-        "value": j1,
-        "expected": 0.3011687,
-        "tol": 1e-6,
-        "pass": abs(j1 - 0.3011687) < 1e-6,
-    }
-
-    # SH orthonormality Gram check by quadrature on a dense sphere grid
-    nth, nph = 60, 120
-    theta = (np.arange(nth) + 0.5) * np.pi / nth
-    phi = np.arange(nph) * 2 * np.pi / nph
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    wq = np.sin(TH) * (np.pi / nth) * (2 * np.pi / nph)
-    idxs = sh_indices(2)
-    Y = np.stack([real_sh(ix, TH, PH) for ix in idxs])
-    gram = np.einsum("iab,jab,ab->ij", Y, Y, wq)
-    gram_err = float(np.max(np.abs(gram - np.eye(len(idxs)))))
-    checks["sh_gram_max_err"] = {"value": gram_err, "tol": 1e-3, "pass": gram_err < 1e-3}
-
-    # FxLMS zero-error fixed point: zero primary leaves zero weights bitwise
-    sc = default_scenario(seed)
-    from .acoustics import TonalSource, ToneComponent
-    import dataclasses as _dc
-
-    silent = _dc.replace(
-        sc,
-        primary_source=TonalSource(
-            sc.primary_source.position,
-            tuple(ToneComponent(c.frequency, 0.0, c.phase) for c in sc.primary_source.components),
-        ),
-    )
-    rep = run_anc(silent, MODE_MULTIPOINT, 200, ANC_MU)
-    fixed = bool(np.all(rep.weights.w == 0.0))
-    checks["fxlms_zero_fixed_point"] = {"value": fixed, "pass": fixed}
-
-    # Adam scalar convergence on (w-3)^2
+def _adam_scalar_check() -> dict:
+    """Adam on (b2 - 3)^2 from b2 = 0 reaches 3 within 0.1 in 200 steps."""
     cfg = TrainConfig(epochs=1, learning_rate=0.1)
     p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
     st = AdamState.zeros(p.to_vector().size)
     for _ in range(200):
         g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
         p, st = adam_step(p, g, st, cfg, learning_rate=0.1)
-    checks["adam_scalar_convergence"] = {
-        "value": p.b2,
-        "target": 3.0,
-        "tol": 0.1,
-        "pass": abs(p.b2 - 3.0) < 0.1,
-    }
-    return checks
+    return {"value": p.b2, "target": 3.0, "tol": 0.1, "pass": abs(p.b2 - 3.0) < 0.1}
 
 
 def run_validate(spec: ExperimentSpec) -> OutputBundle:
-    """Release-gate oracle suite; ok=False when any check fails."""
+    """Release-gate oracle suite: acceptance criteria 4, 6 and 7 at the bounds the
+    acceptance tests assert, plus an Adam check; ok=False when any check fails."""
     t0 = time.time()
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    checks = _validate_checks(spec.train.seed)
+    figures = {**derivative_figures(), **fxlms_figures(), **sh_figures()}
+    checks = {name: check(name, value) for name, value in figures.items()}
+    checks["adam_scalar_convergence"] = _adam_scalar_check()
     ok = all(c["pass"] for c in checks.values())
     return _finish(spec, t0, {}, None, {"checks": checks}, ok=ok)
 

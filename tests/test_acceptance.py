@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wavefield_anc as wa
-from wavefield_anc.acoustics import SampledSignal, TonalSource, ToneComponent, propagate_tonal
+from wavefield_anc.acoustics import SampledSignal, propagate_tonal
 from wavefield_anc.anc import MODE_MULTIPOINT, MODE_PINN, field_grid_power, run_anc
 from wavefield_anc.experiments import (
     DEFAULT_RADII,
@@ -18,31 +18,19 @@ from wavefield_anc.experiments import (
     ear_disk_mask,
     run_anc_convergence,
 )
-from wavefield_anc.geometry import Point3, sphere_points
+from wavefield_anc.geometry import sphere_points
+from wavefield_anc.oracles import derivative_figures, fxlms_figures, sh_figures
 from wavefield_anc.pinn import (
     AdamState,
-    MlpParams,
     TrainConfig,
     adam_step,
     glorot_init,
     loss_and_grads,
-    mlp_forward,
-    mlp_second_derivs,
     pde_residual,
     pinn_predict,
 )
-from wavefield_anc.scenario import MIC_RADIUS, ScenarioConfig, default_scenario
-from wavefield_anc.sh import (
-    ShIndex,
-    interpolation_error,
-    max_order,
-    ratio_to_db,
-    real_sh,
-    sh_fit,
-    sh_indices,
-    sh_interpolate,
-    spherical_bessel_j,
-)
+from wavefield_anc.scenario import MIC_RADIUS, default_scenario
+from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
 MU = 1e-5
 ITERATIONS = 10_000
@@ -109,47 +97,10 @@ def test_criterion_3_ear_region_field_map(scenario, trained):
 
 def test_criterion_4_gradient_and_second_derivative_oracles():
     """Analytic grads within 1e-4 and second derivs within 1e-6 of finite differences."""
-    rng = np.random.default_rng(17)
-    worst_grad = 0.0
-    for trial in range(20):
-        p = glorot_init(trial, 6)
-        U = rng.normal(scale=0.5, size=(5, 4))
-        tgt = rng.normal(size=5)
-        C = rng.normal(scale=0.5, size=(4, 4))
-        lam, c_eff = 0.7, 2.0
-        _, _, grads = loss_and_grads(p, U, tgt, C, lam, c_eff)
-        g = grads.to_vector()
-        vec0 = p.to_vector()
-        h = 1e-5
-        for i in range(vec0.size):
-            vals = []
-            for sgn in (1.0, -1.0):
-                v = vec0.copy()
-                v[i] += sgn * h
-                ld, lp, _ = loss_and_grads(MlpParams.from_vector(v, 6), U, tgt, C, lam, c_eff)
-                vals.append(ld + lam * lp)
-            fd = (vals[0] - vals[1]) / (2 * h)
-            worst_grad = max(worst_grad, abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-8))
+    figures = derivative_figures()
+    worst_grad = figures["gradient_max_rel_err"]
     assert worst_grad < 1e-4, f"gradient max relative error {worst_grad:.3g}"
-
-    worst_d2 = 0.0
-    for trial in range(20):
-        p = glorot_init(200 + trial, 8)
-        u = rng.normal(scale=0.5, size=4)
-        d2 = mlp_second_derivs(p, u)
-        h = 1e-3
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            # fourth-order central stencil keeps truncation below the 1e-6 bar
-            fd = (
-                -mlp_forward(p, u + 2 * e)
-                + 16 * mlp_forward(p, u + e)
-                - 30 * mlp_forward(p, u)
-                + 16 * mlp_forward(p, u - e)
-                - mlp_forward(p, u - 2 * e)
-            ) / (12 * h**2)
-            worst_d2 = max(worst_d2, abs(fd - d2[i]) / max(abs(fd), abs(d2[i]), 1e-6))
+    worst_d2 = figures["second_deriv_max_rel_err"]
     assert worst_d2 < 1e-6, f"second-derivative max relative error {worst_d2:.3g}"
 
 
@@ -179,50 +130,20 @@ def test_criterion_5_wave_equation_residual_oracle():
 def test_criterion_6_fxlms_convergence_oracle():
     """Single-channel single-tone: >= 40 dB at the sensor within 5000 steps;
     zero-error fixed point bitwise."""
-    sc = ScenarioConfig(
-        primary_source=TonalSource(Point3(0.6, 0.8, 1.0), (ToneComponent(400.0, 40.0, 0.3),)),
-        secondary_positions=[Point3(0.0, 0.5, 0.0)],
-        monitoring_positions=[Point3(0.0, 0.1, 0.0)],
-        virtual_positions=[Point3(0.0, 0.12, 0.0)],
-    )
-    rep = run_anc(sc, MODE_MULTIPOINT, 5000, MU)
-    assert rep.converged
-    reduction = 10 * np.log10(rep.sensor_mse[-480:].mean() / rep.sensor_mse[:50].mean())
+    figures = fxlms_figures()
+    assert figures["fxlms_converged"]
+    reduction = figures["fxlms_reduction_db"]
     assert reduction < -40.0, f"only {reduction:.1f} dB reduction in 5000 steps"
-
-    silent = ScenarioConfig(
-        primary_source=TonalSource(Point3(0.6, 0.8, 1.0), (ToneComponent(400.0, 0.0, 0.3),)),
-        secondary_positions=sc.secondary_positions,
-        monitoring_positions=sc.monitoring_positions,
-        virtual_positions=sc.virtual_positions,
-    )
-    fixed = run_anc(silent, MODE_MULTIPOINT, 300, MU)
-    assert np.all(fixed.weights.w == 0.0)
+    assert figures["fxlms_zero_fixed_point"]
 
 
 def test_criterion_7_sh_correctness():
     """Gram check <= 1e-3; pure-mode round trip to 1e-6; j_1(1) = 0.3011687 +- 1e-6."""
-    nth, nph = 80, 160
-    theta = (np.arange(nth) + 0.5) * np.pi / nth
-    phi = np.arange(nph) * 2 * np.pi / nph
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    w = np.sin(TH) * (np.pi / nth) * (2 * np.pi / nph)
-    idxs = sh_indices(3)
-    Y = np.stack([real_sh(ix, TH, PH) for ix in idxs])
-    gram = np.einsum("iab,jab,ab->ij", Y, Y, w)
-    assert np.max(np.abs(gram - np.eye(len(idxs)))) <= 1e-3
-
-    positions = sphere_points(0.26, 16)
-    th = [p.theta for p in positions]
-    ph = [p.phi for p in positions]
-    vals = real_sh(ShIndex(1, 0), th, ph)
-    signals = [SampledSignal(24_000.0, np.full(8, v)) for v in vals]
-    series = sh_fit(positions, signals, U=1, reg=1e-9)
-    coeffs = series.coeffs[:, 0]
-    assert abs(coeffs[ShIndex(1, 0).flat] - 1.0) < 1e-6
-    assert np.max(np.abs(np.delete(coeffs, ShIndex(1, 0).flat))) < 1e-6
-
-    assert abs(spherical_bessel_j(1, 1.0) - 0.3011687) < 1e-6
+    figures = sh_figures()
+    assert figures["sh_gram_max_err"] <= 1e-3
+    assert figures["sh_mode_coeff_err"] < 1e-6
+    assert figures["sh_other_coeff_max"] < 1e-6
+    assert figures["j1_at_1_err"] < 1e-6
 
 
 def test_criterion_8_determinism(tmp_path):

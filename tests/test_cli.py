@@ -120,7 +120,7 @@ def test_run_validate_reports_checks(tmp_path):
     assert bundle.ok
     checks = bundle.summary["metrics"]["checks"]
     assert checks["gradient_max_rel_err"]["pass"]
-    assert checks["j1_at_1"]["pass"]
+    assert checks["j1_at_1_err"]["pass"]
 
 
 def test_bad_radii_rejected(tmp_path):
