@@ -1,12 +1,6 @@
 """Tonal soundfield simulation, virtual-mic interpolation, and FxLMS control."""
 
-from .acoustics import (
-    SampledSignal,
-    TonalSource,
-    ToneComponent,
-    make_path_fir,
-    propagate_tonal,
-)
+from .acoustics import TonalSource, ToneComponent, make_path_fir, propagate_tonal
 from .anc import AncRunReport, run_anc
 from .experiments import (
     ExperimentSpec,
@@ -16,7 +10,7 @@ from .experiments import (
     run_interp_sweep,
     run_validate,
 )
-from .geometry import Point3, ball_points, cart_to_sph, sphere_points
+from .geometry import ball_points, cart_to_sph, sphere_points
 from .pinn import (
     MlpParams,
     NormSpec,
@@ -36,8 +30,6 @@ __all__ = [
     "MlpParams",
     "OutputBundle",
     "NormSpec",
-    "Point3",
-    "SampledSignal",
     "ScenarioConfig",
     "ShCoeffSeries",
     "ShIndex",

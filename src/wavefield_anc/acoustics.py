@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DelayExceedsFilter, ZeroDistance
-from .geometry import Point3
+from .geometry import as_points, distances
 
 SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional delay
 
@@ -27,10 +27,11 @@ class ToneComponent:
 
 @dataclass(frozen=True)
 class TonalSource:
-    position: Point3
+    position: np.ndarray  # (3,), meters
     components: tuple[ToneComponent, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "position", as_points([self.position], "source position")[0])
         if len(self.components) == 0:
             raise ValueError("source needs at least one tone component")
         freqs = [c.frequency for c in self.components]
@@ -46,68 +47,46 @@ class TonalSource:
         return out
 
 
-@dataclass
-class SampledSignal:
-    """Uniformly sampled pressure time series."""
-
-    sample_rate: float
-    samples: np.ndarray
-    start_time: float = 0.0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.samples.size == 0:
-            raise ValueError("signal must contain at least one sample")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def _check_combinable(self, other: "SampledSignal"):
-        if (
-            self.sample_rate != other.sample_rate
-            or self.start_time != other.start_time
-            or len(self) != len(other)
-        ):
-            raise ValueError("signals differ in rate, start time, or length")
-
-    def __add__(self, other: "SampledSignal") -> "SampledSignal":
-        self._check_combinable(other)
-        return SampledSignal(self.sample_rate, self.samples + other.samples, self.start_time)
-
-    def __sub__(self, other: "SampledSignal") -> "SampledSignal":
-        self._check_combinable(other)
-        return SampledSignal(self.sample_rate, self.samples - other.samples, self.start_time)
+def _distances(source_pos: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """Distance from the source to each receiver; ZeroDistance if one coincides with it."""
+    d = distances(receivers, source_pos)
+    if np.any(d < 1e-9):
+        raise ZeroDistance(f"a receiver is {d.min():.3g} m from the source")
+    return d
 
 
 def propagate_tonal(
     source: TonalSource,
-    receiver: Point3,
+    receivers: np.ndarray,
     sample_rate: float,
     duration: float,
     c: float,
-) -> SampledSignal:
+) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
 
-    p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i).
+    p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of
+    the (P, 3) ``receivers``; returns (P, round(duration * sample_rate)).
     """
-    d = source.position.distance_to(receiver)
-    if d < 1e-9:
-        raise ZeroDistance(f"receiver is {d:.3g} m from the source")
+    d = _distances(source.position, receivers)
     nyquist = sample_rate / 2.0
     for comp in source.components:
         if comp.frequency >= nyquist:
             raise ValueError(f"tone at {comp.frequency} Hz is at or above Nyquist")
     n = round(duration * sample_rate)
+    if n < 1:
+        raise ValueError("signal must contain at least one sample")
     t = np.arange(n) / sample_rate
     gain = 1.0 / (4.0 * np.pi * d)
-    p = np.zeros(n)
+    p = np.zeros((d.size, n))
+    tone = np.empty_like(p)  # one tone at a time, built in place
     for comp in source.components:
-        p += comp.amplitude * gain * np.sin(
-            2.0 * np.pi * comp.frequency * (t - d / c) + comp.phase
-        )
-    return SampledSignal(sample_rate, p)
+        np.subtract(t, (d / c)[:, None], out=tone)
+        tone *= 2.0 * np.pi * comp.frequency
+        tone += comp.phase
+        np.sin(tone, out=tone)
+        tone *= (comp.amplitude * gain)[:, None]
+        p += tone
+    return p
 
 
 def _blackman(offset: np.ndarray, half_width: int) -> np.ndarray:
@@ -119,22 +98,20 @@ def _blackman(offset: np.ndarray, half_width: int) -> np.ndarray:
 
 
 def make_path_fir(
-    source_pos: Point3,
-    receiver_pos: Point3,
+    source_pos: np.ndarray,
+    receivers: np.ndarray,
     sample_rate: float,
     num_taps: int,
     c: float,
 ) -> np.ndarray:
-    """Taps of a windowed-sinc fractional-delay FIR with 1/(4 pi d) gain."""
-    d = source_pos.distance_to(receiver_pos)
-    if d < 1e-9:
-        raise ZeroDistance(f"receiver is {d:.3g} m from the source")
+    """(P, num_taps) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain,
+    one per (P, 3) receiver."""
+    d = _distances(source_pos, receivers)
     delay = d / c * sample_rate
-    if int(np.floor(delay)) >= num_taps - SINC_WINDOW_HALF_WIDTH:
+    if np.floor(delay.max()) >= num_taps - SINC_WINDOW_HALF_WIDTH:
         raise DelayExceedsFilter(
-            f"delay of {delay:.1f} samples does not fit in {num_taps} taps"
+            f"delay of {delay.max():.1f} samples does not fit in {num_taps} taps"
         )
-    k = np.arange(num_taps)
-    offset = k - delay
+    offset = np.arange(num_taps) - delay[:, None]
     taps = np.sinc(offset) * _blackman(offset, SINC_WINDOW_HALF_WIDTH)
-    return taps / (4.0 * np.pi * d)
+    return taps / (4.0 * np.pi * d)[:, None]

@@ -8,8 +8,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import make_path_fir, propagate_tonal
-from .geometry import Point3
-from .pinn import MlpParams, NormSpec, fundamental_period_samples, pinn_predict
+from .pinn import (
+    MlpParams,
+    NormSpec,
+    fundamental_period_samples,
+    periodic_extension,
+    pinn_predict,
+)
 from .scenario import ScenarioConfig
 from .sh import DB_FLOOR
 
@@ -35,12 +40,10 @@ class AncRunReport:
 
 
 def path_firs(
-    sources: list[Point3], receivers: list[Point3], sample_rate: float, c: float
+    sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float
 ) -> np.ndarray:
     """(len(sources), len(receivers), PATH_TAPS) FIR models of every source-receiver path."""
-    return np.array(
-        [[make_path_fir(s, r, sample_rate, PATH_TAPS, c) for r in receivers] for s in sources]
-    )
+    return np.stack([make_path_fir(s, receivers, sample_rate, PATH_TAPS, c) for s in sources])
 
 
 def _fir_sum(inputs: np.ndarray, firs: np.ndarray) -> np.ndarray:
@@ -72,12 +75,6 @@ def fxlms_step(
 ) -> np.ndarray:
     """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3)."""
     return w + mu * np.einsum("lmn,m->ln", filtered_refs, errors)
-
-
-def _tiled_primary(signal: np.ndarray, n: int) -> np.ndarray:
-    """Periodic extension of a one-block signal to n samples."""
-    reps = int(np.ceil(n / signal.size))
-    return np.tile(signal, reps)[:n]
 
 
 def run_anc(
@@ -116,17 +113,10 @@ def run_anc(
         norm = pinn_norm
         if norm is None:
             norm = NormSpec(fundamental_period_samples(scenario) / fs)
-        est = pinn_predict(pinn_params, norm, sensors, fs, norm.duration)
-        primary = np.stack([_tiled_primary(s.samples, iterations) for s in est])
+        block = pinn_predict(pinn_params, norm, sensors, fs, norm.duration)
     else:
-        primary = np.stack(
-            [
-                _tiled_primary(
-                    propagate_tonal(src, m, fs, scenario.duration, c).samples, iterations
-                )
-                for m in sensors
-            ]
-        )
+        block = propagate_tonal(src, sensors, fs, scenario.duration, c)
+    primary = periodic_extension(block, iterations)
     paths = path_firs(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
 
     # Histories run newest first: position k holds step iterations - 1 - k and
@@ -155,12 +145,7 @@ def run_anc(
 
     # ears, for the reported reduction curve (known to the simulation, not the controller)
     ears = scenario.virtual_positions
-    ear_primary = np.stack(
-        [
-            _tiled_primary(propagate_tonal(src, v, fs, scenario.duration, c).samples, n_done)
-            for v in ears
-        ]
-    )
+    ear_primary = periodic_extension(propagate_tonal(src, ears, fs, scenario.duration, c), n_done)
     ear_resid = ear_primary + _fir_sum(
         d[:, iterations - n_done : iterations][:, ::-1],
         path_firs(scenario.secondary_positions, ears, fs, c),
@@ -190,13 +175,15 @@ def run_anc(
 
 
 def field_grid_power(
-    scenario: ScenarioConfig, weights: np.ndarray | None
+    scenario: ScenarioConfig, weight_sets: list[np.ndarray | None]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal power on an xy-grid at z=0 under frozen controller weights.
+    """Signal power on an xy-grid at z=0 under each set of frozen controller weights.
 
-    Returns (x, y, power) flattened row-major over the grid; power is linear
-    mean-square pressure over one fundamental period after the path transient.
-    ``weights=None`` gives the uncontrolled primary field.
+    Returns (x, y, power): x and y flattened row-major over the grid, power
+    (len(weight_sets), grid points), linear mean-square pressure over one
+    fundamental period after the path transient. A set of ``None`` gives the
+    uncontrolled primary field. The grid is evaluated one row at a time, and
+    each row's path FIRs serve every weight set.
     """
     fs = scenario.sample_rate
     c = scenario.speed_of_sound
@@ -205,18 +192,20 @@ def field_grid_power(
     period = fundamental_period_samples(scenario)
     n_total = PATH_TAPS + 4 * period
 
-    if weights is not None:
-        outputs = -filtered_reference(src.waveform(fs, n_total), weights)
-    grid_x, grid_y, power = [], [], []
-    for gy in coords:
-        for gx in coords:
-            p = Point3(float(gx), float(gy), 0.0)
-            total = propagate_tonal(src, p, fs, n_total / fs, c).samples
-            if weights is not None:
-                firs = path_firs(scenario.secondary_positions, [p], fs, c)[:, 0]
-                total = total + _fir_sum(outputs, firs)
-            tail = total[-period:]
-            grid_x.append(float(gx))
-            grid_y.append(float(gy))
-            power.append(float(np.mean(tail**2)))
-    return np.array(grid_x), np.array(grid_y), np.array(power)
+    # secondary outputs that reach the last period: it and the PATH_TAPS - 1 samples before it
+    x = src.waveform(fs, n_total)
+    outputs = [
+        None if w is None else -filtered_reference(x, w)[:, -(period + PATH_TAPS - 1) :]
+        for w in weight_sets
+    ]
+    grid_x, grid_y = (g.ravel() for g in np.meshgrid(coords, coords))
+    power = np.empty((len(weight_sets), grid_x.size))
+    for row in range(coords.size):
+        cols = slice(row * coords.size, (row + 1) * coords.size)
+        points = np.column_stack([grid_x[cols], grid_y[cols], np.zeros(coords.size)])
+        primary = propagate_tonal(src, points, fs, n_total / fs, c)[:, -period:]
+        firs = path_firs(scenario.secondary_positions, points, fs, c)
+        for k, out in enumerate(outputs):
+            tail = primary if out is None else primary + _fir_sum(out, firs)[:, -period:]
+            power[k, cols] = np.mean(tail**2, axis=1)
+    return grid_x, grid_y, power

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import SampledSignal, propagate_tonal
+from .acoustics import propagate_tonal
 from .anc import MODE_MULTIPOINT, MODE_PINN, field_grid_power, run_anc
-from .geometry import Point3, sphere_points
+from .geometry import sphere_points
 from .oracles import check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import (
     AdamState,
@@ -24,6 +24,7 @@ from .pinn import (
     TrainConfig,
     TrainReport,
     adam_step,
+    periodic_extension,
     pinn_predict,
     save_params,
     train_pinn,
@@ -83,12 +84,11 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _train_for(spec: ExperimentSpec) -> tuple[MlpParams, TrainReport, list[SampledSignal]]:
+def _train_for(spec: ExperimentSpec) -> tuple[MlpParams, TrainReport, np.ndarray]:
     sc = spec.scenario
-    mics = [
-        propagate_tonal(sc.primary_source, p, sc.sample_rate, sc.duration, sc.speed_of_sound)
-        for p in sc.monitoring_positions
-    ]
+    mics = propagate_tonal(
+        sc.primary_source, sc.monitoring_positions, sc.sample_rate, sc.duration, sc.speed_of_sound
+    )
     params, report = train_pinn(sc, mics, spec.train)
     return params, report, mics
 
@@ -122,17 +122,6 @@ def _finish(
     return OutputBundle(csv_paths, json_path, model_path, summary, ok)
 
 
-def _tiled_prediction(
-    params: MlpParams, norm, points: list[Point3], sample_rate: float, num_samples: int
-) -> list[SampledSignal]:
-    """Periodic extension of the one-period network output to num_samples."""
-    block = pinn_predict(params, norm, points, sample_rate, norm.duration)
-    reps = int(np.ceil(num_samples / len(block[0])))
-    return [
-        SampledSignal(sample_rate, np.tile(s.samples, reps)[:num_samples]) for s in block
-    ]
-
-
 def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
     """Interpolation error vs evaluation-sphere radius, SH against the PINN."""
     t0 = time.time()
@@ -145,16 +134,19 @@ def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
 
     f_max = max(comp.frequency for comp in sc.primary_source.components)
     U = max_order(f_max, MIC_RADIUS, c)
-    series = sh_fit(sc.monitoring_positions, mics, U)
+    series = sh_fit(sc.monitoring_positions, mics, U, fs)
 
     rows = []
     for r_s in spec.radii:
         pts = sphere_points(r_s, SWEEP_POINTS)
-        truth = [propagate_tonal(sc.primary_source, p, fs, sc.duration, c) for p in pts]
-        est_sh = [sh_interpolate(series, p, c) for p in pts]
-        est_nn = _tiled_prediction(params, report.norm, pts, fs, sc.num_samples)
-        eps_sh = ratio_to_db(interpolation_error(truth, est_sh))
-        eps_nn = ratio_to_db(interpolation_error(truth, est_nn))
+        # PINN first, then the truth: one (SWEEP_POINTS, T) estimate alive at a time
+        est = periodic_extension(
+            pinn_predict(params, report.norm, pts, fs, report.norm.duration), sc.num_samples
+        )
+        truth = propagate_tonal(sc.primary_source, pts, fs, sc.duration, c)
+        eps_nn = ratio_to_db(interpolation_error(truth, est))
+        del est
+        eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
         rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
     csv_path = spec.out_dir / "interp_sweep.csv"
@@ -198,12 +190,10 @@ def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
     return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics)
 
 
-def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: list[Point3]) -> np.ndarray:
-    """Grid points within EAR_DISK_RADIUS of either ear, in the xy-plane."""
-    mask = np.zeros(x.shape, dtype=bool)
-    for ear in ears:
-        mask |= (x - ear.x) ** 2 + (y - ear.y) ** 2 <= EAR_DISK_RADIUS**2 + 1e-12
-    return mask
+def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
+    """Grid points within EAR_DISK_RADIUS of any of the (E, 3) ears, in the xy-plane."""
+    d2 = (x[:, None] - ears[:, 0]) ** 2 + (y[:, None] - ears[:, 1]) ** 2
+    return np.any(d2 <= EAR_DISK_RADIUS**2 + 1e-12, axis=1)
 
 
 def run_field_map(spec: ExperimentSpec) -> OutputBundle:
@@ -219,9 +209,7 @@ def run_field_map(spec: ExperimentSpec) -> OutputBundle:
     pn = run_anc(
         sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
     )
-    gx, gy, p_primary = field_grid_power(sc, None)
-    _, _, p_mp = field_grid_power(sc, mp.weights)
-    _, _, p_pn = field_grid_power(sc, pn.weights)
+    gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
 
     ref = p_primary.max()
     csv_paths = {}

@@ -1,61 +1,47 @@
-"""Cartesian/spherical points and deterministic point sets on spheres and balls."""
+"""Point sets as (P, 3) arrays in meters: spherical view, Fibonacci spheres, seeded balls."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+ORIGIN = np.zeros(3)
 
 
-@dataclass(frozen=True)
-class Point3:
-    """Position in meters, Cartesian storage with a spherical view."""
-
-    x: float
-    y: float
-    z: float
-
-    @property
-    def r(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-    @property
-    def theta(self) -> float:
-        """Polar angle in [0, pi]; 0 for the origin by convention."""
-        r = self.r
-        if r == 0.0:
-            return 0.0
-        return float(np.arccos(np.clip(self.z / r, -1.0, 1.0)))
-
-    @property
-    def phi(self) -> float:
-        """Azimuth wrapped to [0, 2*pi)."""
-        if self.x == 0.0 and self.y == 0.0:
-            return 0.0
-        wrapped = float(np.arctan2(self.y, self.x) % (2.0 * np.pi))
-        return 0.0 if wrapped >= 2.0 * np.pi else wrapped
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def distance_to(self, other: "Point3") -> float:
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
-
-    @staticmethod
-    def from_spherical(r: float, theta: float, phi: float) -> "Point3":
-        st = np.sin(theta)
-        return Point3(r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta))
+def as_points(value, name: str) -> np.ndarray:
+    """``value`` as a non-empty (n, 3) array of finite coordinates; ValueError naming it otherwise."""
+    try:
+        pts = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+        raise ValueError(f"{name} must be a non-empty list of finite [x, y, z] positions")
+    return pts
 
 
-def cart_to_sph(p: Point3) -> tuple[float, float, float]:
-    """(r, theta, phi) view of a point; the origin maps to (0, 0, 0)."""
-    return p.r, p.theta, p.phi
+def distances(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each of the (P, 3) ``points`` from one (3,) ``origin``."""
+    diff = np.atleast_2d(points) - origin
+    # row-wise dot products: the same arithmetic as np.linalg.norm of one vector
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
-def sphere_points(radius: float, count: int, center: Point3 = Point3(0, 0, 0)) -> list[Point3]:
-    """Deterministic Fibonacci-lattice points on a sphere.
+def cart_to_sph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, theta, phi) of (..., 3) points; theta in [0, pi], phi in [0, 2*pi).
+
+    The origin maps to (0, 0, 0), and points on the z-axis to phi = 0.
+    """
+    x, y, z = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    r = np.sqrt(x**2 + y**2 + z**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(r == 0.0, 0.0, np.arccos(np.clip(z / r, -1.0, 1.0)))
+    phi = np.arctan2(y, x) % (2.0 * np.pi)
+    phi = np.where(((x == 0.0) & (y == 0.0)) | (phi >= 2.0 * np.pi), 0.0, phi)
+    return r, theta, phi
+
+
+def sphere_points(radius: float, count: int, center: np.ndarray = ORIGIN) -> np.ndarray:
+    """Deterministic Fibonacci-lattice points on a sphere; (count, 3).
 
     All points sit at exactly ``radius`` from ``center``; count=1 degenerates
     to the north pole.
@@ -65,28 +51,32 @@ def sphere_points(radius: float, count: int, center: Point3 = Point3(0, 0, 0)) -
     if count < 1:
         raise ValueError("count must be >= 1")
     if count == 1:
-        return [Point3(center.x, center.y, center.z + radius)]
+        return np.asarray(center, dtype=float) + [[0.0, 0.0, radius]]
     i = np.arange(count)
     # midpoint offsets keep points away from the poles
     cos_theta = 1.0 - (2.0 * i + 1.0) / count
     sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
     phi = i * GOLDEN_ANGLE
-    xs = center.x + radius * sin_theta * np.cos(phi)
-    ys = center.y + radius * sin_theta * np.sin(phi)
-    zs = center.z + radius * cos_theta
-    return [Point3(float(x), float(y), float(z)) for x, y, z in zip(xs, ys, zs)]
+    offsets = np.column_stack(
+        [radius * sin_theta * np.cos(phi), radius * sin_theta * np.sin(phi), radius * cos_theta]
+    )
+    return np.asarray(center, dtype=float) + offsets
 
 
 def ball_points(
-    radius: float, count: int, center: Point3 = Point3(0, 0, 0), seed: int = 0
-) -> list[Point3]:
-    """Seeded uniform points inside the closed ball, by rejection from the cube."""
+    radius: float, count: int, center: np.ndarray = ORIGIN, seed: int = 0
+) -> np.ndarray:
+    """Seeded uniform points inside the closed ball, by rejection from the cube; (count, 3).
+
+    Candidates are drawn three coordinates at a time from one stream, and the
+    first ``count`` inside the ball are kept in draw order.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    pts: list[Point3] = []
-    while len(pts) < count:
-        cand = rng.uniform(-radius, radius, size=3)
-        if np.linalg.norm(cand) <= radius:
-            pts.append(Point3(center.x + cand[0], center.y + cand[1], center.z + cand[2]))
-    return pts
+    accepted = np.empty((0, 3))
+    while len(accepted) < count:
+        # the ball fills pi/6 of the cube; draw about twice what is still missing
+        cand = rng.uniform(-radius, radius, size=(4 * (count - len(accepted)) + 16, 3))
+        accepted = np.vstack([accepted, cand[distances(cand, ORIGIN) <= radius]])
+    return np.asarray(center, dtype=float) + accepted[:count]

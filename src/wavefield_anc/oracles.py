@@ -11,9 +11,9 @@ import operator
 
 import numpy as np
 
-from .acoustics import SampledSignal, TonalSource, ToneComponent
+from .acoustics import TonalSource, ToneComponent
 from .anc import MODE_MULTIPOINT, run_anc
-from .geometry import Point3, sphere_points
+from .geometry import cart_to_sph, sphere_points
 from .pinn import MlpParams, glorot_init, loss_and_grads, mlp_forward, mlp_second_derivs
 from .scenario import ScenarioConfig
 from .sh import ShIndex, real_sh, sh_fit, sh_indices, spherical_bessel_j
@@ -91,12 +91,10 @@ def fxlms_figures() -> dict:
 
     def scenario(amplitude: float) -> ScenarioConfig:
         return ScenarioConfig(
-            primary_source=TonalSource(
-                Point3(0.6, 0.8, 1.0), (ToneComponent(400.0, amplitude, 0.3),)
-            ),
-            secondary_positions=[Point3(0.0, 0.5, 0.0)],
-            monitoring_positions=[Point3(0.0, 0.1, 0.0)],
-            virtual_positions=[Point3(0.0, 0.12, 0.0)],
+            primary_source=TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, amplitude, 0.3),)),
+            secondary_positions=[(0.0, 0.5, 0.0)],
+            monitoring_positions=[(0.0, 0.1, 0.0)],
+            virtual_positions=[(0.0, 0.12, 0.0)],
         )
 
     rep = run_anc(scenario(40.0), MODE_MULTIPOINT, 5000, 1e-5)
@@ -123,9 +121,9 @@ def sh_figures() -> dict[str, float]:
     gram = np.einsum("iab,jab,ab->ij", Y, Y, w)
 
     positions = sphere_points(0.26, 16)
-    vals = real_sh(ShIndex(1, 0), [p.theta for p in positions], [p.phi for p in positions])
-    signals = [SampledSignal(24_000.0, np.full(8, v)) for v in vals]
-    coeffs = sh_fit(positions, signals, U=1, reg=1e-9).coeffs[:, 0]
+    _, theta, phi = cart_to_sph(positions)
+    signals = np.repeat(real_sh(ShIndex(1, 0), theta, phi)[:, None], 8, axis=1)
+    coeffs = sh_fit(positions, signals, 1, 24_000.0, reg=1e-9).coeffs[:, 0]
     mode = ShIndex(1, 0).flat
     return {
         "sh_gram_max_err": float(np.max(np.abs(gram - np.eye(len(idxs))))),

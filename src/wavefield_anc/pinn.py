@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import SampledSignal
 from .errors import DivergenceDetected
-from .geometry import Point3, ball_points
+from .geometry import ball_points
 from .scenario import MIC_RADIUS, ScenarioConfig
 
 TIME_HALF_RANGE = 0.15  # physical time maps onto [-0.15, 0.15], like the coordinates
@@ -119,7 +118,6 @@ class TrainReport:
     history: list[tuple[int, float, float]] = field(default_factory=list)  # epoch, L_data, L_pde
     initial_data_loss: float = 0.0
     final_data_loss: float = 0.0
-    diverged: bool = False
     norm: NormSpec | None = None  # time map the winning model was trained under
     restart_scores: list[float] = field(default_factory=list)
     best_restart: int = 0
@@ -138,8 +136,9 @@ def glorot_init(seed: int, N: int = 16) -> MlpParams:
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     """Network output for inputs of shape (B, 4) or (4,)."""
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    h = np.tanh(u @ params.W1.T + params.b1)
-    out = h @ params.W2 + params.b2
+    h = u @ params.W1.T
+    h += params.b1  # in place: h is the largest array
+    out = np.tanh(h, out=h) @ params.W2 + params.b2
     return out if np.asarray(inputs).ndim > 1 else float(out[0])
 
 
@@ -245,12 +244,11 @@ def make_collocation_positions(
     scenario: ScenarioConfig, count: int, seed: int
 ) -> np.ndarray:
     """Mic positions plus seeded ball samples inside the monitoring sphere; (count, 3)."""
-    mics = np.array([p.as_array() for p in scenario.monitoring_positions])
-    extra = count - mics.shape[0]
+    mics = scenario.monitoring_positions
+    extra = count - len(mics)
     if extra < 0:
         raise ValueError("collocation count smaller than the mic count")
-    balls = ball_points(MIC_RADIUS, extra, seed=seed)
-    return np.vstack([mics, [b.as_array() for b in balls]]) if extra else mics
+    return np.vstack([mics, ball_points(MIC_RADIUS, extra, seed=seed)])
 
 
 def fundamental_period_samples(scenario: ScenarioConfig) -> int:
@@ -265,6 +263,20 @@ def fundamental_period_samples(scenario: ScenarioConfig) -> int:
         return scenario.num_samples
     fund = int(np.gcd.reduce(rounded))
     return min(round(scenario.sample_rate / fund), scenario.num_samples)
+
+
+def periodic_extension(block: np.ndarray, n: int) -> np.ndarray:
+    """The (..., B) one-period signals repeated along their last axis to n samples."""
+    reps = int(np.ceil(n / block.shape[-1]))
+    return np.tile(block, reps)[..., :n]
+
+
+def _grid_inputs(tau: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(P * T, 4) network inputs: the T times ``tau`` at each of the (P, 3) points in turn."""
+    inputs = np.empty((len(points), len(tau), 4))
+    inputs[..., 0] = tau
+    inputs[..., 1:] = np.asarray(points, dtype=float)[:, None, :]
+    return inputs.reshape(-1, 4)
 
 
 VALIDATION_SEED_OFFSET = 104_729
@@ -297,10 +309,9 @@ def _train_single(
         lr = cfg.learning_rate * lr_ratio**frac
         lam = cfg.pde_weight * lam_ratio**frac
         colloc_tau = rng.uniform(-norm.half_range, norm.half_range, size=A)
-        colloc = colloc_xyz_with_tau(colloc_xyz, colloc_tau)
+        colloc = np.column_stack([colloc_tau, colloc_xyz])
         L_data, L_pde, grads = loss_and_grads(params, inputs, targets_flat, colloc, lam, c_eff)
         if not (np.isfinite(L_data) and np.isfinite(L_pde)):
-            report.diverged = True
             raise DivergenceDetected(f"non-finite loss at epoch {epoch}")
         if epoch == 0:
             report.initial_data_loss = L_data
@@ -313,7 +324,7 @@ def _train_single(
 
 def train_pinn(
     scenario: ScenarioConfig,
-    mic_signals: list[SampledSignal],
+    mic_signals: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[MlpParams, TrainReport]:
     """Adam training on the data + PDE loss; deterministic per cfg.seed.
@@ -326,36 +337,28 @@ def train_pinn(
     lowest data loss + interior wave-equation residual penalty; the residual
     term rejects seeds that fit the mic samples but oscillate between them.
     """
-    Q = len(scenario.monitoring_positions)
-    if len(mic_signals) != Q:
-        raise ValueError("need one signal per monitoring microphone")
+    mic_signals = np.asarray(mic_signals, dtype=float)
+    if mic_signals.ndim != 2 or len(mic_signals) != len(scenario.monitoring_positions):
+        raise ValueError("need one signal row per monitoring microphone")
     period = fundamental_period_samples(scenario)
-    if any(len(s) < period for s in mic_signals):
+    if mic_signals.shape[1] < period:
         raise ValueError("mic signals shorter than one fundamental period")
     fs = scenario.sample_rate
     norm = NormSpec(period / fs)
     c_eff = cfg.c_eff if cfg.c_eff is not None else norm.c_eff(scenario.speed_of_sound)
 
-    tau_grid = norm.to_tau(np.arange(period) / fs)
-    mic_xyz = np.array([p.as_array() for p in scenario.monitoring_positions])
-    targets = np.stack([s.samples[:period] for s in mic_signals])  # (Q, period)
+    targets = mic_signals[:, :period]
     rms = float(np.sqrt(np.mean(targets**2)))
     if rms == 0.0:
         rms = 1.0
-    inputs = np.concatenate(
-        [
-            np.column_stack([tau_grid, np.broadcast_to(xyz, (period, 3))])
-            for xyz in mic_xyz
-        ]
-    )
+    inputs = _grid_inputs(norm.to_tau(np.arange(period) / fs), scenario.monitoring_positions)
     targets_flat = targets.ravel() / rms
 
     # held-out interior points for the restart-selection residual score
     val_rng = np.random.default_rng(cfg.seed + VALIDATION_SEED_OFFSET)
-    val_balls = ball_points(MIC_RADIUS, VALIDATION_POINTS, seed=cfg.seed + VALIDATION_SEED_OFFSET)
-    val_xyz = np.array([b.as_array() for b in val_balls])
+    val_xyz = ball_points(MIC_RADIUS, VALIDATION_POINTS, seed=cfg.seed + VALIDATION_SEED_OFFSET)
     val_tau = val_rng.uniform(-norm.half_range, norm.half_range, size=VALIDATION_POINTS)
-    val_points = colloc_xyz_with_tau(val_xyz, val_tau)
+    val_points = np.column_stack([val_tau, val_xyz])
 
     best: tuple[float, MlpParams, TrainReport] | None = None
     scores = []
@@ -377,25 +380,17 @@ def train_pinn(
     return params, report
 
 
-def colloc_xyz_with_tau(xyz: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    return np.column_stack([tau, xyz])
-
-
 def pinn_predict(
     params: MlpParams,
     norm: NormSpec,
-    points: list[Point3],
+    points: np.ndarray,
     sample_rate: float,
     duration: float,
-) -> list[SampledSignal]:
-    """Evaluate the network on the time grid at each point."""
+) -> np.ndarray:
+    """Evaluate the network on the time grid at each of the (P, 3) points; (P, T)."""
     T = round(duration * sample_rate)
-    tau = norm.to_tau(np.arange(T) / sample_rate)
-    out = []
-    for p in points:
-        inputs = np.column_stack([tau, np.broadcast_to(p.as_array(), (T, 3))])
-        out.append(SampledSignal(sample_rate, mlp_forward(params, inputs)))
-    return out
+    inputs = _grid_inputs(norm.to_tau(np.arange(T) / sample_rate), points)
+    return mlp_forward(params, inputs).reshape(len(points), T)
 
 
 def save_params(params: MlpParams, norm: NormSpec, path: str | Path):

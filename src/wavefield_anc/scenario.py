@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .acoustics import TonalSource, ToneComponent
-from .geometry import Point3
+from .geometry import as_points
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
 MIC_RADIUS = np.sqrt(3.0) * MIC_CORNER  # 0.2598 m; the nominal "0.26 m" sphere
@@ -18,24 +18,23 @@ MIC_RADIUS = np.sqrt(3.0) * MIC_CORNER  # 0.2598 m; the nominal "0.26 m" sphere
 @dataclass
 class ScenarioConfig:
     primary_source: TonalSource
-    secondary_positions: list[Point3]
-    monitoring_positions: list[Point3]
-    virtual_positions: list[Point3]
+    secondary_positions: np.ndarray  # (L, 3), meters
+    monitoring_positions: np.ndarray  # (Q, 3)
+    virtual_positions: np.ndarray  # (V, 3), the ears
     speed_of_sound: float = 343.0
     sample_rate: float = 24000.0
     duration: float = 0.1
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.secondary_positions or not self.monitoring_positions or not self.virtual_positions:
-            raise ValueError("need at least one secondary, monitoring, and virtual position")
+        for name in ("secondary_positions", "monitoring_positions", "virtual_positions"):
+            setattr(self, name, as_points(getattr(self, name), name))
         if self.speed_of_sound <= 0:
             raise ValueError("speed of sound must be positive")
-        mics = self.monitoring_positions + self.virtual_positions
-        for i, a in enumerate(mics):
-            for b in mics[i + 1 :]:
-                if a.distance_to(b) < 1e-12:
-                    raise ValueError("microphone positions must be distinct")
+        mics = np.vstack([self.monitoring_positions, self.virtual_positions])
+        gaps = np.linalg.norm(mics[:, None, :] - mics[None, :, :], axis=-1)
+        if np.any(gaps[np.triu_indices(len(mics), 1)] < 1e-12):
+            raise ValueError("microphone positions must be distinct")
 
     @property
     def num_samples(self) -> int:
@@ -44,15 +43,15 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return {
             "primary_source": {
-                "position": list(self.primary_source.position.as_array()),
+                "position": self.primary_source.position.tolist(),
                 "components": [
                     {"frequency": c.frequency, "amplitude": c.amplitude, "phase": c.phase}
                     for c in self.primary_source.components
                 ],
             },
-            "secondary_positions": [list(p.as_array()) for p in self.secondary_positions],
-            "monitoring_positions": [list(p.as_array()) for p in self.monitoring_positions],
-            "virtual_positions": [list(p.as_array()) for p in self.virtual_positions],
+            "secondary_positions": self.secondary_positions.tolist(),
+            "monitoring_positions": self.monitoring_positions.tolist(),
+            "virtual_positions": self.virtual_positions.tolist(),
             "speed_of_sound": self.speed_of_sound,
             "sample_rate": self.sample_rate,
             "duration": self.duration,
@@ -63,7 +62,7 @@ class ScenarioConfig:
     def from_dict(d: dict) -> "ScenarioConfig":
         src = d["primary_source"]
         source = TonalSource(
-            position=Point3(*src["position"]),
+            position=src["position"],
             components=tuple(
                 ToneComponent(c["frequency"], c["amplitude"], c["phase"])
                 for c in src["components"]
@@ -71,9 +70,9 @@ class ScenarioConfig:
         )
         return ScenarioConfig(
             primary_source=source,
-            secondary_positions=[Point3(*p) for p in d["secondary_positions"]],
-            monitoring_positions=[Point3(*p) for p in d["monitoring_positions"]],
-            virtual_positions=[Point3(*p) for p in d["virtual_positions"]],
+            secondary_positions=d["secondary_positions"],
+            monitoring_positions=d["monitoring_positions"],
+            virtual_positions=d["virtual_positions"],
             speed_of_sound=d["speed_of_sound"],
             sample_rate=d["sample_rate"],
             duration=d["duration"],
@@ -99,22 +98,22 @@ def default_scenario(seed: int = 0) -> ScenarioConfig:
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
     source = TonalSource(
-        position=Point3(0.6, 0.8, 1.0),
+        position=(0.6, 0.8, 1.0),
         components=tuple(
             ToneComponent(f, SOURCE_AMPLITUDE, float(ph))
             for f, ph in zip((300.0, 400.0, 500.0), phases)
         ),
     )
     corners = [
-        Point3(sx * MIC_CORNER, sy * MIC_CORNER, sz * MIC_CORNER)
+        (sx * MIC_CORNER, sy * MIC_CORNER, sz * MIC_CORNER)
         for sx in (-1, 1)
         for sy in (-1, 1)
         for sz in (-1, 1)
     ]
     return ScenarioConfig(
         primary_source=source,
-        secondary_positions=[Point3(0.0, 0.5, 0.0), Point3(0.0, -0.5, 0.0)],
+        secondary_positions=[(0.0, 0.5, 0.0), (0.0, -0.5, 0.0)],
         monitoring_positions=corners,
-        virtual_positions=[Point3(0.0, 0.1, 0.0), Point3(0.0, -0.1, 0.0)],
+        virtual_positions=[(0.0, 0.1, 0.0), (0.0, -0.1, 0.0)],
         rng_seed=seed,
     )

@@ -13,9 +13,8 @@ from math import factorial
 import numpy as np
 from scipy.special import lpmv
 
-from .acoustics import SampledSignal
 from .errors import EmptySignals, RadiusMismatch, ZeroDenominator
-from .geometry import Point3
+from .geometry import cart_to_sph
 
 DB_FLOOR = -300.0
 BESSEL_DENOM_CLAMP = 1e-6
@@ -135,42 +134,35 @@ def max_order(f_m: float, r: float, c: float) -> int:
 
 
 def sh_fit(
-    positions: list[Point3],
-    signals: list[SampledSignal],
+    positions: np.ndarray,
+    signals: np.ndarray,
     U: int,
+    sample_rate: float,
     reg: float = 1e-6,
 ) -> ShCoeffSeries:
     """Ridge least-squares fit of SH mode coefficients, per time sample.
 
+    ``signals`` is (Q, T), one row per sensor of the (Q, 3) ``positions``.
     ``reg`` is relative to the largest singular value of the basis matrix;
     as reg -> 0 the solution tends to the minimum-norm pseudoinverse solution.
     """
-    if not signals or any(len(s) == 0 for s in signals):
+    P = np.asarray(signals, dtype=float)
+    if P.size == 0:
         raise EmptySignals("need non-empty signals")
-    if len(positions) != len(signals):
-        raise ValueError("positions and signals must pair up")
-    radii = np.array([p.r for p in positions])
+    positions = np.asarray(positions, dtype=float)
+    if P.ndim != 2 or positions.shape != (len(P), 3):
+        raise ValueError("need (Q, 3) positions and (Q, T) signals")
+    radii, theta, phi = cart_to_sph(positions)
     if np.ptp(radii) > 1e-6:
         raise RadiusMismatch(f"sensor radii span {np.ptp(radii):.3g} m")
-    lengths = {len(s) for s in signals}
-    if len(lengths) != 1:
-        raise ValueError("signals must share one length")
-    rates = {s.sample_rate for s in signals}
-    if len(rates) != 1:
-        raise ValueError("signals must share one sample rate")
 
-    idxs = sh_indices(U)
-    Y = np.column_stack(
-        [real_sh(ix, [p.theta for p in positions], [p.phi for p in positions]) for ix in idxs]
-    )  # (Q, (U+1)^2)
-    P = np.stack([s.samples for s in signals])  # (Q, T)
-
+    Y = np.column_stack([real_sh(ix, theta, phi) for ix in sh_indices(U)])  # (Q, (U+1)^2)
     u_svd, s_svd, vt = np.linalg.svd(Y, full_matrices=False)
     lam = reg * s_svd[0]
     filt = s_svd / (s_svd**2 + lam**2)
     solver = vt.T @ (filt[:, None] * u_svd.T)  # ((U+1)^2, Q)
     coeffs = solver @ P
-    return ShCoeffSeries(U, float(radii.mean()), signals[0].sample_rate, coeffs)
+    return ShCoeffSeries(U, float(radii.mean()), sample_rate, coeffs)
 
 
 def _radial_ratio(u: int, freqs: np.ndarray, r_from: float, r_to: float, c: float) -> np.ndarray:
@@ -192,42 +184,46 @@ def _radial_ratio(u: int, freqs: np.ndarray, r_from: float, r_to: float, c: floa
     return ratio
 
 
-def sh_interpolate(series: ShCoeffSeries, target: Point3, c: float) -> SampledSignal:
-    """Reconstruct the pressure signal at ``target`` from fitted coefficients.
+def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.ndarray:
+    """Reconstruct the (P, T) pressure signals at the (P, 3) ``targets``.
 
     Each mode's coefficient series is translated radially in the DFT domain by
     the spherical-Bessel ratio at that bin's frequency, then recombined with
-    the SH basis at the target angles.
+    the SH basis at the target angles. Targets sharing a radius share one
+    translation.
     """
-    r_s, theta, phi = target.r, target.theta, target.phi
-    if r_s <= 0:
+    r_s, theta, phi = cart_to_sph(targets)
+    if np.any(r_s <= 0):
         raise ValueError("target radius must be positive")
     T = series.coeffs.shape[1]
     freqs = np.fft.rfftfreq(T, d=1.0 / series.sample_rate)
     spec = np.fft.rfft(series.coeffs, axis=1)
-    out = np.zeros(T)
-    for ix in sh_indices(series.max_order):
-        ratio = _radial_ratio(ix.order, freqs, series.fit_radius, r_s, c)
-        translated = np.fft.irfft(spec[ix.flat] * ratio, n=T)
-        out += translated * real_sh(ix, theta, phi)
-    return SampledSignal(series.sample_rate, out)
+    idxs = sh_indices(series.max_order)
+    orders = [ix.order for ix in idxs]
+    Y = np.column_stack([real_sh(ix, theta, phi) for ix in idxs])  # (P, modes)
+    radii, group = np.unique(r_s, return_inverse=True)
+    out = np.empty((len(r_s), T))
+    for g, radius in enumerate(radii):
+        by_order = [
+            _radial_ratio(u, freqs, series.fit_radius, radius, c)
+            for u in range(series.max_order + 1)
+        ]
+        translated = np.fft.irfft(spec * np.stack(by_order)[orders], n=T, axis=1)
+        members = group == g
+        out[members] = Y[members] @ translated
+    return out
 
 
-def interpolation_error(
-    truth: list[SampledSignal], estimate: list[SampledSignal]
-) -> float:
+def interpolation_error(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Energy ratio sum((p - p_hat)^2) / sum(p^2) over all points and samples."""
-    if len(truth) != len(estimate) or not truth:
-        raise ValueError("need matching non-empty signal lists")
-    num = 0.0
-    den = 0.0
-    for p, ph in zip(truth, estimate):
-        p._check_combinable(ph)
-        num += float(np.sum((p.samples - ph.samples) ** 2))
-        den += float(np.sum(p.samples**2))
+    if np.shape(truth) != np.shape(estimate) or np.size(truth) == 0:
+        raise ValueError("need non-empty signal arrays of one shape")
+    den = float(np.sum(np.square(truth)))
     if den == 0.0:
         raise ZeroDenominator("truth signals are identically zero")
-    return num / den
+    err = np.subtract(truth, estimate)
+    err *= err
+    return float(np.sum(err)) / den
 
 
 def ratio_to_db(ratio: float) -> float:

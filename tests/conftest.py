@@ -12,10 +12,9 @@ def scenario():
 @pytest.fixture(scope="session")
 def mic_signals(scenario):
     sc = scenario
-    return [
-        propagate_tonal(sc.primary_source, p, sc.sample_rate, sc.duration, sc.speed_of_sound)
-        for p in sc.monitoring_positions
-    ]
+    return propagate_tonal(
+        sc.primary_source, sc.monitoring_positions, sc.sample_rate, sc.duration, sc.speed_of_sound
+    )
 
 
 @pytest.fixture(scope="session")

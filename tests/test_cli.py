@@ -56,6 +56,21 @@ def test_malformed_config_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_two_coordinate_position_is_exit_2(tmp_path, capsys):
+    for field in ("virtual_positions", "primary_source"):
+        d = default_scenario(0).to_dict()
+        if field == "primary_source":
+            d[field]["position"] = [0.6, 0.8]
+        else:
+            d[field][1] = [0.0, -0.1]
+        bad = tmp_path / f"bad_{field}.json"
+        bad.write_text(json.dumps(d))
+        code = main(["validate", "--config", str(bad), "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_config_round_trip(tmp_path):
     sc = default_scenario(3)
     path = tmp_path / "scenario.json"

@@ -22,7 +22,6 @@ from wavefield_anc.pinn import (
     save_params,
     train_pinn,
 )
-from wavefield_anc.geometry import Point3
 from wavefield_anc.scenario import MIC_RADIUS, default_scenario
 
 QUICK_TRAIN = TrainConfig(epochs=2000, restarts=1)
@@ -214,8 +213,7 @@ def test_collocation_positions():
     sc = default_scenario(0)
     pts = make_collocation_positions(sc, 100, seed=0)
     assert pts.shape == (100, 3)
-    mics = np.array([p.as_array() for p in sc.monitoring_positions])
-    assert np.allclose(pts[:8], mics)
+    assert np.array_equal(pts[:8], sc.monitoring_positions)
     assert np.all(np.linalg.norm(pts, axis=1) <= MIC_RADIUS + 1e-12)
 
 
@@ -246,9 +244,7 @@ def test_pde_constraint_removal_cannot_hurt_fit(scenario, mic_signals):
 
 
 def test_train_is_amplitude_invariant(scenario, mic_signals):
-    from wavefield_anc.acoustics import SampledSignal
-
-    scaled = [SampledSignal(s.sample_rate, 7.0 * s.samples) for s in mic_signals]
+    scaled = 7.0 * mic_signals
     p1, r1 = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     p2, r2 = train_pinn(scenario, scaled, QUICK_TRAIN)
     # normalized training makes the fit scale-equivariant
@@ -258,9 +254,9 @@ def test_train_is_amplitude_invariant(scenario, mic_signals):
 
 def test_predict_shapes_and_constant_network():
     p = MlpParams(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 3.3)
-    out = pinn_predict(p, NormSpec(0.01), [Point3(0, 0.1, 0)], 24_000.0, 0.01)
-    assert len(out) == 1 and len(out[0]) == 240
-    assert np.all(out[0].samples == 3.3)
+    out = pinn_predict(p, NormSpec(0.01), [[0, 0.1, 0], [0.2, 0, 0.1]], 24_000.0, 0.01)
+    assert out.shape == (2, 240)
+    assert np.all(out == 3.3)
 
 
 def test_predict_consistent_with_report(scenario, mic_signals):
@@ -269,8 +265,8 @@ def test_predict_consistent_with_report(scenario, mic_signals):
     preds = pinn_predict(
         params, report.norm, scenario.monitoring_positions, scenario.sample_rate, report.norm.duration
     )
-    num = sum(np.sum((p.samples - s.samples[:period]) ** 2) for p, s in zip(preds, mic_signals))
-    den = sum(np.sum(s.samples[:period] ** 2) for s in mic_signals)
+    num = np.sum((preds - mic_signals[:, :period]) ** 2)
+    den = np.sum(mic_signals[:, :period] ** 2)
     # the normalized final data loss equals the physical NMSE by construction
     # (up to the one optimizer step taken after the last loss evaluation)
     assert num / den == pytest.approx(report.final_data_loss, rel=1e-3)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
-from wavefield_anc.acoustics import SampledSignal, TonalSource, ToneComponent, propagate_tonal
+from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.errors import EmptySignals, RadiusMismatch, ZeroDenominator
-from wavefield_anc.geometry import Point3, sphere_points
+from wavefield_anc.geometry import cart_to_sph, sphere_points
 from wavefield_anc.scenario import MIC_RADIUS, default_scenario
 from wavefield_anc.sh import (
     ShCoeffSeries,
@@ -44,9 +44,7 @@ def test_dipole_at_pole():
 
 
 def test_quadrature_orthogonality():
-    pts = sphere_points(1.0, 10_000)
-    th = np.array([p.theta for p in pts])
-    ph = np.array([p.phi for p in pts])
+    _, th, ph = cart_to_sph(sphere_points(1.0, 10_000))
     inner = np.mean(real_sh(ShIndex(1, 0), th, ph) * real_sh(ShIndex(1, 1), th, ph)) * 4 * np.pi
     assert abs(inner) < 1e-3
 
@@ -105,23 +103,22 @@ def test_max_order_examples():
 
 
 def _constant_field_signals(positions, value, n=32):
-    return [SampledSignal(FS, np.full(n, value)) for _ in positions]
+    return np.full((len(positions), n), value)
 
 
 def test_fit_constant_field():
     positions = sphere_points(0.26, 12)
-    series = sh_fit(positions, _constant_field_signals(positions, 2.5), U=2, reg=1e-9)
+    series = sh_fit(positions, _constant_field_signals(positions, 2.5), 2, FS, reg=1e-9)
     assert series.coeffs[0, 0] == pytest.approx(2.5 * np.sqrt(4 * np.pi), rel=1e-6)
     assert np.max(np.abs(series.coeffs[1:])) < 1e-6
 
 
 def test_fit_pure_mode():
     positions = sphere_points(0.26, 16)
-    th = [p.theta for p in positions]
-    ph = [p.phi for p in positions]
+    _, th, ph = cart_to_sph(positions)
     vals = real_sh(ShIndex(1, 0), th, ph)
-    signals = [SampledSignal(FS, np.full(8, v)) for v in vals]
-    series = sh_fit(positions, signals, U=1, reg=1e-9)
+    signals = np.repeat(vals[:, None], 8, axis=1)
+    series = sh_fit(positions, signals, 1, FS, reg=1e-9)
     assert series.coeffs[ShIndex(1, 0).flat, 0] == pytest.approx(1.0, abs=1e-6)
     others = np.delete(series.coeffs[:, 0], ShIndex(1, 0).flat)
     assert np.max(np.abs(others)) < 1e-6
@@ -131,55 +128,66 @@ def test_underdetermined_fit_is_min_norm():
     sc = default_scenario(0)
     positions = sc.monitoring_positions
     rng = np.random.default_rng(5)
-    signals = [SampledSignal(FS, rng.normal(size=4)) for _ in positions]
-    series = sh_fit(positions, signals, U=2, reg=1e-9)
-    idxs = sh_indices(2)
-    Y = np.column_stack(
-        [real_sh(ix, [p.theta for p in positions], [p.phi for p in positions]) for ix in idxs]
-    )
-    P = np.stack([s.samples for s in signals])
-    expected = np.linalg.pinv(Y) @ P
+    signals = rng.normal(size=(len(positions), 4))
+    series = sh_fit(positions, signals, 2, FS, reg=1e-9)
+    _, th, ph = cart_to_sph(positions)
+    Y = np.column_stack([real_sh(ix, th, ph) for ix in sh_indices(2)])
+    expected = np.linalg.pinv(Y) @ signals
     assert np.allclose(series.coeffs, expected, atol=1e-5)
 
 
 def test_fit_radius_mismatch():
-    positions = [Point3(0.26, 0, 0), Point3(0, 0.30, 0)]
+    positions = np.array([[0.26, 0, 0], [0, 0.30, 0]])
     signals = _constant_field_signals(positions, 1.0)
     with pytest.raises(RadiusMismatch):
-        sh_fit(positions, signals, U=1)
+        sh_fit(positions, signals, 1, FS)
 
 
 def test_fit_empty_signals():
     with pytest.raises(EmptySignals):
-        sh_fit([], [], U=1)
+        sh_fit(np.zeros((0, 3)), np.zeros((0, 8)), 1, FS)
+    with pytest.raises(EmptySignals):
+        sh_fit(sphere_points(0.26, 4), np.zeros((4, 0)), 1, FS)
+
+
+def test_fit_shape_mismatch():
+    positions = sphere_points(0.26, 6)
+    with pytest.raises(ValueError):
+        sh_fit(positions, np.ones((5, 8)), 1, FS)  # one signal row short
+    with pytest.raises(ValueError):
+        sh_fit(positions, np.ones(6), 1, FS)  # not (Q, T)
+    with pytest.raises(ValueError):
+        sh_fit(positions[:, :2], np.ones((6, 8)), 1, FS)  # not (Q, 3)
 
 
 def test_interpolate_identity_radius():
     sc = default_scenario(0)
-    mics = [
-        propagate_tonal(sc.primary_source, p, FS, 0.05, C) for p in sc.monitoring_positions
-    ]
-    series = sh_fit(sc.monitoring_positions, mics, U=2)
-    target = Point3.from_spherical(MIC_RADIUS, 1.0, 2.0)
-    out = sh_interpolate(series, target, C)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 0.05, C)
+    series = sh_fit(sc.monitoring_positions, mics, 2, FS)
+    theta, phi = 1.0, 2.0
+    target = MIC_RADIUS * np.array(
+        [[np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]]
+    )
+    (out,) = sh_interpolate(series, target, C)
     # identity translation: every Bessel ratio is 1; compare with direct synthesis
     direct = np.zeros(len(out))
     for ix in sh_indices(2):
-        direct += series.coeffs[ix.flat] * real_sh(ix, target.theta, target.phi)
-    assert np.allclose(out.samples, direct, atol=1e-9)
+        direct += series.coeffs[ix.flat] * real_sh(ix, theta, phi)
+    assert np.allclose(out, direct, atol=1e-9)
 
 
 def test_interpolate_linearity():
     sc = default_scenario(0)
     rng = np.random.default_rng(11)
-    sig_a = [SampledSignal(FS, rng.normal(size=64)) for _ in sc.monitoring_positions]
-    sig_b = [SampledSignal(FS, rng.normal(size=64)) for _ in sc.monitoring_positions]
-    sig_ab = [SampledSignal(FS, a.samples + b.samples) for a, b in zip(sig_a, sig_b)]
-    target = Point3(0.0, 0.1, 0.0)
-    out_a = sh_interpolate(sh_fit(sc.monitoring_positions, sig_a, 2), target, C)
-    out_b = sh_interpolate(sh_fit(sc.monitoring_positions, sig_b, 2), target, C)
-    out_ab = sh_interpolate(sh_fit(sc.monitoring_positions, sig_ab, 2), target, C)
-    assert np.allclose(out_ab.samples, out_a.samples + out_b.samples, atol=1e-10)
+    sig_a = rng.normal(size=(len(sc.monitoring_positions), 64))
+    sig_b = rng.normal(size=(len(sc.monitoring_positions), 64))
+    targets = np.array([[0.0, 0.1, 0.0], [0.05, -0.2, 0.1]])
+
+    def interpolate(signals):
+        return sh_interpolate(sh_fit(sc.monitoring_positions, signals, 2, FS), targets, C)
+
+    out_ab = interpolate(sig_a + sig_b)
+    assert np.allclose(out_ab, interpolate(sig_a) + interpolate(sig_b), atol=1e-10)
 
 
 def test_dc_bessel_ratio_limit():
@@ -195,27 +203,36 @@ def test_dc_bessel_ratio_limit():
 
 def test_single_tone_baseline_quality():
     sc = default_scenario(0)
-    src = TonalSource(Point3(0.6, 0.8, 1.0), (ToneComponent(400.0, 1.0, 0.2),))
-    mics = [propagate_tonal(src, p, FS, 0.1, C) for p in sc.monitoring_positions]
-    series = sh_fit(sc.monitoring_positions, mics, U=2)
+    src = TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, 1.0, 0.2),))
+    mics = propagate_tonal(src, sc.monitoring_positions, FS, 0.1, C)
+    series = sh_fit(sc.monitoring_positions, mics, 2, FS)
     pts = sphere_points(0.1, 400)
-    truth = [propagate_tonal(src, p, FS, 0.1, C) for p in pts]
-    est = [sh_interpolate(series, p, C) for p in pts]
+    truth = propagate_tonal(src, pts, FS, 0.1, C)
+    est = sh_interpolate(series, pts, C)
     assert interpolation_error(truth, est) < 0.5
 
 
 def test_interpolation_error_examples():
-    truth = [SampledSignal(FS, np.sin(np.linspace(0, 10, 100)))]
-    same = [SampledSignal(FS, truth[0].samples.copy())]
+    truth = np.sin(np.linspace(0, 10, 100))[None]
+    same = truth.copy()
     assert interpolation_error(truth, same) == pytest.approx(0.0, abs=1e-30)
-    zero = [SampledSignal(FS, np.zeros(100))]
+    zero = np.zeros((1, 100))
     assert interpolation_error(truth, zero) == pytest.approx(1.0)
-    scaled = [SampledSignal(FS, 0.9 * truth[0].samples)]
+    scaled = 0.9 * truth
     eps = interpolation_error(truth, scaled)
     assert eps == pytest.approx(0.01, rel=1e-9)
     assert ratio_to_db(eps) == pytest.approx(-20.0, abs=1e-9)
     with pytest.raises(ZeroDenominator):
         interpolation_error(zero, truth)
+
+
+def test_interpolation_error_shape_mismatch():
+    truth = np.ones((3, 10))
+    for estimate in (np.ones((3, 11)), np.ones((2, 10)), np.ones(30)):
+        with pytest.raises(ValueError):
+            interpolation_error(truth, estimate)
+    with pytest.raises(ValueError):
+        interpolation_error(np.ones((0, 10)), np.ones((0, 10)))
 
 
 def test_ratio_to_db_floor():
