@@ -25,7 +25,7 @@ class ToneComponent:
             raise ValueError("amplitude must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array field: compared by identity, hashable
 class TonalSource:
     position: np.ndarray  # (3,), meters
     components: tuple[ToneComponent, ...]

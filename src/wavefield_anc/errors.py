@@ -26,4 +26,4 @@ class ZeroDenominator(WavefieldError):
 
 
 class DivergenceDetected(WavefieldError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite in every restart."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -84,13 +85,32 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _train_for(spec: ExperimentSpec) -> tuple[MlpParams, TrainReport, np.ndarray]:
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Records the block's time.perf_counter seconds as ``timings[name]``."""
+    t = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t
+
+
+def _train_for(
+    spec: ExperimentSpec, timings: dict[str, float]
+) -> tuple[MlpParams, TrainReport, np.ndarray, Path]:
+    """The PINN fit to the mic signals (the "train" stage), saved as model.txt."""
     sc = spec.scenario
     mics = propagate_tonal(
         sc.primary_source, sc.monitoring_positions, sc.sample_rate, sc.duration, sc.speed_of_sound
     )
-    params, report = train_pinn(sc, mics, spec.train)
-    return params, report, mics
+    with _stage(timings, "train"):
+        params, report = train_pinn(sc, mics, spec.train)
+    model_path = spec.out_dir / "model.txt"
+    save_params(params, report.norm, model_path)
+    return params, report, mics, model_path
+
+
+def _restart_metrics(report: TrainReport) -> dict:
+    """Per-restart scores (None: diverged), the winner, and (restart, epoch) per divergence."""
+    return {k: getattr(report, k) for k in ("restart_scores", "best_restart", "diverged_restarts")}
 
 
 def _summary_base(spec: ExperimentSpec, t0: float) -> dict:
@@ -112,10 +132,12 @@ def _finish(
     csv_paths: dict[str, Path],
     model_path: Path | None,
     metrics: dict,
+    timings: dict[str, float],
     ok: bool = True,
 ) -> OutputBundle:
     summary = _summary_base(spec, t0)
     summary["metrics"] = metrics
+    summary["timings"] = timings  # per-stage seconds
     summary["ok"] = ok
     json_path = spec.out_dir / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
@@ -124,30 +146,28 @@ def _finish(
 
 def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
     """Interpolation error vs evaluation-sphere radius, SH against the PINN."""
-    t0 = time.time()
+    t0, timings = time.time(), {}
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
     fs, c = sc.sample_rate, sc.speed_of_sound
-    params, report, mics = _train_for(spec)
-    model_path = spec.out_dir / "model.txt"
-    save_params(params, report.norm, model_path)
+    params, report, mics, model_path = _train_for(spec, timings)
 
     f_max = max(comp.frequency for comp in sc.primary_source.components)
     U = max_order(f_max, MIC_RADIUS, c)
-    series = sh_fit(sc.monitoring_positions, mics, U, fs)
-
     rows = []
-    for r_s in spec.radii:
-        pts = sphere_points(r_s, SWEEP_POINTS)
-        # PINN first, then the truth: one (SWEEP_POINTS, T) estimate alive at a time
-        est = periodic_extension(
-            pinn_predict(params, report.norm, pts, fs, report.norm.duration), sc.num_samples
-        )
-        truth = propagate_tonal(sc.primary_source, pts, fs, sc.duration, c)
-        eps_nn = ratio_to_db(interpolation_error(truth, est))
-        del est
-        eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
-        rows.append((r_s, eps_sh, eps_nn))
+    with _stage(timings, "evaluate"):
+        series = sh_fit(sc.monitoring_positions, mics, U, fs)
+        for r_s in spec.radii:
+            pts = sphere_points(r_s, SWEEP_POINTS)
+            # PINN first, then the truth: one (SWEEP_POINTS, T) estimate alive at a time
+            est = periodic_extension(
+                pinn_predict(params, report.norm, pts, fs, report.norm.duration), sc.num_samples
+            )
+            truth = propagate_tonal(sc.primary_source, pts, fs, sc.duration, c)
+            eps_nn = ratio_to_db(interpolation_error(truth, est))
+            del est
+            eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
+            rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
     csv_path = spec.out_dir / "interp_sweep.csv"
     _write_csv(csv_path, ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
@@ -157,24 +177,23 @@ def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
         "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
         "mean_margin_db_02_04": float(np.mean(rows[in_band, 1] - rows[in_band, 2])),
         "train_final_data_loss": report.final_data_loss,
-        "restart_scores": report.restart_scores,
+        **_restart_metrics(report),
     }
-    return _finish(spec, t0, {"interp_sweep": csv_path}, model_path, metrics)
+    return _finish(spec, t0, {"interp_sweep": csv_path}, model_path, metrics, timings)
 
 
 def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
     """Ear noise-reduction curves for multiple-point and PINN-assisted control."""
-    t0 = time.time()
+    t0, timings = time.time(), {}
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
-    params, report, _ = _train_for(spec)
-    model_path = spec.out_dir / "model.txt"
-    save_params(params, report.norm, model_path)
+    params, report, _, model_path = _train_for(spec, timings)
 
-    mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
-    pn = run_anc(
-        sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
-    )
+    with _stage(timings, "anc"):
+        mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
+        pn = run_anc(
+            sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
+        )
     n = min(mp.iterations, pn.iterations)
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     csv_path = spec.out_dir / "anc_convergence.csv"
@@ -186,8 +205,9 @@ def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
         "steady_state_gap_db": float(mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()),
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
+        **_restart_metrics(report),
     }
-    return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics)
+    return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics, timings)
 
 
 def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
@@ -198,18 +218,18 @@ def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
 
 def run_field_map(spec: ExperimentSpec) -> OutputBundle:
     """xy-plane signal-power maps: primary, multipoint residual, PINN residual."""
-    t0 = time.time()
+    t0, timings = time.time(), {}
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
-    params, report, _ = _train_for(spec)
-    model_path = spec.out_dir / "model.txt"
-    save_params(params, report.norm, model_path)
+    params, report, _, model_path = _train_for(spec, timings)
 
-    mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
-    pn = run_anc(
-        sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
-    )
-    gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
+    with _stage(timings, "anc"):
+        mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
+        pn = run_anc(
+            sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
+        )
+    with _stage(timings, "field"):
+        gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
 
     ref = p_primary.max()
     csv_paths = {}
@@ -225,15 +245,16 @@ def run_field_map(spec: ExperimentSpec) -> OutputBundle:
     metrics = {
         "ear_disk_mean_db": disk_means,
         "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
+        **_restart_metrics(report),
     }
-    return _finish(spec, t0, csv_paths, model_path, metrics)
+    return _finish(spec, t0, csv_paths, model_path, metrics, timings)
 
 
 def _adam_scalar_check() -> dict:
     """Adam on (b2 - 3)^2 from b2 = 0 reaches 3 within 0.1 in 200 steps."""
     cfg = TrainConfig(epochs=1, learning_rate=0.1)
     p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
-    st = AdamState.zeros(p.to_vector().size)
+    st = AdamState.zeros(p)
     for _ in range(200):
         g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
         p, st = adam_step(p, g, st, cfg, learning_rate=0.1)
@@ -243,13 +264,14 @@ def _adam_scalar_check() -> dict:
 def run_validate(spec: ExperimentSpec) -> OutputBundle:
     """Release-gate oracle suite: acceptance criteria 4, 6 and 7 at the bounds the
     acceptance tests assert, plus an Adam check; ok=False when any check fails."""
-    t0 = time.time()
+    t0, timings = time.time(), {}
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    figures = {**derivative_figures(), **fxlms_figures(), **sh_figures()}
-    checks = {name: check(name, value) for name, value in figures.items()}
-    checks["adam_scalar_convergence"] = _adam_scalar_check()
+    with _stage(timings, "checks"):
+        figures = {**derivative_figures(), **fxlms_figures(), **sh_figures()}
+        checks = {name: check(name, value) for name, value in figures.items()}
+        checks["adam_scalar_convergence"] = _adam_scalar_check()
     ok = all(c["pass"] for c in checks.values())
-    return _finish(spec, t0, {}, None, {"checks": checks}, ok=ok)
+    return _finish(spec, t0, {}, None, {"checks": checks}, timings, ok=ok)
 
 
 RUNNERS = {

@@ -21,16 +21,24 @@ TIME_HALF_RANGE = 0.15  # physical time maps onto [-0.15, 0.15], like the coordi
 
 @dataclass
 class MlpParams:
-    """Weights of the 4-input, one-hidden-layer tanh network."""
+    """Weights of the 4-input, one-hidden-layer tanh network, or of a stack of R
+    networks with a leading restart axis on every field."""
 
-    W1: np.ndarray  # (N, 4)
-    b1: np.ndarray  # (N,)
-    W2: np.ndarray  # (N,)
-    b2: float
+    W1: np.ndarray  # (N, 4) or (R, N, 4)
+    b1: np.ndarray  # (N,) or (R, N)
+    W2: np.ndarray  # (N,) or (R, N)
+    b2: float | np.ndarray  # float or (R,)
 
     @property
     def hidden(self) -> int:
-        return self.W1.shape[0]
+        return self.W1.shape[-2]
+
+    def __iter__(self):
+        return iter((self.W1, self.b1, self.W2, self.b2))
+
+    def __getitem__(self, r: int) -> "MlpParams":
+        """Network ``r`` of a stack."""
+        return MlpParams(*(f[r] for f in self))
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.W1.ravel(), self.b1, self.W2, [self.b2]])
@@ -38,15 +46,8 @@ class MlpParams:
     @staticmethod
     def from_vector(vec: np.ndarray, hidden: int) -> "MlpParams":
         n = hidden
-        return MlpParams(
-            W1=vec[: 4 * n].reshape(n, 4).copy(),
-            b1=vec[4 * n : 5 * n].copy(),
-            W2=vec[5 * n : 6 * n].copy(),
-            b2=float(vec[6 * n]),
-        )
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2)
+        W1, b1, W2 = vec[: 4 * n].reshape(n, 4), vec[4 * n : 5 * n], vec[5 * n : 6 * n]
+        return MlpParams(W1.copy(), b1.copy(), W2.copy(), float(vec[6 * n]))
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: np.ndarray
-    v: np.ndarray
+    m: MlpParams
+    v: MlpParams
     t: int = 0
 
     @staticmethod
-    def zeros(dim: int) -> "AdamState":
-        return AdamState(np.zeros(dim), np.zeros(dim), 0)
+    def zeros(params: MlpParams) -> "AdamState":
+        zero = MlpParams(*(np.zeros_like(f) for f in params))
+        return AdamState(zero, zero, 0)
 
 
 @dataclass
@@ -119,8 +121,9 @@ class TrainReport:
     initial_data_loss: float = 0.0
     final_data_loss: float = 0.0
     norm: NormSpec | None = None  # time map the winning model was trained under
-    restart_scores: list[float] = field(default_factory=list)
+    restart_scores: list[float | None] = field(default_factory=list)  # None: diverged
     best_restart: int = 0
+    diverged_restarts: list[tuple[int, int]] = field(default_factory=list)  # restart, epoch
 
 
 def glorot_init(seed: int, N: int = 16) -> MlpParams:
@@ -160,64 +163,65 @@ def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndar
     return res if np.asarray(inputs).ndim > 1 else float(res[0])
 
 
+def _with_ones(inputs: np.ndarray) -> np.ndarray:
+    """(..., 4) inputs with the ones column of the bias b1 appended; (..., 5) pass through."""
+    u = np.asarray(inputs, dtype=float)
+    return u if u.shape[-1] == 5 else np.concatenate([u, np.ones(u.shape[:-1] + (1,))], axis=-1)
+
+
 def loss_and_grads(
     params: MlpParams,
-    mic_inputs: np.ndarray,  # (B, 4)
+    mic_inputs: np.ndarray,  # (B, 4), or (B, 5) with the ones column
     mic_targets: np.ndarray,  # (B,)
-    colloc_inputs: np.ndarray,  # (A, 4)
+    colloc_inputs: np.ndarray,  # (A, 4) or (A, 5); (R, A, .) for a stack of R networks
     pde_weight: float,
     c_eff: float,
-) -> tuple[float, float, MlpParams]:
+) -> tuple[float | np.ndarray, float | np.ndarray, MlpParams]:
     """Data + PDE loss and its exact parameter gradients.
 
     Returns (L_data, L_pde, grads) where grads has the shape of the parameters
-    and differentiates L_data + pde_weight * L_pde.
+    and differentiates L_data + pde_weight * L_pde; for a stack of R networks
+    the losses are (R,). The bias b1 is the weight of a ones input column, so
+    one product gives the gradients of W1 and b1 together.
     """
-    W1, b1, W2 = params.W1, params.b1, params.W2
-    gW1 = np.zeros_like(W1)
-    gb1 = np.zeros_like(b1)
-    gW2 = np.zeros_like(W2)
-    gb2 = 0.0
+    We = np.concatenate([params.W1, params.b1[..., None]], axis=-1)  # (..., N, 5)
+    WeT = We.swapaxes(-1, -2)
+    W2 = params.W2
 
-    # data term: mean squared error at the measured points
-    U = np.atleast_2d(mic_inputs)
-    tgt = np.asarray(mic_targets, dtype=float)
-    B = U.shape[0]
-    H = np.tanh(U @ W1.T + b1)
-    pred = H @ W2 + params.b2
-    resid = pred - tgt
-    L_data = float(np.mean(resid**2))
-    dLdp = 2.0 * resid / B
-    gW2 += H.T @ dLdp
-    gb2 += float(dLdp.sum())
-    delta = dLdp[:, None] * W2 * (1.0 - H * H)  # (B, N)
-    gb1 += delta.sum(axis=0)
-    gW1 += delta.T @ U
+    # data term: mean squared error at the measured points, in place over (..., B, N)
+    U = _with_ones(mic_inputs)
+    H = U @ WeT
+    np.tanh(H, out=H)
+    pred = (H @ W2[..., None])[..., 0] + np.asarray(params.b2)[..., None]
+    resid = pred - mic_targets
+    L_data = np.mean(resid**2, axis=-1)
+    dLdp = 2.0 * resid / U.shape[-2]
+    gW2 = (dLdp[..., None, :] @ H)[..., 0, :]
+    gb2 = dLdp.sum(axis=-1)
+    H *= H
+    np.subtract(1.0, H, out=H)  # tanh' = 1 - tanh^2
+    gWeT = W2[..., None, :] * ((U.T * dLdp[..., None, :]) @ H)  # (..., 5, N)
 
     # PDE term: mean squared wave-equation residual at collocation points
-    C = np.atleast_2d(colloc_inputs)
-    A = C.shape[0]
-    a_vec = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2])
-    g = (W1**2) @ a_vec  # (N,) signed quadratic form of input weights
-    Hc = np.tanh(C @ W1.T + b1)
+    C = _with_ones(colloc_inputs)
+    a_vec = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2, 0.0])  # the bias column: 0
+    g = (We * We) @ a_vec  # (..., N) signed quadratic form of input weights
+    Hc = np.tanh(C @ WeT)
     Hc2 = Hc * Hc
     hpp = -2.0 * Hc * (1.0 - Hc2)
     hppp = -2.0 + 8.0 * Hc2 - 6.0 * Hc2 * Hc2
-    R = hpp @ (W2 * g)  # (A,)
-    L_pde = float(np.mean(R**2))
-    dLdR = 2.0 * R / A
-    lam = pde_weight
-    gW2 += lam * (dLdR @ hpp) * g
-    S = dLdR @ hppp  # (N,) weighted tanh''' sums
-    T = dLdR @ hpp
-    gb1 += lam * W2 * S * g
-    gW1 += lam * (
-        (W2 * g)[:, None] * ((dLdR[:, None] * hppp).T @ C)
-        + (W2 * T)[:, None] * 2.0 * a_vec[None, :] * W1
+    R = (hpp @ (W2 * g)[..., None])[..., 0]  # (..., A)
+    L_pde = np.mean(R**2, axis=-1)
+    dLdR = 2.0 * R / C.shape[-2]
+    T = (dLdR[..., None, :] @ hpp)[..., 0, :]  # (..., N)
+    gW2 += pde_weight * T * g
+    gWeT += pde_weight * (
+        (W2 * g)[..., None, :] * (C.swapaxes(-1, -2) @ (dLdR[..., None] * hppp))
+        + (W2 * T)[..., None, :] * 2.0 * a_vec[:, None] * WeT
     )
 
-    grads = MlpParams(gW1, gb1, gW2, gb2)
-    return L_data, L_pde, grads
+    gWe = gWeT.swapaxes(-1, -2)
+    return L_data, L_pde, MlpParams(gWe[..., :4], gWe[..., 4], gW2, gb2)
 
 
 def adam_step(
@@ -227,17 +231,20 @@ def adam_step(
     cfg: TrainConfig,
     learning_rate: float | None = None,
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; ``learning_rate`` overrides the config."""
+    """One bias-corrected Adam update, elementwise on every parameter array
+    (any leading restart axis); ``learning_rate`` overrides the config."""
     lr = cfg.learning_rate if learning_rate is None else learning_rate
-    p = params.to_vector()
-    gvec = grads.to_vector()
     t = state.t + 1
-    m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * gvec
-    v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * gvec**2
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    p = p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return MlpParams.from_vector(p, params.hidden), AdamState(m, v, t)
+    beta1, beta2 = cfg.adam_beta1, cfg.adam_beta2
+    new = []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new.append((p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v))
+    p, m, v = (MlpParams(*f) for f in zip(*new))
+    return p, AdamState(m, v, t)
 
 
 def make_collocation_positions(
@@ -284,44 +291,6 @@ VALIDATION_POINTS = 200
 PDE_SCORE_WEIGHT = 1e-6
 
 
-def _train_single(
-    seed: int,
-    cfg: TrainConfig,
-    scenario: ScenarioConfig,
-    norm: NormSpec,
-    inputs: np.ndarray,
-    targets_flat: np.ndarray,
-    c_eff: float,
-) -> tuple[MlpParams, TrainReport]:
-    params = glorot_init(seed, cfg.hidden)
-    params.W1[:, 0] *= cfg.time_scale  # resolve the tones' time oscillation at init
-    colloc_xyz = make_collocation_positions(scenario, cfg.collocation_count, seed)
-    A = colloc_xyz.shape[0]
-    rng = np.random.default_rng(seed)
-    state = AdamState.zeros(params.to_vector().size)
-    report = TrainReport(norm=norm)
-
-    lr_ratio = cfg.learning_rate_end / cfg.learning_rate
-    lam_ratio = cfg.pde_weight_end / cfg.pde_weight if cfg.pde_weight > 0 else 1.0
-    denom = max(cfg.epochs - 1, 1)
-    for epoch in range(cfg.epochs):
-        frac = epoch / denom
-        lr = cfg.learning_rate * lr_ratio**frac
-        lam = cfg.pde_weight * lam_ratio**frac
-        colloc_tau = rng.uniform(-norm.half_range, norm.half_range, size=A)
-        colloc = np.column_stack([colloc_tau, colloc_xyz])
-        L_data, L_pde, grads = loss_and_grads(params, inputs, targets_flat, colloc, lam, c_eff)
-        if not (np.isfinite(L_data) and np.isfinite(L_pde)):
-            raise DivergenceDetected(f"non-finite loss at epoch {epoch}")
-        if epoch == 0:
-            report.initial_data_loss = L_data
-        params, state = adam_step(params, grads, state, cfg, learning_rate=lr)
-        if epoch % 100 == 0:
-            report.history.append((epoch, L_data, L_pde))
-        report.final_data_loss = L_data
-    return params, report
-
-
 def train_pinn(
     scenario: ScenarioConfig,
     mic_signals: np.ndarray,
@@ -333,9 +302,12 @@ def train_pinn(
     so nothing is lost and the narrow time window keeps the oscillation count
     within reach of the small network). Targets are RMS-normalized during
     training and the output layer rescaled afterwards, so the fit is invariant
-    to the source level. Runs cfg.restarts seeds and keeps the one with the
-    lowest data loss + interior wave-equation residual penalty; the residual
-    term rejects seeds that fit the mic samples but oscillate between them.
+    to the source level. The cfg.restarts seeds train together as one stack,
+    each with its own initial weights, collocation points and time draws, and
+    the one with the lowest data loss + interior wave-equation residual
+    penalty is kept; the residual term rejects seeds that fit the mic samples
+    but oscillate between them. A restart whose loss goes non-finite is left
+    out of the selection; DivergenceDetected only when every restart does.
     """
     mic_signals = np.asarray(mic_signals, dtype=float)
     if mic_signals.ndim != 2 or len(mic_signals) != len(scenario.monitoring_positions):
@@ -348,32 +320,57 @@ def train_pinn(
     c_eff = cfg.c_eff if cfg.c_eff is not None else norm.c_eff(scenario.speed_of_sound)
 
     targets = mic_signals[:, :period]
-    rms = float(np.sqrt(np.mean(targets**2)))
-    if rms == 0.0:
-        rms = 1.0
-    inputs = _grid_inputs(norm.to_tau(np.arange(period) / fs), scenario.monitoring_positions)
+    rms = float(np.sqrt(np.mean(targets**2))) or 1.0
+    tau = norm.to_tau(np.arange(period) / fs)
+    inputs = _with_ones(_grid_inputs(tau, scenario.monitoring_positions))  # (B, 5)
     targets_flat = targets.ravel() / rms
 
-    # held-out interior points for the restart-selection residual score
-    val_rng = np.random.default_rng(cfg.seed + VALIDATION_SEED_OFFSET)
-    val_xyz = ball_points(MIC_RADIUS, VALIDATION_POINTS, seed=cfg.seed + VALIDATION_SEED_OFFSET)
-    val_tau = val_rng.uniform(-norm.half_range, norm.half_range, size=VALIDATION_POINTS)
-    val_points = np.column_stack([val_tau, val_xyz])
+    seeds, A = range(cfg.seed, cfg.seed + cfg.restarts), cfg.collocation_count
+    params = MlpParams(*(np.stack(f) for f in zip(*(glorot_init(s, cfg.hidden) for s in seeds))))
+    params.W1[..., 0] *= cfg.time_scale  # resolve the tones' time oscillation at init
+    colloc = np.ones((cfg.restarts, A, 5))  # tau (redrawn every epoch), x, y, z, 1
+    colloc[..., 1:4] = [make_collocation_positions(scenario, A, s) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    state = AdamState.zeros(params)
+    history = []
+    initial = final = np.zeros(cfg.restarts)
+    diverged: dict[int, int] = {}  # restart -> first epoch with a non-finite loss
 
-    best: tuple[float, MlpParams, TrainReport] | None = None
-    scores = []
-    for r in range(cfg.restarts):
-        params, report = _train_single(
-            cfg.seed + r, cfg, scenario, norm, inputs, targets_flat, c_eff
-        )
-        resid = pde_residual(params, val_points, c_eff)
-        score = report.final_data_loss + PDE_SCORE_WEIGHT * float(np.mean(np.asarray(resid) ** 2))
-        scores.append(score)
-        if best is None or score < best[0]:
-            best = (score, params, report)
-            best[2].best_restart = r
-    _, params, report = best
-    report.restart_scores = scores
+    lr_ratio = cfg.learning_rate_end / cfg.learning_rate
+    lam_ratio = cfg.pde_weight_end / cfg.pde_weight if cfg.pde_weight > 0 else 1.0
+    denom = max(cfg.epochs - 1, 1)
+    with np.errstate(all="ignore"):  # a diverging restart stays in its own slice
+        for epoch in range(cfg.epochs):
+            frac = epoch / denom
+            lr = cfg.learning_rate * lr_ratio**frac
+            lam = cfg.pde_weight * lam_ratio**frac
+            for r, rng in enumerate(rngs):
+                colloc[r, :, 0] = rng.uniform(-norm.half_range, norm.half_range, size=A)
+            L_data, L_pde, grads = loss_and_grads(params, inputs, targets_flat, colloc, lam, c_eff)
+            for r in np.flatnonzero(~(np.isfinite(L_data) & np.isfinite(L_pde))):
+                diverged.setdefault(int(r), epoch)
+            if len(diverged) == cfg.restarts:
+                raise DivergenceDetected(f"non-finite loss in every restart by epoch {epoch}")
+            if epoch == 0:
+                initial = L_data
+            params, state = adam_step(params, grads, state, cfg, learning_rate=lr)
+            if epoch % 100 == 0:
+                history.append((epoch, L_data, L_pde))
+            final = L_data
+
+        # held-out interior points for the restart-selection residual score
+        val_rng = np.random.default_rng(cfg.seed + VALIDATION_SEED_OFFSET)
+        val_xyz = ball_points(MIC_RADIUS, VALIDATION_POINTS, seed=cfg.seed + VALIDATION_SEED_OFFSET)
+        val_tau = val_rng.uniform(-norm.half_range, norm.half_range, size=VALIDATION_POINTS)
+        val_points = np.column_stack([val_tau, val_xyz])
+        resid = np.stack([pde_residual(params[r], val_points, c_eff) for r in range(cfg.restarts)])
+        scores = final + PDE_SCORE_WEIGHT * np.mean(resid**2, axis=-1)
+    scores = [None if r in diverged else float(s) for r, s in enumerate(scores)]
+    best = min((s, r) for r, s in enumerate(scores) if s is not None)[1]
+    history = [(e, float(d[best]), float(p[best])) for e, d, p in history]
+    report = TrainReport(history, float(initial[best]), float(final[best]), norm, scores, best)
+    report.diverged_restarts = sorted(diverged.items())
+    params = params[best]
     # undo the target normalization; the output layer is linear in (W2, b2)
     params.W2 *= rms
     params.b2 *= rms

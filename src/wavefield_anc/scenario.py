@@ -15,7 +15,7 @@ MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
 MIC_RADIUS = np.sqrt(3.0) * MIC_CORNER  # 0.2598 m; the nominal "0.26 m" sphere
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: compared by identity, hashable
 class ScenarioConfig:
     primary_source: TonalSource
     secondary_positions: np.ndarray  # (L, 3), meters

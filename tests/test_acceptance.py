@@ -106,7 +106,7 @@ def test_criterion_5_wave_equation_residual_oracle():
     target = np.sin(pts[:, 1:] @ k - omega * pts[:, 0])
     params = glorot_init(1, 32)
     cfg = TrainConfig(epochs=1)
-    st = AdamState.zeros(params.to_vector().size)
+    st = AdamState.zeros(params)
     epochs = 25_000
     for e in range(epochs):
         lr = 1e-2 * (1e-3) ** (e / (epochs - 1))

@@ -1,4 +1,5 @@
-"""Whole-point-set evaluation against per-point formulas kept here as references."""
+"""Whole-point-set evaluation and the fused training kernel against per-point
+and unfused formulas kept here as references."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +13,14 @@ from wavefield_anc.acoustics import (
     propagate_tonal,
 )
 from wavefield_anc.geometry import cart_to_sph, sphere_points
-from wavefield_anc.pinn import NormSpec, glorot_init, mlp_forward, pinn_predict
+from wavefield_anc.pinn import (
+    MlpParams,
+    NormSpec,
+    glorot_init,
+    loss_and_grads,
+    mlp_forward,
+    pinn_predict,
+)
 from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import _radial_ratio, real_sh, sh_fit, sh_indices, sh_interpolate
 
@@ -80,6 +88,79 @@ def sh_interpolate_one(series, target):
         ratio = _radial_ratio(ix.order, freqs, series.fit_radius, r, C)
         out += np.fft.irfft(spec[ix.flat] * ratio, n=T) * real_sh(ix, theta, phi)
     return out
+
+
+def loss_and_grads_unfused(params, U, tgt, C, lam, c_eff):
+    """One network's data + PDE loss and gradients, term by term, the bias b1 added apart."""
+    W1, b1, W2 = params.W1, params.b1, params.W2
+    B, A = len(U), len(C)
+    H = np.tanh(U @ W1.T + b1)
+    resid = H @ W2 + params.b2 - tgt
+    dLdp = 2.0 * resid / B
+    delta = dLdp[:, None] * W2 * (1.0 - H * H)
+    gW1, gb1, gW2, gb2 = delta.T @ U, delta.sum(axis=0), H.T @ dLdp, dLdp.sum()
+
+    a_vec = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2])
+    g = (W1**2) @ a_vec
+    Hc = np.tanh(C @ W1.T + b1)
+    Hc2 = Hc * Hc
+    hpp = -2.0 * Hc * (1.0 - Hc2)
+    hppp = -2.0 + 8.0 * Hc2 - 6.0 * Hc2 * Hc2
+    R = hpp @ (W2 * g)
+    dLdR = 2.0 * R / A
+    S, T = dLdR @ hppp, dLdR @ hpp
+    gW2 = gW2 + lam * T * g
+    gb1 = gb1 + lam * W2 * S * g
+    gW1 = gW1 + lam * (
+        (W2 * g)[:, None] * ((dLdR[:, None] * hppp).T @ C) + (W2 * T)[:, None] * 2.0 * a_vec * W1
+    )
+    return np.mean(resid**2), np.mean(R**2), MlpParams(gW1, gb1, gW2, gb2)
+
+
+def random_network(rng, n):
+    params = glorot_init(int(rng.integers(1000)), n)
+    params.W1[:, 0] *= rng.choice([1.0, 100.0])
+    params.b1[:] = rng.normal(size=n)
+    params.b2 = float(rng.normal())
+    return params
+
+
+def kernel_case(rng, restarts=None):
+    """Random (U, targets, colloc, pde weight, c_eff); colloc is (restarts, A, 4) if given."""
+    B, A = rng.integers(1, 60), rng.integers(1, 30)
+    U = rng.uniform(-0.3, 0.3, size=(B, 4))
+    C = rng.uniform(-0.3, 0.3, size=(A, 4) if restarts is None else (restarts, A, 4))
+    return U, rng.normal(size=B), C, rng.uniform(0.0, 2.0), rng.uniform(0.5, 20.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(1, 24))
+def test_fused_loss_and_grads_matches_unfused(seed, n):
+    rng = np.random.default_rng(seed)
+    params = random_network(rng, n)
+    U, tgt, C, lam, c_eff = kernel_case(rng)
+    L_data, L_pde, grads = loss_and_grads(params, U, tgt, C, lam, c_eff)
+    ref_data, ref_pde, ref = loss_and_grads_unfused(params, U, tgt, C, lam, c_eff)
+    assert abs(L_data - ref_data) <= 1e-12 * ref_data
+    assert abs(L_pde - ref_pde) <= 1e-12 * ref_pde
+    for got, want in zip(grads, ref):
+        assert np.shape(got) == np.shape(want)
+        assert rel_err(np.asarray(got), np.asarray(want)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 24), restarts=st.integers(1, 4))
+def test_stacked_loss_and_grads_is_each_network_alone(seed, n, restarts):
+    rng = np.random.default_rng(seed)
+    nets = [random_network(rng, n) for _ in range(restarts)]
+    stack = MlpParams(*(np.stack(f) for f in zip(*nets)))
+    U, tgt, C, lam, c_eff = kernel_case(rng, restarts)
+    L_data, L_pde, grads = loss_and_grads(stack, U, tgt, C, lam, c_eff)
+    for r, net in enumerate(nets):
+        alone = loss_and_grads(net, U, tgt, C[r], lam, c_eff)
+        assert L_data[r] == alone[0] and L_pde[r] == alone[1]
+        for got, want in zip(grads, alone[2]):
+            assert np.array_equal(got[r], want)
 
 
 @settings(max_examples=40, deadline=None)

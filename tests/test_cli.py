@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from wavefield_anc.acoustics import TonalSource, ToneComponent
 from wavefield_anc.cli import build_parser, main, resolve_spec
 from wavefield_anc.experiments import (
     DEFAULT_RADII,
@@ -16,6 +18,16 @@ from wavefield_anc.pinn import TrainConfig
 from wavefield_anc.scenario import ScenarioConfig, default_scenario
 
 QUICK = TrainConfig(epochs=1500, restarts=1)
+
+
+def assert_records_run(summary, stages):
+    """summary.json carries the restart selection and per-stage seconds."""
+    assert list(summary["timings"]) == list(stages)
+    assert all(t >= 0.0 for t in summary["timings"].values())
+    if "train" in stages:
+        metrics = summary["metrics"]
+        assert len(metrics["restart_scores"]) == QUICK.restarts
+        assert metrics["best_restart"] == 0 and metrics["diverged_restarts"] == []
 
 
 def quick_spec(experiment, out_dir, radii=(0.1, 0.2, 0.3)):
@@ -90,6 +102,17 @@ def test_config_round_trip(tmp_path):
     }
 
 
+def test_array_dataclasses_compare_by_identity_and_hash():
+    sc = default_scenario(0)
+    assert sc == sc and sc != default_scenario(0)
+    assert hash(sc.primary_source) == hash(sc.primary_source)
+    assert len({sc.primary_source, sc.primary_source}) == 1
+    comps = tuple(ToneComponent(2 * c.frequency) for c in sc.primary_source.components)
+    moved = dataclasses.replace(sc, primary_source=TonalSource(sc.primary_source.position, comps))
+    assert moved.primary_source.components == comps
+    assert np.array_equal(moved.monitoring_positions, sc.monitoring_positions)
+
+
 def test_validate_cli_exit_0(tmp_path, capsys):
     code = main(["validate", "--out", str(tmp_path / "v")])
     assert code == 0
@@ -104,6 +127,7 @@ def test_interp_sweep_quick(tmp_path):
     summary = json.loads(bundle.json_path.read_text())
     assert summary["config"]["scenario"] == default_scenario(0).to_dict()
     assert bundle.model_path.exists()
+    assert_records_run(summary, ["train", "evaluate"])
 
 
 def test_anc_convergence_quick_and_deterministic(tmp_path):
@@ -118,6 +142,7 @@ def test_anc_convergence_quick_and_deterministic(tmp_path):
     it, mp0, pn0 = first.split(",")
     assert it == "0"
     assert abs(float(mp0)) < 0.5 and abs(float(pn0)) < 0.5
+    assert_records_run(json.loads(b1.json_path.read_text()), ["train", "anc"])
 
 
 def test_field_map_quick(tmp_path):
@@ -128,6 +153,7 @@ def test_field_map_quick(tmp_path):
         assert len(lines) == 442
     primary = np.loadtxt(bundle.csv_paths["field_primary"], delimiter=",", skiprows=1)
     assert primary[:, 2].max() == pytest.approx(0.0, abs=1e-9)
+    assert_records_run(json.loads(bundle.json_path.read_text()), ["train", "anc", "field"])
 
 
 def test_run_validate_reports_checks(tmp_path):
@@ -136,6 +162,7 @@ def test_run_validate_reports_checks(tmp_path):
     checks = bundle.summary["metrics"]["checks"]
     assert checks["gradient_max_rel_err"]["pass"]
     assert checks["j1_at_1_err"]["pass"]
+    assert_records_run(bundle.summary, ["checks"])
 
 
 def test_bad_radii_rejected(tmp_path):

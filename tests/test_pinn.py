@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from wavefield_anc import pinn
 from wavefield_anc.acoustics import propagate_tonal
+from wavefield_anc.errors import DivergenceDetected
 from wavefield_anc.pinn import (
     AdamState,
     MlpParams,
@@ -168,7 +171,7 @@ def test_loss_mean_semantics():
 def test_adam_zero_grad_is_fixed_point():
     p = random_params(7)
     zero = MlpParams(np.zeros_like(p.W1), np.zeros_like(p.b1), np.zeros_like(p.W2), 0.0)
-    st = AdamState.zeros(p.to_vector().size)
+    st = AdamState.zeros(p)
     q, _ = adam_step(p, zero, st, TrainConfig(epochs=1))
     assert np.array_equal(p.to_vector(), q.to_vector())
 
@@ -177,7 +180,7 @@ def test_adam_first_step_magnitude():
     p = random_params(8)
     rng = np.random.default_rng(8)
     g = MlpParams.from_vector(rng.normal(size=p.to_vector().size), p.hidden)
-    st = AdamState.zeros(p.to_vector().size)
+    st = AdamState.zeros(p)
     lr = 1e-3
     q, _ = adam_step(p, g, st, TrainConfig(epochs=1, learning_rate=lr))
     step = q.to_vector() - p.to_vector()
@@ -190,7 +193,7 @@ def test_adam_first_step_magnitude():
 def test_adam_scalar_convergence():
     cfg = TrainConfig(epochs=1, learning_rate=0.1)
     p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
-    st = AdamState.zeros(p.to_vector().size)
+    st = AdamState.zeros(p)
     for _ in range(200):
         g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
         p, st = adam_step(p, g, st, cfg)
@@ -228,6 +231,61 @@ def test_train_deterministic(scenario, mic_signals):
     p1, _ = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     p2, _ = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     assert np.array_equal(p1.to_vector(), p2.to_vector())
+
+
+def bad_init_except(monkeypatch, keep, bad=np.nan):
+    """Makes glorot_init give output weights ``bad`` (default NaN) to every seed not in ``keep``."""
+    real = pinn.glorot_init
+
+    def init(seed, N=16):
+        params = real(seed, N)
+        if seed not in keep:
+            params.W2[:] = bad
+        return params
+
+    monkeypatch.setattr(pinn, "glorot_init", init)
+
+
+def test_each_restart_trains_as_its_seed_alone(scenario, mic_signals, monkeypatch):
+    cfg = TrainConfig(epochs=250, restarts=3, seed=5)
+    alone = [
+        train_pinn(scenario, mic_signals, dataclasses.replace(cfg, restarts=1, seed=5 + r))
+        for r in range(3)
+    ]
+    # the winner of a clean stack, then each restart made the winner by diverging the others
+    clean = train_pinn(scenario, mic_signals, cfg)
+    runs = [(clean[1].best_restart, clean)]
+    for r in range(3):
+        with monkeypatch.context() as m:
+            bad_init_except(m, keep={5 + r})
+            runs.append((r, train_pinn(scenario, mic_signals, cfg)))
+    for r, (params, report) in runs:
+        ref_params, ref_report = alone[r]
+        assert report.best_restart == r
+        assert np.array_equal(params.to_vector(), ref_params.to_vector())
+        assert report.final_data_loss == ref_report.final_data_loss
+        assert report.initial_data_loss == ref_report.initial_data_loss
+        assert report.history == ref_report.history and len(report.history) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e300])  # 1e300: the loss overflows to inf
+def test_diverged_restart_is_dropped(scenario, mic_signals, monkeypatch, bad):
+    cfg = TrainConfig(epochs=150, restarts=3, seed=2)
+    bad_init_except(monkeypatch, keep={2, 4}, bad=bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the diverging slice raises no floating-point warning
+        params, report = train_pinn(scenario, mic_signals, cfg)
+    assert report.diverged_restarts == [(1, 0)]
+    assert report.restart_scores[1] is None
+    assert all(np.isfinite(report.restart_scores[r]) for r in (0, 2))
+    assert report.best_restart in (0, 2)
+    assert np.all(np.isfinite(params.to_vector()))
+
+
+def test_all_restarts_diverged_raises(scenario, mic_signals, monkeypatch):
+    bad_init_except(monkeypatch, keep=set())
+    with pytest.raises(DivergenceDetected):
+        train_pinn(scenario, mic_signals, TrainConfig(epochs=150, restarts=3))
 
 
 def test_train_reduces_loss(scenario, mic_signals):
