@@ -59,25 +59,24 @@ def propagate_tonal(
     source: TonalSource,
     receivers: np.ndarray,
     sample_rate: float,
-    duration: float,
+    num_samples: int,
     c: float,
 ) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
 
     p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of
-    the (P, 3) ``receivers``; returns (P, round(duration * sample_rate)).
+    the (P, 3) ``receivers`` and t = n / sample_rate; returns (P, num_samples).
     """
     d = _distances(source.position, receivers)
     nyquist = sample_rate / 2.0
     for comp in source.components:
         if comp.frequency >= nyquist:
             raise ValueError(f"tone at {comp.frequency} Hz is at or above Nyquist")
-    n = round(duration * sample_rate)
-    if n < 1:
+    if num_samples < 1:
         raise ValueError("signal must contain at least one sample")
-    t = np.arange(n) / sample_rate
+    t = np.arange(num_samples) / sample_rate
     gain = 1.0 / (4.0 * np.pi * d)
-    p = np.zeros((d.size, n))
+    p = np.zeros((d.size, num_samples))
     tone = np.empty_like(p)  # one tone at a time, built in place
     for comp in source.components:
         np.subtract(t, (d / c)[:, None], out=tone)

@@ -1,4 +1,4 @@
-"""Multichannel FxLMS control loop with measured or interpolated error sensors."""
+"""Multichannel FxLMS control loop driven by a given error signal, and field maps."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import make_path_fir, propagate_tonal
-from .pinn import (
-    MlpParams,
-    NormSpec,
-    fundamental_period_samples,
-    periodic_extension,
-    pinn_predict,
-)
+from .geometry import as_points
 from .scenario import ScenarioConfig
 from .sh import DB_FLOOR
 
@@ -25,16 +19,13 @@ WEIGHT_BOUND = 1e6
 GRID_HALF_EXTENT = 0.2  # field map spans +-0.2 m in x and y
 GRID_POINTS_PER_SIDE = 21
 
-MODE_MULTIPOINT = "multipoint"
-MODE_PINN = "pinn"
-MODE_IDEAL = "ideal"  # ground-truth virtual primaries; interpolation oracle
-
 
 @dataclass
 class AncRunReport:
     eps_db: np.ndarray  # per-iteration ear reduction, dB
     sensor_mse: np.ndarray  # per-iteration mean-square error at the active sensors
     weights: np.ndarray  # (L, FILTER_LEN) controller taps, newest lag first
+    ear_residual: np.ndarray  # (V, iterations) controlled pressure at the ears
     converged: bool
     iterations: int
 
@@ -78,45 +69,28 @@ def fxlms_step(
 
 
 def run_anc(
-    scenario: ScenarioConfig,
-    mode: str = MODE_MULTIPOINT,
-    iterations: int = 10_000,
-    mu: float = 1e-5,
-    pinn_params: MlpParams | None = None,
-    pinn_norm: NormSpec | None = None,
+    scenario: ScenarioConfig, sensors: np.ndarray, primary: np.ndarray, mu: float
 ) -> AncRunReport:
     """Sample-synchronous FxLMS loop; one iteration advances one sample.
 
-    The reference is the source waveform itself. Error sensors are the
-    monitoring mics (multipoint) or the virtual ears, whose primary component
-    is the PINN estimate (pinn), or the true field (ideal).
+    The reference is the source waveform itself. The error signal is
+    ``primary`` (M, N), the primary field as known at the (M, 3) ``sensors``
+    (measured at mics, or estimated at virtual ones), plus the secondary
+    sources' contribution there; the loop runs N iterations. The reported
+    reduction is that of the true field at the ears.
     """
-    if iterations < 1:
+    sensors = as_points(sensors, "sensors")
+    primary = np.asarray(primary, dtype=float)
+    if primary.ndim != 2 or len(primary) != len(sensors):
+        raise ValueError(f"need one primary row per sensor: {primary.shape} at {len(sensors)}")
+    if primary.shape[1] < 1:
         raise ValueError("need at least one iteration")
     if mu < 0:
         raise ValueError("step size must be non-negative")
     fs = scenario.sample_rate
     c = scenario.speed_of_sound
     src = scenario.primary_source
-
-    if mode == MODE_MULTIPOINT:
-        sensors = scenario.monitoring_positions
-    elif mode in (MODE_PINN, MODE_IDEAL):
-        sensors = scenario.virtual_positions
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # primary component seen by the error sensors
-    if mode == MODE_PINN:
-        if pinn_params is None:
-            raise ValueError("pinn mode needs trained parameters")
-        norm = pinn_norm
-        if norm is None:
-            norm = NormSpec(fundamental_period_samples(scenario) / fs)
-        block = pinn_predict(pinn_params, norm, sensors, fs, norm.duration)
-    else:
-        block = propagate_tonal(src, sensors, fs, scenario.duration, c)
-    primary = periodic_extension(block, iterations)
+    iterations = primary.shape[1]
     paths = path_firs(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
 
     # Histories run newest first: position k holds step iterations - 1 - k and
@@ -145,7 +119,7 @@ def run_anc(
 
     # ears, for the reported reduction curve (known to the simulation, not the controller)
     ears = scenario.virtual_positions
-    ear_primary = periodic_extension(propagate_tonal(src, ears, fs, scenario.duration, c), n_done)
+    ear_primary = propagate_tonal(src, ears, fs, n_done, c)
     ear_resid = ear_primary + _fir_sum(
         d[:, iterations - n_done : iterations][:, ::-1],
         path_firs(scenario.secondary_positions, ears, fs, c),
@@ -169,6 +143,7 @@ def run_anc(
         eps_db=eps_db,
         sensor_mse=sensor_mse[:n_done],
         weights=w,
+        ear_residual=ear_resid,
         converged=converged,
         iterations=n_done,
     )
@@ -189,7 +164,7 @@ def field_grid_power(
     c = scenario.speed_of_sound
     src = scenario.primary_source
     coords = np.linspace(-GRID_HALF_EXTENT, GRID_HALF_EXTENT, GRID_POINTS_PER_SIDE)
-    period = fundamental_period_samples(scenario)
+    period = scenario.period_samples
     n_total = PATH_TAPS + 4 * period
 
     # secondary outputs that reach the last period: it and the PATH_TAPS - 1 samples before it
@@ -203,7 +178,7 @@ def field_grid_power(
     for row in range(coords.size):
         cols = slice(row * coords.size, (row + 1) * coords.size)
         points = np.column_stack([grid_x[cols], grid_y[cols], np.zeros(coords.size)])
-        primary = propagate_tonal(src, points, fs, n_total / fs, c)[:, -period:]
+        primary = propagate_tonal(src, points, fs, n_total, c)[:, -period:]
         firs = path_firs(scenario.secondary_positions, points, fs, c)
         for k, out in enumerate(outputs):
             tail = primary if out is None else primary + _fir_sum(out, firs)[:, -period:]

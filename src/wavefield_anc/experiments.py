@@ -16,16 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import propagate_tonal
-from .anc import MODE_MULTIPOINT, MODE_PINN, field_grid_power, run_anc
+from .anc import AncRunReport, field_grid_power, run_anc
 from .geometry import sphere_points
 from .oracles import check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import (
     AdamState,
     MlpParams,
+    NormSpec,
     TrainConfig,
     TrainReport,
     adam_step,
-    periodic_extension,
     pinn_predict,
     save_params,
     train_pinn,
@@ -98,9 +98,8 @@ def _train_for(
 ) -> tuple[MlpParams, TrainReport, np.ndarray, Path]:
     """The PINN fit to the mic signals (the "train" stage), saved as model.txt."""
     sc = spec.scenario
-    mics = propagate_tonal(
-        sc.primary_source, sc.monitoring_positions, sc.sample_rate, sc.duration, sc.speed_of_sound
-    )
+    fs, c = sc.sample_rate, sc.speed_of_sound
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
     with _stage(timings, "train"):
         params, report = train_pinn(sc, mics, spec.train)
     model_path = spec.out_dir / "model.txt"
@@ -160,10 +159,8 @@ def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
         for r_s in spec.radii:
             pts = sphere_points(r_s, SWEEP_POINTS)
             # PINN first, then the truth: one (SWEEP_POINTS, T) estimate alive at a time
-            est = periodic_extension(
-                pinn_predict(params, report.norm, pts, fs, report.norm.duration), sc.num_samples
-            )
-            truth = propagate_tonal(sc.primary_source, pts, fs, sc.duration, c)
+            est = pinn_predict(params, report.norm, pts, fs, sc.num_samples)
+            truth = propagate_tonal(sc.primary_source, pts, fs, sc.num_samples, c)
             eps_nn = ratio_to_db(interpolation_error(truth, est))
             del est
             eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
@@ -182,18 +179,29 @@ def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
     return _finish(spec, t0, {"interp_sweep": csv_path}, model_path, metrics, timings)
 
 
+def run_controls(
+    sc: ScenarioConfig, params: MlpParams, norm: NormSpec
+) -> tuple[AncRunReport, AncRunReport]:
+    """The two controllers the paper compares, ANC_ITERATIONS steps each:
+    multiple-point control on the measured mic signals, and PINN-assisted
+    control on the network's estimate at the ears."""
+    fs, mics, ears = sc.sample_rate, sc.monitoring_positions, sc.virtual_positions
+    measured = propagate_tonal(sc.primary_source, mics, fs, ANC_ITERATIONS, sc.speed_of_sound)
+    multipoint = run_anc(sc, mics, measured, ANC_MU)
+    pinn = run_anc(sc, ears, pinn_predict(params, norm, ears, fs, ANC_ITERATIONS), ANC_MU)
+    return multipoint, pinn
+
+
 def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
-    """Ear noise-reduction curves for multiple-point and PINN-assisted control."""
+    """Ear noise-reduction curves for multiple-point and PINN-assisted control;
+    ok=False when either controller diverged."""
     t0, timings = time.time(), {}
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
     params, report, _, model_path = _train_for(spec, timings)
 
     with _stage(timings, "anc"):
-        mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
-        pn = run_anc(
-            sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
-        )
+        mp, pn = run_controls(sc, params, report.norm)
     n = min(mp.iterations, pn.iterations)
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     csv_path = spec.out_dir / "anc_convergence.csv"
@@ -207,7 +215,8 @@ def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
         "pinn_converged": pn.converged,
         **_restart_metrics(report),
     }
-    return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics, timings)
+    ok = mp.converged and pn.converged
+    return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics, timings, ok)
 
 
 def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
@@ -217,17 +226,15 @@ def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
 
 
 def run_field_map(spec: ExperimentSpec) -> OutputBundle:
-    """xy-plane signal-power maps: primary, multipoint residual, PINN residual."""
+    """xy-plane signal-power maps: primary, multipoint residual, PINN residual;
+    ok=False when either controller diverged."""
     t0, timings = time.time(), {}
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
     params, report, _, model_path = _train_for(spec, timings)
 
     with _stage(timings, "anc"):
-        mp = run_anc(sc, MODE_MULTIPOINT, ANC_ITERATIONS, ANC_MU)
-        pn = run_anc(
-            sc, MODE_PINN, ANC_ITERATIONS, ANC_MU, pinn_params=params, pinn_norm=report.norm
-        )
+        mp, pn = run_controls(sc, params, report.norm)
     with _stage(timings, "field"):
         gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
 
@@ -245,19 +252,21 @@ def run_field_map(spec: ExperimentSpec) -> OutputBundle:
     metrics = {
         "ear_disk_mean_db": disk_means,
         "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
+        "multipoint_converged": mp.converged,
+        "pinn_converged": pn.converged,
         **_restart_metrics(report),
     }
-    return _finish(spec, t0, csv_paths, model_path, metrics, timings)
+    ok = mp.converged and pn.converged
+    return _finish(spec, t0, csv_paths, model_path, metrics, timings, ok)
 
 
 def _adam_scalar_check() -> dict:
     """Adam on (b2 - 3)^2 from b2 = 0 reaches 3 within 0.1 in 200 steps."""
-    cfg = TrainConfig(epochs=1, learning_rate=0.1)
     p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
     st = AdamState.zeros(p)
     for _ in range(200):
         g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
-        p, st = adam_step(p, g, st, cfg, learning_rate=0.1)
+        p, st = adam_step(p, g, st, 0.1)
     return {"value": p.b2, "target": 3.0, "tol": 0.1, "pass": abs(p.b2 - 3.0) < 0.1}
 
 

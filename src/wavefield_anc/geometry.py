@@ -40,10 +40,10 @@ def cart_to_sph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return r, theta, phi
 
 
-def sphere_points(radius: float, count: int, center: np.ndarray = ORIGIN) -> np.ndarray:
-    """Deterministic Fibonacci-lattice points on a sphere; (count, 3).
+def sphere_points(radius: float, count: int) -> np.ndarray:
+    """Deterministic Fibonacci-lattice points on the origin-centred sphere; (count, 3).
 
-    All points sit at exactly ``radius`` from ``center``; count=1 degenerates
+    All points sit at exactly ``radius`` from the origin; count=1 degenerates
     to the north pole.
     """
     if radius <= 0:
@@ -51,22 +51,20 @@ def sphere_points(radius: float, count: int, center: np.ndarray = ORIGIN) -> np.
     if count < 1:
         raise ValueError("count must be >= 1")
     if count == 1:
-        return np.asarray(center, dtype=float) + [[0.0, 0.0, radius]]
+        return np.array([[0.0, 0.0, radius]])
     i = np.arange(count)
     # midpoint offsets keep points away from the poles
     cos_theta = 1.0 - (2.0 * i + 1.0) / count
     sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
     phi = i * GOLDEN_ANGLE
-    offsets = np.column_stack(
+    return np.column_stack(
         [radius * sin_theta * np.cos(phi), radius * sin_theta * np.sin(phi), radius * cos_theta]
     )
-    return np.asarray(center, dtype=float) + offsets
 
 
-def ball_points(
-    radius: float, count: int, center: np.ndarray = ORIGIN, seed: int = 0
-) -> np.ndarray:
-    """Seeded uniform points inside the closed ball, by rejection from the cube; (count, 3).
+def ball_points(radius: float, count: int, seed: int = 0) -> np.ndarray:
+    """Seeded uniform points inside the origin-centred closed ball, by rejection from
+    the cube; (count, 3).
 
     Candidates are drawn three coordinates at a time from one stream, and the
     first ``count`` inside the ball are kept in draw order.
@@ -79,4 +77,4 @@ def ball_points(
         # the ball fills pi/6 of the cube; draw about twice what is still missing
         cand = rng.uniform(-radius, radius, size=(4 * (count - len(accepted)) + 16, 3))
         accepted = np.vstack([accepted, cand[distances(cand, ORIGIN) <= radius]])
-    return np.asarray(center, dtype=float) + accepted[:count]
+    return accepted[:count]

@@ -11,8 +11,8 @@ import operator
 
 import numpy as np
 
-from .acoustics import TonalSource, ToneComponent
-from .anc import MODE_MULTIPOINT, run_anc
+from .acoustics import TonalSource, ToneComponent, propagate_tonal
+from .anc import run_anc
 from .geometry import cart_to_sph, sphere_points
 from .pinn import MlpParams, glorot_init, loss_and_grads, mlp_forward, mlp_second_derivs
 from .scenario import ScenarioConfig
@@ -89,16 +89,21 @@ def fxlms_figures() -> dict:
     """Criterion 6: single-channel single-tone FxLMS, sensor reduction after 5000
     steps, and whether a silent primary leaves the weights bitwise zero."""
 
-    def scenario(amplitude: float) -> ScenarioConfig:
-        return ScenarioConfig(
-            primary_source=TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, amplitude, 0.3),)),
+    def control(amplitude: float, iterations: int):
+        """One 400 Hz tone, controlled on its measured signal at the one mic."""
+        source = TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, amplitude, 0.3),))
+        sc = ScenarioConfig(
+            primary_source=source,
             secondary_positions=[(0.0, 0.5, 0.0)],
             monitoring_positions=[(0.0, 0.1, 0.0)],
             virtual_positions=[(0.0, 0.12, 0.0)],
         )
+        mic = sc.monitoring_positions
+        measured = propagate_tonal(source, mic, sc.sample_rate, iterations, sc.speed_of_sound)
+        return run_anc(sc, mic, measured, 1e-5)
 
-    rep = run_anc(scenario(40.0), MODE_MULTIPOINT, 5000, 1e-5)
-    fixed = run_anc(scenario(0.0), MODE_MULTIPOINT, 300, 1e-5)
+    rep = control(40.0, 5000)
+    fixed = control(0.0, 300)
     return {
         "fxlms_converged": rep.converged,
         "fxlms_reduction_db": float(

@@ -17,6 +17,14 @@ from .geometry import ball_points
 from .scenario import MIC_RADIUS, ScenarioConfig
 
 TIME_HALF_RANGE = 0.15  # physical time maps onto [-0.15, 0.15], like the coordinates
+HIDDEN = 16
+COLLOCATION_COUNT = 100  # mic positions plus ball-sampled points
+TIME_SCALE = 100.0  # init multiplier on the time column of W1
+LEARNING_RATE = 1e-2  # decays geometrically to LEARNING_RATE_END over the epochs
+LEARNING_RATE_END = 1e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -74,32 +82,21 @@ class NormSpec:
 class TrainConfig:
     """Training schedule.
 
-    The learning rate decays geometrically from ``learning_rate`` to
-    ``learning_rate_end`` and the PDE weight ramps geometrically from
+    The learning rate decays geometrically from LEARNING_RATE to
+    LEARNING_RATE_END and the PDE weight ramps geometrically from
     ``pde_weight`` to ``pde_weight_end`` over the epoch budget. ``restarts``
     independent seeds are trained and the winner is picked by data loss plus a
     small interior wave-equation residual penalty (spatial-overfit guard).
     """
 
     epochs: int = 50_000
-    learning_rate: float = 1e-2
-    learning_rate_end: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     pde_weight: float = 3e-8
     pde_weight_end: float = 3e-7
-    hidden: int = 16
-    collocation_count: int = 100  # mic positions plus ball-sampled points
     restarts: int = 3
-    time_scale: float = 100.0  # init multiplier on the time column of W1
     seed: int = 0
-    c_eff: float | None = None  # None: derive from the scenario and NormSpec
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate <= 0 or self.learning_rate_end <= 0:
-            raise ValueError("bad training configuration")
-        if self.pde_weight < 0 or self.pde_weight_end < 0 or self.restarts < 1:
+        if self.epochs < 0 or self.pde_weight < 0 or self.pde_weight_end < 0 or self.restarts < 1:
             raise ValueError("bad training configuration")
 
 
@@ -126,7 +123,7 @@ class TrainReport:
     diverged_restarts: list[tuple[int, int]] = field(default_factory=list)  # restart, epoch
 
 
-def glorot_init(seed: int, N: int = 16) -> MlpParams:
+def glorot_init(seed: int, N: int = HIDDEN) -> MlpParams:
     """Glorot-normal weights (std sqrt(2/(fan_in+fan_out))), zero biases."""
     if N < 1:
         raise ValueError("need at least one hidden unit")
@@ -225,24 +222,19 @@ def loss_and_grads(
 
 
 def adam_step(
-    params: MlpParams,
-    grads: MlpParams,
-    state: AdamState,
-    cfg: TrainConfig,
-    learning_rate: float | None = None,
+    params: MlpParams, grads: MlpParams, state: AdamState, lr: float
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update, elementwise on every parameter array
-    (any leading restart axis); ``learning_rate`` overrides the config."""
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
+    """One bias-corrected Adam update with step size ``lr``, elementwise on every
+    parameter array (any leading restart axis)."""
     t = state.t + 1
-    beta1, beta2 = cfg.adam_beta1, cfg.adam_beta2
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     new = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g**2
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
-        new.append((p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v))
+        new.append((p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v))
     p, m, v = (MlpParams(*f) for f in zip(*new))
     return p, AdamState(m, v, t)
 
@@ -256,26 +248,6 @@ def make_collocation_positions(
     if extra < 0:
         raise ValueError("collocation count smaller than the mic count")
     return np.vstack([mics, ball_points(MIC_RADIUS, extra, seed=seed)])
-
-
-def fundamental_period_samples(scenario: ScenarioConfig) -> int:
-    """Samples in one period of the tone set's greatest common divisor frequency.
-
-    Falls back to the full scenario length when the frequencies are not close
-    to integers (no usable common period).
-    """
-    freqs = [c.frequency for c in scenario.primary_source.components]
-    rounded = [int(round(f)) for f in freqs]
-    if any(r <= 0 or abs(f - r) > 1e-9 for f, r in zip(freqs, rounded)):
-        return scenario.num_samples
-    fund = int(np.gcd.reduce(rounded))
-    return min(round(scenario.sample_rate / fund), scenario.num_samples)
-
-
-def periodic_extension(block: np.ndarray, n: int) -> np.ndarray:
-    """The (..., B) one-period signals repeated along their last axis to n samples."""
-    reps = int(np.ceil(n / block.shape[-1]))
-    return np.tile(block, reps)[..., :n]
 
 
 def _grid_inputs(tau: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -312,12 +284,12 @@ def train_pinn(
     mic_signals = np.asarray(mic_signals, dtype=float)
     if mic_signals.ndim != 2 or len(mic_signals) != len(scenario.monitoring_positions):
         raise ValueError("need one signal row per monitoring microphone")
-    period = fundamental_period_samples(scenario)
+    period = scenario.period_samples
     if mic_signals.shape[1] < period:
         raise ValueError("mic signals shorter than one fundamental period")
     fs = scenario.sample_rate
     norm = NormSpec(period / fs)
-    c_eff = cfg.c_eff if cfg.c_eff is not None else norm.c_eff(scenario.speed_of_sound)
+    c_eff = norm.c_eff(scenario.speed_of_sound)
 
     targets = mic_signals[:, :period]
     rms = float(np.sqrt(np.mean(targets**2))) or 1.0
@@ -325,9 +297,9 @@ def train_pinn(
     inputs = _with_ones(_grid_inputs(tau, scenario.monitoring_positions))  # (B, 5)
     targets_flat = targets.ravel() / rms
 
-    seeds, A = range(cfg.seed, cfg.seed + cfg.restarts), cfg.collocation_count
-    params = MlpParams(*(np.stack(f) for f in zip(*(glorot_init(s, cfg.hidden) for s in seeds))))
-    params.W1[..., 0] *= cfg.time_scale  # resolve the tones' time oscillation at init
+    seeds, A = range(cfg.seed, cfg.seed + cfg.restarts), COLLOCATION_COUNT
+    params = MlpParams(*(np.stack(f) for f in zip(*(glorot_init(s) for s in seeds))))
+    params.W1[..., 0] *= TIME_SCALE  # resolve the tones' time oscillation at init
     colloc = np.ones((cfg.restarts, A, 5))  # tau (redrawn every epoch), x, y, z, 1
     colloc[..., 1:4] = [make_collocation_positions(scenario, A, s) for s in seeds]
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -336,13 +308,13 @@ def train_pinn(
     initial = final = np.zeros(cfg.restarts)
     diverged: dict[int, int] = {}  # restart -> first epoch with a non-finite loss
 
-    lr_ratio = cfg.learning_rate_end / cfg.learning_rate
+    lr_ratio = LEARNING_RATE_END / LEARNING_RATE
     lam_ratio = cfg.pde_weight_end / cfg.pde_weight if cfg.pde_weight > 0 else 1.0
     denom = max(cfg.epochs - 1, 1)
     with np.errstate(all="ignore"):  # a diverging restart stays in its own slice
         for epoch in range(cfg.epochs):
             frac = epoch / denom
-            lr = cfg.learning_rate * lr_ratio**frac
+            lr = LEARNING_RATE * lr_ratio**frac
             lam = cfg.pde_weight * lam_ratio**frac
             for r, rng in enumerate(rngs):
                 colloc[r, :, 0] = rng.uniform(-norm.half_range, norm.half_range, size=A)
@@ -353,7 +325,7 @@ def train_pinn(
                 raise DivergenceDetected(f"non-finite loss in every restart by epoch {epoch}")
             if epoch == 0:
                 initial = L_data
-            params, state = adam_step(params, grads, state, cfg, learning_rate=lr)
+            params, state = adam_step(params, grads, state, lr)
             if epoch % 100 == 0:
                 history.append((epoch, L_data, L_pde))
             final = L_data
@@ -382,12 +354,17 @@ def pinn_predict(
     norm: NormSpec,
     points: np.ndarray,
     sample_rate: float,
-    duration: float,
+    num_samples: int,
 ) -> np.ndarray:
-    """Evaluate the network on the time grid at each of the (P, 3) points; (P, T)."""
-    T = round(duration * sample_rate)
-    inputs = _grid_inputs(norm.to_tau(np.arange(T) / sample_rate), points)
-    return mlp_forward(params, inputs).reshape(len(points), T)
+    """The network's signal at each of the (P, 3) points; (P, num_samples).
+
+    The network models one period, ``norm.duration``, of a periodic field: it is
+    evaluated on that period's time grid and repeated to ``num_samples``.
+    """
+    period = round(norm.duration * sample_rate)
+    inputs = _grid_inputs(norm.to_tau(np.arange(period) / sample_rate), points)
+    one_period = mlp_forward(params, inputs).reshape(len(points), period)
+    return np.tile(one_period, -(-num_samples // period))[:, :num_samples]
 
 
 def save_params(params: MlpParams, norm: NormSpec, path: str | Path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,10 +36,34 @@ class ScenarioConfig:
         gaps = np.linalg.norm(mics[:, None, :] - mics[None, :, :], axis=-1)
         if np.any(gaps[np.triu_indices(len(mics), 1)] < 1e-12):
             raise ValueError("microphone positions must be distinct")
+        self.period_samples  # validates the tone set
 
     @property
     def num_samples(self) -> int:
         return round(self.duration * self.sample_rate)
+
+    @property
+    def period_samples(self) -> int:
+        """Samples in one period of the sampled tone set, sample_rate / gcd(sample_rate, tones):
+        the fewest samples that hold a whole number of cycles of every tone.
+
+        ValueError naming the tones unless they are below Nyquist, they and the sample
+        rate are whole hertz, and the period fits in the scenario.
+        """
+        freqs = [c.frequency for c in self.primary_source.components]
+        fs = self.sample_rate
+        if max(freqs) >= fs / 2.0:
+            raise ValueError(f"tones {freqs} Hz: {max(freqs)} Hz is at or above Nyquist")
+        whole = [max(round(f), 1) for f in [fs, *freqs]]
+        if any(abs(f - w) > 1e-9 for f, w in zip([fs, *freqs], whole)):
+            raise ValueError(f"tones {freqs} Hz and sample rate {fs} Hz must be whole hertz")
+        period = whole[0] // math.gcd(*whole)
+        if period > self.num_samples:
+            raise ValueError(
+                f"tones {freqs} Hz repeat every {period} samples, "
+                f"more than the scenario's {self.num_samples}"
+            )
+        return period
 
     def to_dict(self) -> dict:
         return {

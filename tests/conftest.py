@@ -12,9 +12,8 @@ def scenario():
 @pytest.fixture(scope="session")
 def mic_signals(scenario):
     sc = scenario
-    return propagate_tonal(
-        sc.primary_source, sc.monitoring_positions, sc.sample_rate, sc.duration, sc.speed_of_sound
-    )
+    fs, c = sc.sample_rate, sc.speed_of_sound
+    return propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
 
 
 @pytest.fixture(scope="session")

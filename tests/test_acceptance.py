@@ -11,12 +11,13 @@ import pytest
 
 import wavefield_anc as wa
 from wavefield_anc.acoustics import propagate_tonal
-from wavefield_anc.anc import MODE_MULTIPOINT, MODE_PINN, field_grid_power, run_anc
+from wavefield_anc.anc import field_grid_power
 from wavefield_anc.experiments import (
     DEFAULT_RADII,
     ExperimentSpec,
     ear_disk_mask,
     run_anc_convergence,
+    run_controls,
 )
 from wavefield_anc.geometry import sphere_points
 from wavefield_anc.oracles import derivative_figures, fxlms_figures, sh_figures
@@ -27,14 +28,10 @@ from wavefield_anc.pinn import (
     glorot_init,
     loss_and_grads,
     pde_residual,
-    periodic_extension,
     pinn_predict,
 )
 from wavefield_anc.scenario import MIC_RADIUS, default_scenario
 from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
-
-MU = 1e-5
-ITERATIONS = 10_000
 
 
 def test_criterion_1_interpolation_dominance(scenario, mic_signals, trained):
@@ -47,12 +44,10 @@ def test_criterion_1_interpolation_dominance(scenario, mic_signals, trained):
     margins = {}
     for r_s in DEFAULT_RADII:
         pts = sphere_points(r_s, 400)
-        truth = propagate_tonal(sc.primary_source, pts, fs, sc.duration, c)
+        truth = propagate_tonal(sc.primary_source, pts, fs, sc.num_samples, c)
         eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
-        block = pinn_predict(params, report.norm, pts, fs, report.norm.duration)
-        eps_nn = ratio_to_db(
-            interpolation_error(truth, periodic_extension(block, sc.num_samples))
-        )
+        estimate = pinn_predict(params, report.norm, pts, fs, sc.num_samples)
+        eps_nn = ratio_to_db(interpolation_error(truth, estimate))
         assert eps_nn < eps_sh, f"PINN not below SH at r_s={r_s}: {eps_nn} vs {eps_sh}"
         margins[r_s] = eps_sh - eps_nn
     band = [m for r, m in margins.items() if 0.2 - 1e-9 <= r <= 0.4 + 1e-9]
@@ -63,10 +58,7 @@ def test_criterion_2_anc_steady_state_gap(scenario, trained):
     """PINN-assisted beats multiple-point by >= 8 dB over the last 1000 of 10000."""
     params, report = trained
     t0 = time.time()
-    mp = run_anc(scenario, MODE_MULTIPOINT, ITERATIONS, MU)
-    pn = run_anc(
-        scenario, MODE_PINN, ITERATIONS, MU, pinn_params=params, pinn_norm=report.norm
-    )
+    mp, pn = run_controls(scenario, params, report.norm)
     elapsed = time.time() - t0
     assert mp.converged and pn.converged
     gap = mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()
@@ -77,10 +69,7 @@ def test_criterion_2_anc_steady_state_gap(scenario, trained):
 def test_criterion_3_ear_region_field_map(scenario, trained):
     """Mean residual power in the r=0.03 m ear disks >= 5 dB lower for PINN mode."""
     params, report = trained
-    mp = run_anc(scenario, MODE_MULTIPOINT, ITERATIONS, MU)
-    pn = run_anc(
-        scenario, MODE_PINN, ITERATIONS, MU, pinn_params=params, pinn_norm=report.norm
-    )
+    mp, pn = run_controls(scenario, params, report.norm)
     gx, gy, (p_mp, p_pn) = field_grid_power(scenario, [mp.weights, pn.weights])
     mask = ear_disk_mask(gx, gy, scenario.virtual_positions)
     gap = 10.0 * np.log10(np.mean(p_mp[mask]) / np.mean(p_pn[mask]))
@@ -105,13 +94,12 @@ def test_criterion_5_wave_equation_residual_oracle():
     pts = rng.uniform(-1.5, 1.5, size=(400, 4))
     target = np.sin(pts[:, 1:] @ k - omega * pts[:, 0])
     params = glorot_init(1, 32)
-    cfg = TrainConfig(epochs=1)
     st = AdamState.zeros(params)
     epochs = 25_000
     for e in range(epochs):
         lr = 1e-2 * (1e-3) ** (e / (epochs - 1))
         L, _, g = loss_and_grads(params, pts, target, pts[:1], 0.0, c_eff)
-        params, st = adam_step(params, g, st, cfg, learning_rate=lr)
+        params, st = adam_step(params, g, st, lr)
     assert L < 1e-6, f"plane-wave fit stalled at L_data={L:.3g}"
     held = rng.uniform(-1.5, 1.5, size=(50, 4))
     r_fit = np.mean(np.asarray(pde_residual(params, held, c_eff)) ** 2)

@@ -14,9 +14,9 @@ def P(x, y, z):
     return np.array([x, y, z], dtype=float)
 
 
-def propagate_one(source, receiver, duration):
-    """Signal at one receiver, as a (T,) array."""
-    (sig,) = propagate_tonal(source, receiver[None], FS, duration, C)
+def propagate_one(source, receiver, num_samples):
+    """Signal at one receiver, as a (num_samples,) array."""
+    (sig,) = propagate_tonal(source, receiver[None], FS, num_samples, C)
     return sig
 
 
@@ -32,7 +32,7 @@ def tone_source(pos, freq=400.0, amp=1.0, phase=0.0):
 def test_unit_amplitude_at_one_meter():
     # A = 4*pi cancels the 1/(4*pi*d) spreading at d = 1
     src = tone_source(P(0, 0, 0), freq=400.0, amp=4.0 * np.pi)
-    sig = propagate_one(src, P(1, 0, 0), 0.01)
+    sig = propagate_one(src, P(1, 0, 0), 240)
     t = np.arange(len(sig)) / FS
     expected = np.sin(2 * np.pi * 400.0 * (t - 1.0 / C))
     assert np.allclose(sig, expected, atol=1e-12)
@@ -46,8 +46,8 @@ def test_paper_source_delay_to_origin():
 
 def test_inverse_distance_law():
     src = tone_source(P(0, 0, 0), freq=300.0, phase=0.4)
-    near = propagate_one(src, P(1, 0, 0), 0.02)
-    far = propagate_one(src, P(2, 0, 0), 0.02)
+    near = propagate_one(src, P(1, 0, 0), 480)
+    far = propagate_one(src, P(2, 0, 0), 480)
     t = np.arange(len(near)) / FS
     # doubling d halves the amplitude and adds a 2*pi*f*d/c phase lag
     expected = 0.5 * np.amax(np.abs(near))
@@ -59,13 +59,13 @@ def test_inverse_distance_law():
 def test_zero_distance_raises():
     src = tone_source(P(0.1, 0.2, 0.3))
     with pytest.raises(ZeroDistance):
-        propagate_one(src, P(0.1, 0.2, 0.3), 0.01)
+        propagate_one(src, P(0.1, 0.2, 0.3), 240)
 
 
 def test_nyquist_guard():
     src = tone_source(P(0, 0, 0), freq=12_000.0)
     with pytest.raises(ValueError):
-        propagate_one(src, P(1, 0, 0), 0.01)
+        propagate_one(src, P(1, 0, 0), 240)
 
 
 @given(
@@ -81,17 +81,17 @@ def test_superposition(f1, f2, ph1, ph2):
     pos = P(0.5, 0.5, 0.5)
     rx = P(0, 0, 0)
     both = propagate_one(
-        TonalSource(pos, (ToneComponent(f1, 1.0, ph1), ToneComponent(f2, 2.0, ph2))), rx, 0.01
+        TonalSource(pos, (ToneComponent(f1, 1.0, ph1), ToneComponent(f2, 2.0, ph2))), rx, 240
     )
-    a = propagate_one(TonalSource(pos, (ToneComponent(f1, 1.0, ph1),)), rx, 0.01)
-    b = propagate_one(TonalSource(pos, (ToneComponent(f2, 2.0, ph2),)), rx, 0.01)
+    a = propagate_one(TonalSource(pos, (ToneComponent(f1, 1.0, ph1),)), rx, 240)
+    b = propagate_one(TonalSource(pos, (ToneComponent(f2, 2.0, ph2),)), rx, 240)
     assert np.allclose(both, a + b, atol=1e-12)
 
 
 def test_reciprocity():
     a, b = P(0.6, 0.8, 1.0), P(0.05, -0.1, 0.02)
-    fwd = propagate_one(tone_source(a, phase=1.1), b, 0.02)
-    rev = propagate_one(tone_source(b, phase=1.1), a, 0.02)
+    fwd = propagate_one(tone_source(a, phase=1.1), b, 480)
+    rev = propagate_one(tone_source(b, phase=1.1), a, 480)
     assert np.allclose(fwd, rev, atol=1e-15)
 
 
@@ -100,7 +100,7 @@ def test_fir_matches_analytic_propagation():
     fir = fir_one(src_pos, rx, 256)
     src = tone_source(src_pos, freq=400.0, amp=4 * np.pi)
     approx = np.convolve(src.waveform(FS, 2400), fir)[:2400]
-    exact = propagate_one(src, rx, 0.1)
+    exact = propagate_one(src, rx, 2400)
     err = np.linalg.norm(approx[256:] - exact[256:]) / np.linalg.norm(exact[256:])
     assert err < 1e-2
 
@@ -108,7 +108,7 @@ def test_fir_matches_analytic_propagation():
 def test_fir_error_decreases_with_taps():
     src_pos, rx = P(0.0, 0.2, 0.0), P(0.0, 0.0, 0.0)
     src = tone_source(src_pos, freq=500.0)
-    exact = propagate_one(src, rx, 0.1)
+    exact = propagate_one(src, rx, 2400)
     x = src.waveform(FS, 2400)
     errs = []
     for taps in (32, 64, 128, 256):
@@ -136,7 +136,7 @@ def test_delay_exceeds_filter():
 
 def test_zero_length_signal_rejected():
     with pytest.raises(ValueError):
-        propagate_one(tone_source(P(0, 0, 0)), P(1, 0, 0), 0.0)
+        propagate_one(tone_source(P(0, 0, 0)), P(1, 0, 0), 0)
 
 
 def test_waveform_is_unit_gain_zero_delay():

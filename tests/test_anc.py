@@ -9,9 +9,6 @@ from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.anc import (
     EPS_WINDOW,
     FILTER_LEN,
-    MODE_IDEAL,
-    MODE_MULTIPOINT,
-    MODE_PINN,
     PATH_TAPS,
     WEIGHT_BOUND,
     field_grid_power,
@@ -20,8 +17,21 @@ from wavefield_anc.anc import (
     path_firs,
     run_anc,
 )
+from wavefield_anc.pinn import pinn_predict
 from wavefield_anc.scenario import ScenarioConfig, default_scenario
 from wavefield_anc.sh import DB_FLOOR
+
+
+def truth(scenario, points, iterations):
+    """The primary field at the (P, 3) points, propagated directly over ``iterations`` samples."""
+    sc = scenario
+    return propagate_tonal(sc.primary_source, points, sc.sample_rate, iterations, sc.speed_of_sound)
+
+
+def multipoint(scenario, iterations, mu):
+    """Control on the measured signals at the monitoring mics."""
+    mics = scenario.monitoring_positions
+    return run_anc(scenario, mics, truth(scenario, mics, iterations), mu)
 
 
 def scaled_scenario(mult, seed=0):
@@ -36,9 +46,9 @@ def scaled_scenario(mult, seed=0):
     return dataclasses.replace(sc, primary_source=src)
 
 
-def single_channel_scenario(amp=40.0):
+def single_channel_scenario(amp=40.0, freq=400.0):
     return ScenarioConfig(
-        primary_source=TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, amp, 0.3),)),
+        primary_source=TonalSource((0.6, 0.8, 1.0), (ToneComponent(freq, amp, 0.3),)),
         secondary_positions=[(0.0, 0.5, 0.0)],
         monitoring_positions=[(0.0, 0.1, 0.0)],
         virtual_positions=[(0.0, 0.12, 0.0)],
@@ -88,18 +98,18 @@ def test_fxlms_update_along_reference():
 
 def test_run_anc_zero_step_size():
     sc = default_scenario(0)
-    rep = run_anc(sc, MODE_MULTIPOINT, 600, 0.0)
+    rep = multipoint(sc, 600, 0.0)
     assert np.all(rep.weights == 0.0)
     assert np.allclose(rep.eps_db, 0.0, atol=1e-9)
 
 
 def test_run_anc_rejects_negative_step_size():
     with pytest.raises(ValueError):
-        run_anc(default_scenario(0), MODE_MULTIPOINT, 100, -1e-5)
+        multipoint(default_scenario(0), 100, -1e-5)
 
 
 def test_single_tone_sensor_convergence():
-    rep = run_anc(single_channel_scenario(), MODE_MULTIPOINT, 5000, 1e-5)
+    rep = multipoint(single_channel_scenario(), 5000, 1e-5)
     assert rep.converged
     p0 = rep.sensor_mse[:50].mean()
     pf = rep.sensor_mse[-480:].mean()
@@ -108,39 +118,49 @@ def test_single_tone_sensor_convergence():
 
 def test_zero_primary_keeps_weights_bitwise_zero():
     sc = single_channel_scenario(amp=0.0)
-    rep = run_anc(sc, MODE_MULTIPOINT, 300, 1e-5)
+    rep = multipoint(sc, 300, 1e-5)
     assert np.all(rep.weights == 0.0)
 
 
 def test_scale_covariance():
-    a = run_anc(scaled_scenario(1.0), MODE_MULTIPOINT, 800, 1e-7)
-    b = run_anc(scaled_scenario(2.0), MODE_MULTIPOINT, 800, 0.25e-7)
+    a = multipoint(scaled_scenario(1.0), 800, 1e-7)
+    b = multipoint(scaled_scenario(2.0), 800, 0.25e-7)
     # scaling amplitudes by s and mu by 1/s^2 gives the identical trajectory
     assert np.allclose(a.eps_db, b.eps_db, atol=1e-6)
 
 
 def test_sensor_mse_decreases_multipoint():
-    rep = run_anc(default_scenario(0), MODE_MULTIPOINT, 4000, 1e-5)
+    rep = multipoint(default_scenario(0), 4000, 1e-5)
     assert rep.sensor_mse[-480:].mean() < rep.sensor_mse[:480].mean()
 
 
 def test_divergence_guard():
-    rep = run_anc(scaled_scenario(50.0), MODE_MULTIPOINT, 20_000, 1e-3)
+    rep = multipoint(scaled_scenario(50.0), 20_000, 1e-3)
     assert not rep.converged
     assert rep.iterations < 20_000
 
 
-def test_pinn_mode_requires_params():
+@pytest.mark.parametrize("rows, samples", [(7, 100), (9, 100), (8, 0)])
+def test_run_anc_rejects_primary_not_matching_sensors(rows, samples):
+    sc = default_scenario(0)
     with pytest.raises(ValueError):
-        run_anc(default_scenario(0), MODE_PINN, 100, 1e-5)
-    with pytest.raises(ValueError):
-        run_anc(default_scenario(0), "bogus", 100, 1e-5)
+        run_anc(sc, sc.monitoring_positions, np.zeros((rows, samples)), 1e-5)
+
+
+def test_ear_truth_is_direct_propagation_for_a_period_not_dividing_the_scenario():
+    sc = single_channel_scenario(freq=375.0)  # 64-sample period; 2 400 / 64 = 37.5
+    assert sc.period_samples == 64 and sc.num_samples % 64 != 0
+    rep = multipoint(sc, 5000, 0.0)  # no control: the ear residual is the ear primary
+    direct = truth(sc, sc.virtual_positions, 5000)
+    assert np.max(np.abs(rep.ear_residual - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_ideal_mode_bounds_pinn_mode(scenario, trained_quick):
     params, report = trained_quick
-    ideal = run_anc(scenario, MODE_IDEAL, 4000, 1e-5)
-    pinn = run_anc(scenario, MODE_PINN, 4000, 1e-5, pinn_params=params, pinn_norm=report.norm)
+    ears = scenario.virtual_positions
+    ideal = run_anc(scenario, ears, truth(scenario, ears, 4000), 1e-5)
+    estimate = pinn_predict(params, report.norm, ears, scenario.sample_rate, 4000)
+    pinn = run_anc(scenario, ears, estimate, 1e-5)
     # a perfect interpolator lower-bounds the PINN-driven loop at steady state
     assert ideal.eps_db[-480:].mean() <= pinn.eps_db[-480:].mean() + 0.5
 
@@ -171,24 +191,17 @@ def test_field_grid_single_tone_power_is_analytic():
         assert power[i] == pytest.approx((40.0 / (4 * np.pi * d)) ** 2 / 2, rel=1e-9)
 
 
-def reference_run_anc(scenario, mode, iterations, mu):
+def reference_run_anc(scenario, sensors, iterations, mu):
     """The FxLMS loop in shift-register form: every buffer newest first, the
-    filtered reference and the ear residuals formed sample by sample in the loop.
+    filtered reference and the ear residuals formed sample by sample in the loop,
+    the true field at the sensors as the error signal's primary part.
 
     Returns (weights, sensor_mse, eps_db, converged).
     """
     fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
-
-    def tiled_truth(points):
-        block = propagate_tonal(src, points, fs, scenario.duration, c)
-        return np.stack([np.tile(b, -(-iterations // b.size))[:iterations] for b in block])
-
-    sensors = (
-        scenario.monitoring_positions if mode == MODE_MULTIPOINT else scenario.virtual_positions
-    )
-    primary = tiled_truth(sensors)
-    ear_primary = tiled_truth(scenario.virtual_positions)
+    primary = truth(scenario, sensors, iterations)
+    ear_primary = truth(scenario, scenario.virtual_positions, iterations)
     S = path_firs(scenario.secondary_positions, sensors, fs, c)
     S_ear = path_firs(scenario.secondary_positions, scenario.virtual_positions, fs, c)
     L, M = S.shape[:2]
@@ -233,7 +246,15 @@ def reference_run_anc(scenario, mode, iterations, mu):
     return w, np.array(sensor_mse), eps_db, converged
 
 
-def random_scenario(seed, num_sources, num_sensors):
+FS = 24_000
+WINDOW = 240  # scenario length in samples: shorter than most runs, so a tiled truth would wrap
+# tone-set periods in samples that fit the window, many not dividing it (64, 75, ...)
+PERIODS = [p for p in range(24, WINDOW + 1) if FS % p == 0]
+
+
+def random_scenario(seed, num_sources, num_sensors, period):
+    """Random geometry and 1-2 tones, harmonics between 100 and 1000 Hz of FS / period,
+    in a WINDOW-sample scenario."""
     rng = np.random.default_rng(seed)
 
     def points(count, r_lo, r_hi):
@@ -241,15 +262,18 @@ def random_scenario(seed, num_sources, num_sensors):
         u *= rng.uniform(r_lo, r_hi, size=(count, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
         return u
 
-    freqs = rng.choice(np.arange(100.0, 1000.0, 10.0), size=rng.integers(1, 3), replace=False)
+    f0 = FS // period
+    harmonics = np.arange(max(1, -(-100 // f0)), 1000 // f0 + 1)
+    freqs = f0 * rng.choice(harmonics, size=min(rng.integers(1, 3), harmonics.size), replace=False)
     tones = tuple(
-        ToneComponent(f, rng.uniform(1.0, 20.0), rng.uniform(0, 2 * np.pi)) for f in freqs
+        ToneComponent(float(f), rng.uniform(1.0, 20.0), rng.uniform(0, 2 * np.pi)) for f in freqs
     )
     return ScenarioConfig(
         primary_source=TonalSource(points(1, 1.0, 2.0)[0], tones),
         secondary_positions=points(num_sources, 0.3, 0.8),
         monitoring_positions=points(num_sensors, 0.05, 0.25),
         virtual_positions=points(2, 0.05, 0.2),
+        duration=WINDOW / FS,
     )
 
 
@@ -265,16 +289,22 @@ def rel_err(a, b):
     log_mu=st.floats(-6.0, 0.0),
     iterations=st.integers(50, 400),
     ideal=st.booleans(),
+    period=st.sampled_from(PERIODS),
 )
-@example(seed=7, num_sources=2, num_sensors=3, log_mu=0.0, iterations=400, ideal=False)  # diverges
+@example(  # diverges
+    seed=7, num_sources=2, num_sensors=3, log_mu=0.0, iterations=400, ideal=False, period=240
+)
+@example(  # 375 Hz: a 64-sample period that does not divide the window
+    seed=3, num_sources=1, num_sensors=2, log_mu=-2.0, iterations=400, ideal=True, period=64
+)
 def test_run_anc_matches_shift_register_loop(
-    seed, num_sources, num_sensors, log_mu, iterations, ideal
+    seed, num_sources, num_sensors, log_mu, iterations, ideal, period
 ):
-    sc = random_scenario(seed, num_sources, num_sensors)
-    mode = MODE_IDEAL if ideal else MODE_MULTIPOINT
+    sc = random_scenario(seed, num_sources, num_sensors, period)
+    sensors = sc.virtual_positions if ideal else sc.monitoring_positions
     mu = 10.0**log_mu
-    w, sensor_mse, eps_db, converged = reference_run_anc(sc, mode, iterations, mu)
-    rep = run_anc(sc, mode, iterations, mu)
+    w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, iterations, mu)
+    rep = run_anc(sc, sensors, truth(sc, sensors, iterations), mu)
     assert rep.converged == converged
     assert rep.iterations == sensor_mse.size
     assert rel_err(rep.weights, w) <= 1e-12

@@ -182,7 +182,7 @@ def test_propagate_tonal_matches_per_point(seed, count, n):
     rng = np.random.default_rng(seed)
     src = random_source(rng)
     receivers = random_points(rng, count, 0.01, 0.5)
-    out = propagate_tonal(src, receivers, FS, n / FS, C)
+    out = propagate_tonal(src, receivers, FS, n, C)
     assert out.shape == (count, n)
     # same arithmetic per sample, so bitwise equal
     assert np.array_equal(out, [propagate_one(src, r, n) for r in receivers])
@@ -207,7 +207,7 @@ def test_sh_interpolate_matches_per_point(seed, radii):
     sc = default_scenario(0)
     src = random_source(rng)
     series = sh_fit(
-        sc.monitoring_positions, propagate_tonal(src, sc.monitoring_positions, FS, 0.01, C), 2, FS
+        sc.monitoring_positions, propagate_tonal(src, sc.monitoring_positions, FS, 240, C), 2, FS
     )
     # targets on several spheres, shuffled so each radius group is scattered
     targets = np.vstack([sphere_points(r, int(rng.integers(1, 8))) for r in radii])
@@ -227,7 +227,7 @@ def test_pinn_predict_matches_per_point(seed, count, n):
     params.b1[:] = rng.normal(size=params.hidden)
     norm = NormSpec(n / FS)
     points = random_points(rng, count, 0.0, 0.3)
-    out = pinn_predict(params, norm, points, FS, norm.duration)
+    out = pinn_predict(params, norm, points, FS, n)
     tau = norm.to_tau(np.arange(n) / FS)
     expected = [
         mlp_forward(params, np.column_stack([tau, np.broadcast_to(p, (n, 3))])) for p in points

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from wavefield_anc import experiments
 from wavefield_anc.acoustics import TonalSource, ToneComponent
 from wavefield_anc.cli import build_parser, main, resolve_spec
 from wavefield_anc.experiments import (
@@ -81,6 +82,43 @@ def test_two_coordinate_position_is_exit_2(tmp_path, capsys):
         assert code == 2
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize(
+    "freqs, duration, message",
+    [
+        ([333.0], 0.1, "repeat every 8000 samples"),  # 72.07 samples a cycle
+        ([300.5], 0.1, "whole hertz"),
+        ([301.0, 400.0], 0.1, "repeat every 24000 samples"),  # gcd 1 Hz
+        ([300.0, 400.0, 500.0], 0.005, "repeat every 240 samples"),  # 120 samples held
+        ([12_000.0], 0.1, "Nyquist"),
+    ],
+    ids=["333Hz", "300.5Hz", "301+400Hz", "short", "nyquist"],
+)
+def test_tone_set_without_a_period_is_exit_2(tmp_path, capsys, freqs, duration, message):
+    d = default_scenario(0).to_dict()
+    d["duration"] = duration
+    d["primary_source"]["components"] = [
+        {"frequency": f, "amplitude": 1.0, "phase": 0.0} for f in freqs
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig.load(path)
+    assert main(["anc-convergence", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert str(freqs[0]) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["anc-convergence", "field-map"])
+def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
+    monkeypatch.setattr(experiments, "ANC_MU", 1e-2)  # far past the stable step size
+    out = tmp_path / "o"
+    assert main([experiment, "--epochs", "10", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ok"] is False
+    metrics = summary["metrics"]
+    assert not (metrics["multipoint_converged"] and metrics["pinn_converged"])
 
 
 def test_config_round_trip(tmp_path):

@@ -94,12 +94,6 @@ def test_sphere_points_near_uniform_spacing():
     assert abs(nn.mean() - expected) / expected < 0.2
 
 
-def test_sphere_points_centered():
-    center = np.array([1.0, -2.0, 0.5])
-    pts = sphere_points(0.1, 50, center=center)
-    assert np.all(np.abs(np.linalg.norm(pts - center, axis=1) - 0.1) < 1e-12)
-
-
 def test_ball_points_inside_radius():
     pts = ball_points(0.26, 500, seed=7)
     assert pts.shape == (500, 3)
@@ -128,9 +122,3 @@ def test_ball_points_volume_ratio():
     pts = ball_points(1.0, 10_000, seed=0)
     frac = np.mean(np.linalg.norm(pts, axis=1) <= 0.5)
     assert abs(frac - 1.0 / 8.0) < 0.02
-
-
-def test_ball_points_centered():
-    center = np.array([0.3, 0.0, -0.1])
-    pts = ball_points(0.1, 200, center=center, seed=1)
-    assert np.all(np.linalg.norm(pts - center, axis=1) <= 0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavefield_anc import pinn
-from wavefield_anc.acoustics import propagate_tonal
+from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.errors import DivergenceDetected
 from wavefield_anc.pinn import (
     AdamState,
@@ -13,7 +13,6 @@ from wavefield_anc.pinn import (
     NormSpec,
     TrainConfig,
     adam_step,
-    fundamental_period_samples,
     glorot_init,
     load_params,
     loss_and_grads,
@@ -172,7 +171,7 @@ def test_adam_zero_grad_is_fixed_point():
     p = random_params(7)
     zero = MlpParams(np.zeros_like(p.W1), np.zeros_like(p.b1), np.zeros_like(p.W2), 0.0)
     st = AdamState.zeros(p)
-    q, _ = adam_step(p, zero, st, TrainConfig(epochs=1))
+    q, _ = adam_step(p, zero, st, 1e-2)
     assert np.array_equal(p.to_vector(), q.to_vector())
 
 
@@ -182,7 +181,7 @@ def test_adam_first_step_magnitude():
     g = MlpParams.from_vector(rng.normal(size=p.to_vector().size), p.hidden)
     st = AdamState.zeros(p)
     lr = 1e-3
-    q, _ = adam_step(p, g, st, TrainConfig(epochs=1, learning_rate=lr))
+    q, _ = adam_step(p, g, st, lr)
     step = q.to_vector() - p.to_vector()
     gv = g.to_vector()
     assert np.all(np.sign(step[gv != 0]) == -np.sign(gv[gv != 0]))
@@ -191,12 +190,11 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_scalar_convergence():
-    cfg = TrainConfig(epochs=1, learning_rate=0.1)
     p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
     st = AdamState.zeros(p)
     for _ in range(200):
         g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
-        p, st = adam_step(p, g, st, cfg)
+        p, st = adam_step(p, g, st, 0.1)
     assert abs(p.b2 - 3.0) < 0.1
 
 
@@ -209,7 +207,17 @@ def test_norm_spec_maps_duration_to_range():
 
 def test_fundamental_period():
     sc = default_scenario(0)
-    assert fundamental_period_samples(sc) == 240  # gcd(300,400,500)=100 Hz at 24 kHz
+    assert sc.period_samples == 240  # gcd(300,400,500)=100 Hz at 24 kHz
+
+    def period(*freqs):
+        comps = tuple(ToneComponent(f) for f in freqs)
+        src = TonalSource(sc.primary_source.position, comps)
+        return dataclasses.replace(sc, primary_source=src).period_samples
+
+    assert period(375.0) == 64
+    assert period(250.0, 350.0, 450.0) == 480
+    assert period(10.0) == 2400  # the whole scenario
+    assert period(720.0) == 100  # 3 cycles; one is 33.3 samples
 
 
 def test_collocation_positions():
@@ -224,7 +232,7 @@ def test_train_zero_epochs(scenario, mic_signals):
     cfg = dataclasses.replace(QUICK_TRAIN, epochs=0)
     params, report = train_pinn(scenario, mic_signals, cfg)
     assert report.history == []
-    assert params.hidden == cfg.hidden
+    assert params.hidden == pinn.HIDDEN
 
 
 def test_train_deterministic(scenario, mic_signals):
@@ -312,22 +320,32 @@ def test_train_is_amplitude_invariant(scenario, mic_signals):
 
 def test_predict_shapes_and_constant_network():
     p = MlpParams(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 3.3)
-    out = pinn_predict(p, NormSpec(0.01), [[0, 0.1, 0], [0.2, 0, 0.1]], 24_000.0, 0.01)
+    out = pinn_predict(p, NormSpec(0.01), [[0, 0.1, 0], [0.2, 0, 0.1]], 24_000.0, 240)
     assert out.shape == (2, 240)
     assert np.all(out == 3.3)
 
 
 def test_predict_consistent_with_report(scenario, mic_signals):
     params, report = train_pinn(scenario, mic_signals, QUICK_TRAIN)
-    period = fundamental_period_samples(scenario)
+    period = scenario.period_samples
     preds = pinn_predict(
-        params, report.norm, scenario.monitoring_positions, scenario.sample_rate, report.norm.duration
+        params, report.norm, scenario.monitoring_positions, scenario.sample_rate, period
     )
     num = np.sum((preds - mic_signals[:, :period]) ** 2)
     den = np.sum(mic_signals[:, :period] ** 2)
     # the normalized final data loss equals the physical NMSE by construction
     # (up to the one optimizer step taken after the last loss evaluation)
     assert num / den == pytest.approx(report.final_data_loss, rel=1e-3)
+
+
+@pytest.mark.parametrize("num_samples", [1, 239, 240, 241, 1000])
+def test_predict_tiles_one_period(num_samples):
+    p = random_params(13)
+    norm = NormSpec(0.01)  # 240 samples at 24 kHz
+    points = np.array([[0.0, 0.1, 0.0], [0.2, 0.0, 0.1]])
+    one_period = pinn_predict(p, norm, points, 24_000.0, 240)
+    out = pinn_predict(p, norm, points, 24_000.0, num_samples)
+    assert np.array_equal(out, np.tile(one_period, 5)[:, :num_samples])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -343,7 +361,5 @@ def test_save_load_round_trip(tmp_path):
 def test_bad_train_config():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(restarts=0)

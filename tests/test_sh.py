@@ -162,7 +162,7 @@ def test_fit_shape_mismatch():
 
 def test_interpolate_identity_radius():
     sc = default_scenario(0)
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 0.05, C)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 1200, C)
     series = sh_fit(sc.monitoring_positions, mics, 2, FS)
     theta, phi = 1.0, 2.0
     target = MIC_RADIUS * np.array(
@@ -204,10 +204,10 @@ def test_dc_bessel_ratio_limit():
 def test_single_tone_baseline_quality():
     sc = default_scenario(0)
     src = TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, 1.0, 0.2),))
-    mics = propagate_tonal(src, sc.monitoring_positions, FS, 0.1, C)
+    mics = propagate_tonal(src, sc.monitoring_positions, FS, 2400, C)
     series = sh_fit(sc.monitoring_positions, mics, 2, FS)
     pts = sphere_points(0.1, 400)
-    truth = propagate_tonal(src, pts, FS, 0.1, C)
+    truth = propagate_tonal(src, pts, FS, 2400, C)
     est = sh_interpolate(series, pts, C)
     assert interpolation_error(truth, est) < 0.5
 
