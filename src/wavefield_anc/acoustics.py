@@ -10,6 +10,7 @@ from .errors import DelayExceedsFilter, ZeroDistance
 from .geometry import as_points, distances
 
 SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional delay
+PATH_TAPS = 256  # secondary-path FIR length
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,18 @@ def _blackman(offset: np.ndarray, half_width: int) -> np.ndarray:
     return w
 
 
+def path_distances(
+    sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float,
+    num_taps: int = PATH_TAPS,
+) -> np.ndarray:
+    """(S, P) distances from the (S, 3) sources to the (P, 3) receivers; ZeroDistance or
+    DelayExceedsFilter unless make_path_fir can model every path in num_taps taps."""
+    d = np.stack([_distances(s, receivers) for s in sources])
+    if np.floor(delay := d.max() / c * sample_rate) >= num_taps - SINC_WINDOW_HALF_WIDTH:
+        raise DelayExceedsFilter(f"{delay:.1f}-sample delay does not fit in {num_taps} taps")
+    return d
+
+
 def make_path_fir(
     source_pos: np.ndarray,
     receivers: np.ndarray,
@@ -105,12 +118,8 @@ def make_path_fir(
 ) -> np.ndarray:
     """(P, num_taps) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain,
     one per (P, 3) receiver."""
-    d = _distances(source_pos, receivers)
+    d = path_distances([source_pos], receivers, sample_rate, c, num_taps)[0]
     delay = d / c * sample_rate
-    if np.floor(delay.max()) >= num_taps - SINC_WINDOW_HALF_WIDTH:
-        raise DelayExceedsFilter(
-            f"delay of {delay.max():.1f} samples does not fit in {num_taps} taps"
-        )
     offset = np.arange(num_taps) - delay[:, None]
     taps = np.sinc(offset) * _blackman(offset, SINC_WINDOW_HALF_WIDTH)
     return taps / (4.0 * np.pi * d)[:, None]

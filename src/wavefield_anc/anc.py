@@ -7,17 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .acoustics import make_path_fir, propagate_tonal
+from .acoustics import PATH_TAPS, make_path_fir, propagate_tonal
 from .geometry import as_points
 from .scenario import ScenarioConfig
 from .sh import DB_FLOOR
 
 FILTER_LEN = 96  # adaptive FIR taps per secondary source
-PATH_TAPS = 256  # secondary-path FIR length
 EPS_WINDOW = 480  # trailing samples for the per-iteration reduction ratio
 WEIGHT_BOUND = 1e6
 GRID_HALF_EXTENT = 0.2  # field map spans +-0.2 m in x and y
 GRID_POINTS_PER_SIDE = 21
+FIR_BLOCK = 64  # outputs per matrix product in _fir_sum
 
 
 @dataclass
@@ -37,35 +37,38 @@ def path_firs(
     return np.stack([make_path_fir(s, receivers, sample_rate, PATH_TAPS, c) for s in sources])
 
 
-def _fir_sum(inputs: np.ndarray, firs: np.ndarray) -> np.ndarray:
-    """out[..., n] = sum_l sum_t firs[l, ..., t] inputs[l, n - t] for n < N.
+def _tap_major(firs: np.ndarray) -> np.ndarray:
+    """(L, ..., taps) FIRs as (R, taps * L) rows, ordered like a raveled (taps, L) window."""
+    return np.moveaxis(firs, 0, -1).reshape(-1, firs.shape[-1] * len(firs))
 
-    ``inputs`` is (L, N), oldest first; ``firs`` is (L, ..., taps). Each sample is
-    a dot product of the taps with the newest-first input window, summed over l.
-    """
-    taps = firs.shape[-1]
-    newest_first = np.concatenate([inputs[:, ::-1], np.zeros((len(inputs), taps - 1))], axis=1)
-    windows = sliding_window_view(newest_first, taps, axis=1)
-    return np.einsum("l...t,lkt->...k", firs, windows)[..., ::-1]
+
+def _fir_sum(history: np.ndarray, firs: np.ndarray) -> np.ndarray:
+    """out[k, ...] = sum_l sum_t firs[l, ..., t] history[k + t, l] for (L, ..., taps) ``firs``
+    and a (count + taps - 1, L) ``history``, out and history newest first. The input
+    windows of each FIR_BLOCK outputs are copied contiguous for one matrix product."""
+    rows = _tap_major(firs)
+    windows = sliding_window_view(history.ravel(), rows.shape[1])[:: len(firs)]
+    out = np.empty((len(windows), len(rows)))
+    for k in range(0, len(windows), FIR_BLOCK):
+        out[k : k + FIR_BLOCK] = np.ascontiguousarray(windows[k : k + FIR_BLOCK]) @ rows.T
+    return out.reshape(len(windows), *firs.shape[1:-1])
 
 
 def filtered_reference(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
-    """``x`` through every FIR of ``firs`` (..., taps), truncated to ``len(x)``.
-
-    With the (L, M, taps) secondary paths this is the whole (L, M, N) filtered
-    reference of FxLMS.
-    """
-    return _fir_sum(x[None], firs[None])
+    """``x`` through every FIR of ``firs`` (..., taps), zero input before ``x[0]``, as
+    (len(x), ...) newest first: with the (L, M, taps) secondary paths, the (N, L, M)
+    filtered reference of FxLMS."""
+    return _fir_sum(np.concatenate([x[::-1], np.zeros(firs.shape[-1] - 1)])[:, None], firs[None])
 
 
 def fxlms_step(
-    w: np.ndarray,  # (L, filter_len)
-    filtered_refs: np.ndarray,  # (L, M, filter_len), newest lag first
+    w: np.ndarray,  # (filter_len, L), newest lag first
+    filtered_refs: np.ndarray,  # (filter_len, L, M), newest lag first
     errors: np.ndarray,  # (M,)
     mu: float,
 ) -> np.ndarray:
     """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3)."""
-    return w + mu * np.einsum("lmn,m->ln", filtered_refs, errors)
+    return w + mu * (filtered_refs.reshape(w.size, -1) @ errors).reshape(w.shape)
 
 
 def run_anc(
@@ -73,11 +76,11 @@ def run_anc(
 ) -> AncRunReport:
     """Sample-synchronous FxLMS loop; one iteration advances one sample.
 
-    The reference is the source waveform itself. The error signal is
-    ``primary`` (M, N), the primary field as known at the (M, 3) ``sensors``
-    (measured at mics, or estimated at virtual ones), plus the secondary
-    sources' contribution there; the loop runs N iterations. The reported
-    reduction is that of the true field at the ears.
+    The reference is the source waveform itself. The error signal is ``primary`` (M, N),
+    the primary field as known at the (M, 3) ``sensors`` (measured at mics, or estimated
+    at virtual ones), plus the secondary sources' contribution there; the loop runs N
+    iterations. The reported reduction is that of the true field at the ears. A weight
+    beyond WEIGHT_BOUND, or not finite, stops the loop as diverged.
     """
     sensors = as_points(sensors, "sensors")
     primary = np.asarray(primary, dtype=float)
@@ -87,43 +90,39 @@ def run_anc(
         raise ValueError("need at least one iteration")
     if mu < 0:
         raise ValueError("step size must be non-negative")
-    fs = scenario.sample_rate
-    c = scenario.speed_of_sound
+    fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
     iterations = primary.shape[1]
     paths = path_firs(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
 
-    # Histories run newest first: position k holds step iterations - 1 - k and
-    # zeros past the end stand for the samples before n = 0, so the latest
-    # samples at step n are the plain slice starting at k.
+    # Histories run newest first along their first axis: row k holds step
+    # iterations - 1 - k and zeros past the end stand for the samples before
+    # n = 0, so the latest samples at step n are the contiguous rows from k.
     x = np.concatenate([np.zeros(FILTER_LEN - 1), src.waveform(fs, iterations)])
-    fx = filtered_reference(x, paths)[..., ::-1]
+    fx = filtered_reference(x, paths)  # (N + FILTER_LEN - 1, L, M)
     x = x[::-1].copy()
-    d = np.zeros((len(paths), iterations + PATH_TAPS - 1))  # secondary outputs
-    w = np.zeros((len(paths), FILTER_LEN))
-    sensor_mse = np.empty(iterations)
-    converged = True
-    n_done = iterations
+    y = np.zeros((iterations + PATH_TAPS - 1, len(paths)))  # sources emit -y: "+mu" descends
+    w = np.zeros((FILTER_LEN, len(paths)))
+    paths = -_tap_major(paths)  # (M, taps L), matching y[k : k + taps].ravel()
+    errors = primary.T.copy()  # (N, M); the loop adds the secondary part
 
     for n in range(iterations):
         k = iterations - 1 - n
-        # secondary outputs (sign keeps the textbook "+mu" update cancelling)
-        d[:, k] = -(w @ x[k : k + FILTER_LEN])
-        e = primary[:, n] + np.einsum("lmt,lt->m", paths, d[:, k : k + PATH_TAPS])
-        sensor_mse[n] = np.mean(e**2)
-        w = fxlms_step(w, fx[:, :, k : k + FILTER_LEN], e, mu)
-        if np.max(np.abs(w)) > WEIGHT_BOUND:
-            converged = False
-            n_done = n + 1
+        y[k] = x[k : k + FILTER_LEN] @ w
+        e = errors[n]
+        e += paths @ y[k : k + PATH_TAPS].ravel()
+        w = fxlms_step(w, fx[k : k + FILTER_LEN], e, mu)
+        # below half the squared bound, the squared norm keeps every weight within it
+        if not np.vdot(w, w) <= WEIGHT_BOUND**2 / 2 and not np.all(np.abs(w) <= WEIGHT_BOUND):
             break
+    n_done = n + 1
+    del fx  # the largest array; the ear residual needs only y
 
     # ears, for the reported reduction curve (known to the simulation, not the controller)
     ears = scenario.virtual_positions
     ear_primary = propagate_tonal(src, ears, fs, n_done, c)
-    ear_resid = ear_primary + _fir_sum(
-        d[:, iterations - n_done : iterations][:, ::-1],
-        path_firs(scenario.secondary_positions, ears, fs, c),
-    )
+    ear_firs = -path_firs(scenario.secondary_positions, ears, fs, c)
+    ear_resid = ear_primary + _fir_sum(y[iterations - n_done :], ear_firs)[::-1].T
 
     # trailing-window power ratio at the ears
     win = min(EPS_WINDOW, n_done)
@@ -141,46 +140,48 @@ def run_anc(
 
     return AncRunReport(
         eps_db=eps_db,
-        sensor_mse=sensor_mse[:n_done],
-        weights=w,
+        sensor_mse=np.mean(np.square(errors[:n_done], out=errors[:n_done]), axis=1),
+        weights=w.T.copy(),
         ear_residual=ear_resid,
-        converged=converged,
+        converged=bool(np.all(np.abs(w) <= WEIGHT_BOUND)),
         iterations=n_done,
     )
+
+
+def field_grid() -> np.ndarray:
+    """The (GRID_POINTS_PER_SIDE**2, 3) field-map points in the plane z = 0, row by row."""
+    coords = np.linspace(-GRID_HALF_EXTENT, GRID_HALF_EXTENT, GRID_POINTS_PER_SIDE)
+    x, y = np.meshgrid(coords, coords)
+    return np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
 
 
 def field_grid_power(
     scenario: ScenarioConfig, weight_sets: list[np.ndarray | None]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal power on an xy-grid at z=0 under each set of frozen controller weights.
+    """Signal power on the field_grid under each set of frozen controller weights.
 
-    Returns (x, y, power): x and y flattened row-major over the grid, power
-    (len(weight_sets), grid points), linear mean-square pressure over one
-    fundamental period after the path transient. A set of ``None`` gives the
-    uncontrolled primary field. The grid is evaluated one row at a time, and
-    each row's path FIRs serve every weight set.
+    Returns (x, y, power): x and y of the grid points, power (len(weight_sets), grid
+    points), linear mean-square pressure over one fundamental period after the path
+    transient. A set of ``None`` gives the uncontrolled primary field. The grid is
+    evaluated one row at a time, and each row's path FIRs serve every weight set.
     """
-    fs = scenario.sample_rate
-    c = scenario.speed_of_sound
+    fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
-    coords = np.linspace(-GRID_HALF_EXTENT, GRID_HALF_EXTENT, GRID_POINTS_PER_SIDE)
     period = scenario.period_samples
     n_total = PATH_TAPS + 4 * period
 
-    # secondary outputs that reach the last period: it and the PATH_TAPS - 1 samples before it
+    # newest-first secondary outputs that reach the last period: it and PATH_TAPS - 1 before
     x = src.waveform(fs, n_total)
     outputs = [
-        None if w is None else -filtered_reference(x, w)[:, -(period + PATH_TAPS - 1) :]
+        None if w is None else -filtered_reference(x, w)[: period + PATH_TAPS - 1]
         for w in weight_sets
     ]
-    grid_x, grid_y = (g.ravel() for g in np.meshgrid(coords, coords))
-    power = np.empty((len(weight_sets), grid_x.size))
-    for row in range(coords.size):
-        cols = slice(row * coords.size, (row + 1) * coords.size)
-        points = np.column_stack([grid_x[cols], grid_y[cols], np.zeros(coords.size)])
-        primary = propagate_tonal(src, points, fs, n_total, c)[:, -period:]
-        firs = path_firs(scenario.secondary_positions, points, fs, c)
+    grid = field_grid()
+    power = np.empty((len(weight_sets), len(grid)))
+    for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
+        primary = propagate_tonal(src, grid[row], fs, n_total, c)[:, -period:]
+        firs = path_firs(scenario.secondary_positions, grid[row], fs, c)
         for k, out in enumerate(outputs):
-            tail = primary if out is None else primary + _fir_sum(out, firs)[:, -period:]
-            power[k, cols] = np.mean(tail**2, axis=1)
-    return grid_x, grid_y, power
+            tail = primary if out is None else primary + _fir_sum(out, firs)[::-1].T
+            power[k, row] = np.mean(tail**2, axis=1)
+    return grid[:, 0], grid[:, 1], power

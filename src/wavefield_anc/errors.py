@@ -5,11 +5,11 @@ class WavefieldError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroDistance(WavefieldError):
+class ZeroDistance(WavefieldError, ValueError):
     """Source and receiver coincide; the free-field kernel is singular."""
 
 
-class DelayExceedsFilter(WavefieldError):
+class DelayExceedsFilter(WavefieldError, ValueError):
     """Propagation delay does not fit inside the requested FIR length."""
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import propagate_tonal
-from .anc import AncRunReport, field_grid_power, run_anc
+from .acoustics import path_distances, propagate_tonal
+from .anc import AncRunReport, field_grid, field_grid_power, run_anc
 from .geometry import sphere_points
 from .oracles import check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import (
@@ -55,6 +55,9 @@ class ExperimentSpec:
         if any(r <= 0 for r in radii) or list(radii) != sorted(radii):
             raise ValueError("sweep radii must be positive and ascending")
         self.radii = radii
+        if self.experiment == "field-map":  # the map models every path to its grid too
+            sc = self.scenario
+            path_distances(sc.secondary_positions, field_grid(), sc.sample_rate, sc.speed_of_sound)
 
 
 @dataclass

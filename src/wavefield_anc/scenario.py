@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import TonalSource, ToneComponent
+from .acoustics import TonalSource, ToneComponent, path_distances
 from .geometry import as_points
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
@@ -37,6 +37,8 @@ class ScenarioConfig:
         if np.any(gaps[np.triu_indices(len(mics), 1)] < 1e-12):
             raise ValueError("microphone positions must be distinct")
         self.period_samples  # validates the tone set
+        # every path the controller models must fit its FIR
+        path_distances(self.secondary_positions, mics, self.sample_rate, self.speed_of_sound)
 
     @property
     def num_samples(self) -> int:

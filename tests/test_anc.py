@@ -58,14 +58,14 @@ def single_channel_scenario(amp=40.0, freq=400.0):
 def test_filtered_reference_identity():
     x = np.arange(40.0)
     out = filtered_reference(x, np.ones((1, 1, 1)))
-    assert out.shape == (1, 1, 40)
-    assert np.array_equal(out[0, 0], x)
+    assert out.shape == (40, 1, 1)
+    assert np.array_equal(out[::-1, 0, 0], x)  # newest sample first
 
 
 def test_filtered_reference_delay():
     x = np.arange(40.0)
     out = filtered_reference(x, np.array([[[0.0, 0.0, 1.0]]]))
-    assert np.array_equal(out[0, 0], np.concatenate([[0.0, 0.0], x[:-2]]))
+    assert np.array_equal(out[::-1, 0, 0], np.concatenate([[0.0, 0.0], x[:-2]]))
 
 
 def test_filtered_reference_brute_force():
@@ -73,27 +73,27 @@ def test_filtered_reference_brute_force():
     firs = rng.normal(size=(2, 3, 8))
     x = np.arange(32.0)
     out = filtered_reference(x, firs)
-    assert out.shape == (2, 3, 32)
-    # out[l, m, n] should be sum_k firs[l, m, k] * x[n - k], zero before the first sample
+    assert out.shape == (32, 2, 3)
+    # out[31 - n, l, m] should be sum_k firs[l, m, k] * x[n - k], zero before the first sample
     for l, m, n in np.ndindex(2, 3, 32):
         direct = sum(firs[l, m, k] * x[n - k] for k in range(min(8, n + 1)))
-        assert out[l, m, n] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        assert out[31 - n, l, m] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_fxlms_zero_error_fixed_point():
-    w = np.zeros((2, 16))
-    refs = np.random.default_rng(1).normal(size=(2, 3, 16))
+    w = np.zeros((16, 2))
+    refs = np.random.default_rng(1).normal(size=(16, 2, 3))
     out = fxlms_step(w, refs, np.zeros(3), 1e-3)
     assert np.array_equal(out, w)
 
 
 def test_fxlms_update_along_reference():
-    w = np.zeros((1, 8))
+    w = np.zeros((8, 1))
     x = np.random.default_rng(2).normal(size=8)
-    refs = x[None, None, :]
+    refs = x[:, None, None]
     e = np.array([0.5])
     out = fxlms_step(w, refs, e, 1e-2)
-    assert np.allclose(out[0], 1e-2 * 0.5 * x, atol=1e-15)
+    assert np.allclose(out[:, 0], 1e-2 * 0.5 * x, atol=1e-15)
 
 
 def test_run_anc_zero_step_size():
@@ -138,6 +138,33 @@ def test_divergence_guard():
     rep = multipoint(scaled_scenario(50.0), 20_000, 1e-3)
     assert not rep.converged
     assert rep.iterations < 20_000
+
+
+def test_nan_in_error_signal_is_divergence():
+    sc = default_scenario(0)
+    ears = sc.virtual_positions
+    primary = truth(sc, ears, 2000)
+    primary[1, 700] = np.nan
+    rep = run_anc(sc, ears, primary, 1e-5)
+    assert not rep.converged
+    assert rep.iterations == 701  # stops at the NaN sample
+    assert np.isnan(rep.sensor_mse[-1]) and np.all(np.isfinite(rep.sensor_mse[:-1]))
+    assert np.all(np.isfinite(rep.eps_db))  # the NaN never reached the secondary outputs
+
+
+def test_weights_are_per_source_newest_lag_first():
+    # the last step adds mu * e * (the filtered reference, newest sample first)
+    sc = single_channel_scenario()
+    mu, n = 1e-5, 300
+    before, after = multipoint(sc, n - 1, mu), multipoint(sc, n, mu)
+    assert after.weights.shape == (1, FILTER_LEN)
+    fs, c = sc.sample_rate, sc.speed_of_sound
+    paths = path_firs(sc.secondary_positions, sc.monitoring_positions, fs, c)
+    ref = filtered_reference(sc.primary_source.waveform(fs, n), paths)[:FILTER_LEN, 0, 0]
+    step = after.weights[0] - before.weights[0]
+    e = step @ ref / (ref @ ref) / mu  # the last error, fitted
+    assert np.allclose(step, mu * e * ref, rtol=1e-9, atol=0.0)
+    assert abs(e) == pytest.approx(np.sqrt(after.sensor_mse[-1]), rel=1e-9)
 
 
 @pytest.mark.parametrize("rows, samples", [(7, 100), (9, 100), (8, 0)])
@@ -191,16 +218,41 @@ def test_field_grid_single_tone_power_is_analytic():
         assert power[i] == pytest.approx((40.0 / (4 * np.pi * d)) ** 2 / 2, rel=1e-9)
 
 
-def reference_run_anc(scenario, sensors, iterations, mu):
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 1.0),
+    points=st.lists(st.integers(0, 440), min_size=1, max_size=3),
+)
+@example(seed=0, log_scale=0.0, points=[0, 220, 440])
+def test_field_grid_matches_brute_force(seed, log_scale, points):
+    """Each point's power is the last-period mean of the primary plus every secondary
+    source's output, -w_l * x, through its path FIR, by full-length convolution."""
+    sc = default_scenario(0)
+    fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
+    n_total = PATH_TAPS + 4 * period
+    w = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, FILTER_LEN))
+    gx, gy, (power,) = field_grid_power(sc, [w])
+    x = sc.primary_source.waveform(fs, n_total)
+    for i in points:
+        point = np.array([[gx[i], gy[i], 0.0]])
+        firs = path_firs(sc.secondary_positions, point, fs, c)[:, 0]
+        p = truth(sc, point, n_total)[0]
+        for w_l, fir_l in zip(w, firs):
+            p = p + np.convolve(np.convolve(x, -w_l), fir_l)[:n_total]
+        assert power[i] == pytest.approx(np.mean(p[-period:] ** 2), rel=1e-12)
+
+
+def reference_run_anc(scenario, sensors, primary, mu):
     """The FxLMS loop in shift-register form: every buffer newest first, the
     filtered reference and the ear residuals formed sample by sample in the loop,
-    the true field at the sensors as the error signal's primary part.
+    ``primary`` (M, iterations) as the error signal's primary part.
 
     Returns (weights, sensor_mse, eps_db, converged).
     """
     fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
-    primary = truth(scenario, sensors, iterations)
+    iterations = primary.shape[1]
     ear_primary = truth(scenario, scenario.virtual_positions, iterations)
     S = path_firs(scenario.secondary_positions, sensors, fs, c)
     S_ear = path_firs(scenario.secondary_positions, scenario.virtual_positions, fs, c)
@@ -225,7 +277,7 @@ def reference_run_anc(scenario, sensors, iterations, mu):
         ear_resid.append(ear_primary[:, n] + np.einsum("lvt,lt->v", S_ear, dbuf))
         sensor_mse.append(np.mean(e**2))
         w = w + mu * np.einsum("lmn,m->ln", fx, e)
-        if np.max(np.abs(w)) > WEIGHT_BOUND:
+        if not np.all(np.abs(w) <= WEIGHT_BOUND):  # NaN included
             converged = False
             break
 
@@ -278,7 +330,10 @@ def random_scenario(seed, num_sources, num_sensors, period):
 
 
 def rel_err(a, b):
-    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+    """Largest difference over the largest magnitude; NaNs must sit at the same places."""
+    assert a.shape == b.shape and np.array_equal(np.isnan(a), np.isnan(b))
+    a, b = a[~np.isnan(b)], b[~np.isnan(b)]
+    return np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b), initial=0.0), 1e-300)
 
 
 @settings(max_examples=20, deadline=None)
@@ -290,21 +345,31 @@ def rel_err(a, b):
     iterations=st.integers(50, 400),
     ideal=st.booleans(),
     period=st.sampled_from(PERIODS),
+    nan_at=st.none() | st.integers(0, 399),
 )
 @example(  # diverges
-    seed=7, num_sources=2, num_sensors=3, log_mu=0.0, iterations=400, ideal=False, period=240
+    seed=7, num_sources=2, num_sensors=3, log_mu=0.0, iterations=400, ideal=False, period=240,
+    nan_at=None,
 )
 @example(  # 375 Hz: a 64-sample period that does not divide the window
-    seed=3, num_sources=1, num_sensors=2, log_mu=-2.0, iterations=400, ideal=True, period=64
+    seed=3, num_sources=1, num_sensors=2, log_mu=-2.0, iterations=400, ideal=True, period=64,
+    nan_at=None,
+)
+@example(  # a NaN in the error signal diverges at its sample
+    seed=5, num_sources=2, num_sensors=2, log_mu=-3.0, iterations=300, ideal=False, period=80,
+    nan_at=150,
 )
 def test_run_anc_matches_shift_register_loop(
-    seed, num_sources, num_sensors, log_mu, iterations, ideal, period
+    seed, num_sources, num_sensors, log_mu, iterations, ideal, period, nan_at
 ):
     sc = random_scenario(seed, num_sources, num_sensors, period)
     sensors = sc.virtual_positions if ideal else sc.monitoring_positions
     mu = 10.0**log_mu
-    w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, iterations, mu)
-    rep = run_anc(sc, sensors, truth(sc, sensors, iterations), mu)
+    primary = truth(sc, sensors, iterations)
+    if nan_at is not None and nan_at < iterations:
+        primary[-1, nan_at] = np.nan
+    w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, primary, mu)
+    rep = run_anc(sc, sensors, primary, mu)
     assert rep.converged == converged
     assert rep.iterations == sensor_mse.size
     assert rel_err(rep.weights, w) <= 1e-12

@@ -110,6 +110,29 @@ def test_tone_set_without_a_period_is_exit_2(tmp_path, capsys, freqs, duration, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, secondary, message",
+    [
+        ("anc-convergence", (0.0, 4.0, 0.0), "290.8-sample delay does not fit"),  # to the mics
+        ("field-map", (0.1, 0.1, 0.0), "m from the source"),  # on a grid point
+        ("field-map", (-3.23, 0.0, 0.0), "240.4-sample delay does not fit"),  # to a grid corner
+    ],
+    ids=["far", "on-grid", "far-from-grid"],
+)
+def test_secondary_path_beyond_its_fir_is_exit_2(
+    tmp_path, capsys, experiment, secondary, message
+):
+    d = default_scenario(0).to_dict()
+    d["secondary_positions"][0] = list(secondary)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    if experiment == "field-map":  # only the field map models the paths to its grid
+        ExperimentSpec("anc-convergence", ScenarioConfig.load(path), out_dir=tmp_path / "o")
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("experiment", ["anc-convergence", "field-map"])
 def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     monkeypatch.setattr(experiments, "ANC_MU", 1e-2)  # far past the stable step size
