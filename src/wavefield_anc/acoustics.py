@@ -48,34 +48,30 @@ class TonalSource:
         return out
 
 
-def _distances(source_pos: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-    """Distance from the source to each receiver; ZeroDistance if one coincides with it."""
-    d = distances(receivers, source_pos)
-    if np.any(d < 1e-9):
-        raise ZeroDistance(f"a receiver is {d.min():.3g} m from the source")
-    return d
-
-
 def propagate_tonal(
     source: TonalSource,
     receivers: np.ndarray,
     sample_rate: float,
     num_samples: int,
     c: float,
+    start: int = 0,
 ) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
 
     p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of
-    the (P, 3) ``receivers`` and t = n / sample_rate; returns (P, num_samples).
+    the (P, 3) ``receivers`` and t = n / sample_rate for the num_samples samples
+    n = start, start + 1, ...; returns (P, num_samples).
     """
-    d = _distances(source.position, receivers)
+    d = distances(receivers, source.position)
+    if np.any(d < 1e-9):
+        raise ZeroDistance(f"a receiver is {d.min():.3g} m from the source")
     nyquist = sample_rate / 2.0
     for comp in source.components:
         if comp.frequency >= nyquist:
             raise ValueError(f"tone at {comp.frequency} Hz is at or above Nyquist")
     if num_samples < 1:
         raise ValueError("signal must contain at least one sample")
-    t = np.arange(num_samples) / sample_rate
+    t = np.arange(start, start + num_samples) / sample_rate
     gain = 1.0 / (4.0 * np.pi * d)
     p = np.zeros((d.size, num_samples))
     tone = np.empty_like(p)  # one tone at a time, built in place
@@ -99,13 +95,22 @@ def _blackman(offset: np.ndarray, half_width: int) -> np.ndarray:
 
 def path_distances(
     sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float,
-    num_taps: int = PATH_TAPS,
+    num_taps: int = PATH_TAPS, kinds: tuple[str, str] = ("source", "receiver"),
 ) -> np.ndarray:
     """(S, P) distances from the (S, 3) sources to the (P, 3) receivers; ZeroDistance or
-    DelayExceedsFilter unless make_path_fir can model every path in num_taps taps."""
-    d = np.stack([_distances(s, receivers) for s in sources])
-    if np.floor(delay := d.max() / c * sample_rate) >= num_taps - SINC_WINDOW_HALF_WIDTH:
-        raise DelayExceedsFilter(f"{delay:.1f}-sample delay does not fit in {num_taps} taps")
+    DelayExceedsFilter unless make_path_fir can model every path in num_taps taps. The
+    error names the worst path, its ends called ``kinds`` with their index and position."""
+    d = np.stack([distances(receivers, s) for s in sources])
+    zero, delay = d.min() < 1e-9, d.max() / c * sample_rate
+    if zero or np.floor(delay) >= num_taps - SINC_WINDOW_HALF_WIDTH:
+        s, p = np.unravel_index(d.argmin() if zero else d.argmax(), d.shape)
+        ends = zip(kinds, (s, p), (sources[s], receivers[p]))
+        path = " to ".join(f"{k} {i} at {np.round(x, 4).tolist()}" for k, i, x in ends)
+        if zero:
+            raise ZeroDistance(f"{path}: {d.min():.3g} m apart")
+        raise DelayExceedsFilter(
+            f"{path}: {delay:.1f}-sample delay does not fit in {num_taps} taps"
+        )
     return d
 
 

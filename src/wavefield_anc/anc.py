@@ -179,7 +179,7 @@ def field_grid_power(
     grid = field_grid()
     power = np.empty((len(weight_sets), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
-        primary = propagate_tonal(src, grid[row], fs, n_total, c)[:, -period:]
+        primary = propagate_tonal(src, grid[row], fs, period, c, start=n_total - period)
         firs = path_firs(scenario.secondary_positions, grid[row], fs, c)
         for k, out in enumerate(outputs):
             tail = primary if out is None else primary + _fir_sum(out, firs)[::-1].T

@@ -57,7 +57,8 @@ class ExperimentSpec:
         self.radii = radii
         if self.experiment == "field-map":  # the map models every path to its grid too
             sc = self.scenario
-            path_distances(sc.secondary_positions, field_grid(), sc.sample_rate, sc.speed_of_sound)
+            fs, c, kinds = sc.sample_rate, sc.speed_of_sound, ("secondary source", "grid point")
+            path_distances(sc.secondary_positions, field_grid(), fs, c, kinds=kinds)
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import default_rng
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 ORIGIN = np.zeros(3)
@@ -71,7 +72,7 @@ def ball_points(radius: float, count: int, seed: int = 0) -> np.ndarray:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     accepted = np.empty((0, 3))
     while len(accepted) < count:
         # the ball fills pi/6 of the cube; draw about twice what is still missing

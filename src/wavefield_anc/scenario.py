@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .acoustics import TonalSource, ToneComponent, path_distances
 from .geometry import as_points
@@ -38,7 +39,9 @@ class ScenarioConfig:
             raise ValueError("microphone positions must be distinct")
         self.period_samples  # validates the tone set
         # every path the controller models must fit its FIR
-        path_distances(self.secondary_positions, mics, self.sample_rate, self.speed_of_sound)
+        sources, fs, c = self.secondary_positions, self.sample_rate, self.speed_of_sound
+        for kind, pts in (("mic", self.monitoring_positions), ("ear", self.virtual_positions)):
+            path_distances(sources, pts, fs, c, kinds=("secondary source", kind))
 
     @property
     def num_samples(self) -> int:
@@ -122,7 +125,7 @@ def default_scenario(seed: int = 0) -> ScenarioConfig:
 
     Tone phases are drawn uniformly in [0, 2*pi) from the scenario seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
     source = TonalSource(
         position=(0.6, 0.8, 1.0),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.special import lpmv
+from numpy.fft import irfft, rfft, rfftfreq
 
 from .errors import EmptySignals, RadiusMismatch, ZeroDenominator
 from .geometry import cart_to_sph
@@ -62,8 +62,11 @@ def real_sh(idx: ShIndex, theta, phi):
     phi = np.asarray(phi, dtype=float)
     m = abs(v)
     norm = np.sqrt((2 * u + 1) / (4.0 * np.pi) * factorial(u - m) / factorial(u + m))
-    # scipy's lpmv includes the Condon-Shortley (-1)^m; strip it
-    leg = (-1.0) ** m * lpmv(m, u, np.cos(theta))
+    # P_u^m(x), x = cos theta, upward in degree from P_m^m = (2m - 1)!! (1 - x^2)^(m/2)
+    x = np.cos(theta)
+    prev, leg = 0.0, float(np.prod(np.arange(2 * m - 1, 0, -2))) * np.sqrt(1.0 - x * x) ** m
+    for l in range(m + 1, u + 1):
+        prev, leg = leg, ((2 * l - 1) * x * leg - (l + m - 1) * prev) / (l - m)
     if v == 0:
         out = norm * leg
     elif v > 0:
@@ -196,8 +199,8 @@ def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.n
     if np.any(r_s <= 0):
         raise ValueError("target radius must be positive")
     T = series.coeffs.shape[1]
-    freqs = np.fft.rfftfreq(T, d=1.0 / series.sample_rate)
-    spec = np.fft.rfft(series.coeffs, axis=1)
+    freqs = rfftfreq(T, d=1.0 / series.sample_rate)
+    spec = rfft(series.coeffs, axis=1)
     idxs = sh_indices(series.max_order)
     orders = [ix.order for ix in idxs]
     Y = np.column_stack([real_sh(ix, theta, phi) for ix in idxs])  # (P, modes)
@@ -208,7 +211,7 @@ def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.n
             _radial_ratio(u, freqs, series.fit_radius, radius, c)
             for u in range(series.max_order + 1)
         ]
-        translated = np.fft.irfft(spec * np.stack(by_order)[orders], n=T, axis=1)
+        translated = irfft(spec * np.stack(by_order)[orders], n=T, axis=1)
         members = group == g
         out[members] = Y[members] @ translated
     return out

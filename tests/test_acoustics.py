@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefield_anc.acoustics import TonalSource, ToneComponent, make_path_fir, propagate_tonal
+from wavefield_anc.acoustics import (
+    TonalSource,
+    ToneComponent,
+    make_path_fir,
+    path_distances,
+    propagate_tonal,
+)
 from wavefield_anc.errors import DelayExceedsFilter, ZeroDistance
 
 FS = 24_000.0
@@ -132,6 +138,27 @@ def test_integer_delay_collapses_to_impulse():
 def test_delay_exceeds_filter():
     with pytest.raises(DelayExceedsFilter):
         fir_one(P(0, 0, 0), P(10.0, 0, 0), 64)
+
+
+def test_path_error_names_the_worst_path():
+    sources = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+    receivers = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    farthest = r"secondary source 1 at \[5.0, 0.0, 0.0\] to mic 0 at \[1.0, 0.0, 0.0\]: 279.9-"
+    with pytest.raises(DelayExceedsFilter, match=farthest):
+        path_distances(sources, receivers, FS, C, kinds=("secondary source", "mic"))
+    coincident = r"^source 0 at \[0.0, 0.0, 0.0\] to receiver 1 at \[0.0, 0.0, 0.0\]: 0 m apart"
+    with pytest.raises(ZeroDistance, match=coincident):
+        path_distances(sources[:1], np.vstack([receivers[:1], sources[:1]]), FS, C)
+
+
+@given(st.integers(0, 500), st.integers(1, 300))
+@settings(max_examples=30)
+def test_start_sample_is_a_slice_of_the_whole_signal(start, count):
+    src = TonalSource(P(0.6, 0.8, 1.0), (ToneComponent(300.0, 2.0, 0.4), ToneComponent(450.0)))
+    receivers = np.array([[0.1, 0.0, 0.0], [0.0, -0.2, 0.05]])
+    whole = propagate_tonal(src, receivers, FS, start + count, C)
+    part = propagate_tonal(src, receivers, FS, count, C, start=start)
+    assert np.array_equal(part, whole[:, start:])  # bitwise
 
 
 def test_zero_length_signal_rejected():

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavefield_anc
 from wavefield_anc import experiments
 from wavefield_anc.acoustics import TonalSource, ToneComponent
 from wavefield_anc.cli import build_parser, main, resolve_spec
@@ -113,9 +119,24 @@ def test_tone_set_without_a_period_is_exit_2(tmp_path, capsys, freqs, duration, 
 @pytest.mark.parametrize(
     "experiment, secondary, message",
     [
-        ("anc-convergence", (0.0, 4.0, 0.0), "290.8-sample delay does not fit"),  # to the mics
-        ("field-map", (0.1, 0.1, 0.0), "m from the source"),  # on a grid point
-        ("field-map", (-3.23, 0.0, 0.0), "240.4-sample delay does not fit"),  # to a grid corner
+        (  # to the mics
+            "anc-convergence",
+            (0.0, 4.0, 0.0),
+            "secondary source 0 at [0.0, 4.0, 0.0] to mic 0 at [-0.15, -0.15, -0.15]: "
+            "290.8-sample delay does not fit",
+        ),
+        (  # on a grid point
+            "field-map",
+            (0.1, 0.1, 0.0),
+            "secondary source 0 at [0.1, 0.1, 0.0] to grid point 330 at [0.1, 0.1, 0.0]: "
+            "3.93e-17 m apart",
+        ),
+        (  # to a grid corner
+            "field-map",
+            (-3.23, 0.0, 0.0),
+            "secondary source 0 at [-3.23, 0.0, 0.0] to grid point 20 at [0.2, -0.2, 0.0]: "
+            "240.4-sample delay does not fit",
+        ),
     ],
     ids=["far", "on-grid", "far-from-grid"],
 )
@@ -142,6 +163,30 @@ def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     assert summary["ok"] is False
     metrics = summary["metrics"]
     assert not (metrics["multipoint_converged"] and metrics["pinn_converged"])
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    """No run imports scipy, and numpy's lazily loaded submodules load at package import,
+    not inside the first run."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import wavefield_anc
+        from wavefield_anc.cli import main
+        assert {"numpy.random", "numpy.fft"} <= set(sys.modules)
+        assert "scipy" not in sys.modules
+        for experiment in ("anc-convergence", "interp-sweep"):
+            main([experiment, "--epochs", "2", "--out", f"{sys.argv[1]}/{experiment}"])
+        assert "scipy" not in sys.modules, "a run imported scipy"
+        """
+    )
+    src = str(Path(wavefield_anc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "interp-sweep" / "interp_sweep.csv").exists()
 
 
 def test_config_round_trip(tmp_path):

@@ -1,8 +1,10 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import spherical_jn
+from scipy.special import lpmv, spherical_jn
 
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.errors import EmptySignals, RadiusMismatch, ZeroDenominator
@@ -41,6 +43,28 @@ def test_constant_mode_value():
 def test_dipole_at_pole():
     assert real_sh(ShIndex(1, 0), 0.0, 0.0) == pytest.approx(np.sqrt(3 / (4 * np.pi)), abs=1e-12)
     assert real_sh(ShIndex(1, 0), 0.0, 0.0) == pytest.approx(0.4886025, abs=1e-7)
+
+
+def scipy_real_sh(u, v, theta, phi):
+    """The former per-mode formula on scipy's lpmv, kept as the oracle of real_sh."""
+    m = abs(v)
+    norm = np.sqrt((2 * u + 1) / (4.0 * np.pi) * factorial(u - m) / factorial(u + m))
+    leg = (-1.0) ** m * lpmv(m, u, np.cos(theta))  # lpmv carries the Condon-Shortley phase
+    if v == 0:
+        return norm * leg
+    return np.sqrt(2.0) * norm * leg * (np.cos(m * phi) if v > 0 else np.sin(m * phi))
+
+
+@given(
+    st.integers(0, 8),
+    st.lists(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)), max_size=20),
+)
+@settings(max_examples=100, deadline=None)
+def test_real_sh_matches_the_scipy_formula(u, angles):
+    theta, phi = np.array([(0.0, 0.3), (np.pi, 1.1), *angles]).T  # both poles, then drawn
+    for v in range(-u, u + 1):
+        ours = real_sh(ShIndex(u, v), theta, phi)
+        assert np.max(np.abs(ours - scipy_real_sh(u, v, theta, phi))) <= 1e-13, (u, v)
 
 
 def test_quadrature_orthogonality():
