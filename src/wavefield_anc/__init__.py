@@ -22,7 +22,7 @@ from .pinn import (
     train_pinn,
 )
 from .scenario import ScenarioConfig, default_scenario
-from .sh import ShCoeffSeries, ShIndex, interpolation_error, sh_fit, sh_interpolate
+from .sh import ShCoeffSeries, interpolation_error, sh_fit, sh_interpolate
 
 __all__ = [
     "AncRunReport",
@@ -32,7 +32,6 @@ __all__ = [
     "NormSpec",
     "ScenarioConfig",
     "ShCoeffSeries",
-    "ShIndex",
     "TonalSource",
     "ToneComponent",
     "TrainConfig",

@@ -85,14 +85,6 @@ def propagate_tonal(
     return p
 
 
-def _blackman(offset: np.ndarray, half_width: int) -> np.ndarray:
-    """Blackman window evaluated at fractional offsets, zero outside +-half_width."""
-    x = np.pi * offset / half_width
-    w = 0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
-    w[np.abs(offset) > half_width] = 0.0
-    return w
-
-
 def path_distances(
     sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float,
     num_taps: int = PATH_TAPS, kinds: tuple[str, str] = ("source", "receiver"),
@@ -126,5 +118,7 @@ def make_path_fir(
     d = path_distances([source_pos], receivers, sample_rate, c, num_taps)[0]
     delay = d / c * sample_rate
     offset = np.arange(num_taps) - delay[:, None]
-    taps = np.sinc(offset) * _blackman(offset, SINC_WINDOW_HALF_WIDTH)
-    return taps / (4.0 * np.pi * d)[:, None]
+    x = np.pi * offset / SINC_WINDOW_HALF_WIDTH  # Blackman window, zero past its half width
+    window = 0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
+    window[np.abs(offset) > SINC_WINDOW_HALF_WIDTH] = 0.0
+    return np.sinc(offset) * window / (4.0 * np.pi * d)[:, None]

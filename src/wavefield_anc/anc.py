@@ -170,12 +170,11 @@ def field_grid_power(
     period = scenario.period_samples
     n_total = PATH_TAPS + 4 * period
 
-    # newest-first secondary outputs that reach the last period: it and PATH_TAPS - 1 before
-    x = src.waveform(fs, n_total)
-    outputs = [
-        None if w is None else -filtered_reference(x, w)[: period + PATH_TAPS - 1]
-        for w in weight_sets
-    ]
+    # newest-first secondary outputs that reach the last period: it and PATH_TAPS - 1 before,
+    # from the reference samples that reach those through the controller's FILTER_LEN taps
+    used = period + PATH_TAPS - 1
+    x = src.waveform(fs, n_total)[-(used + FILTER_LEN - 1) :]
+    outputs = [None if w is None else -filtered_reference(x, w)[:used] for w in weight_sets]
     grid = field_grid()
     power = np.empty((len(weight_sets), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):

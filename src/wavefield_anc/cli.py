@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import RUNNERS, ExperimentSpec
+from .experiments import RUNNERS, ExperimentSpec, _json_default
 from .pinn import TrainConfig
 from .scenario import ScenarioConfig, default_scenario
 
@@ -65,8 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     bundle = RUNNERS[spec.experiment](spec)
-    from .experiments import _json_default
-
     print(json.dumps(bundle.summary["metrics"], indent=2, default=_json_default))
     print(f"outputs in {spec.out_dir}")
     return 0 if bundle.ok else 1

@@ -13,7 +13,7 @@ class DelayExceedsFilter(WavefieldError, ValueError):
     """Propagation delay does not fit inside the requested FIR length."""
 
 
-class RadiusMismatch(WavefieldError):
+class RadiusMismatch(WavefieldError, ValueError):
     """Sensor positions are not on a common sphere."""
 
 

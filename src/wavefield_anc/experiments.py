@@ -31,7 +31,7 @@ from .pinn import (
     train_pinn,
 )
 from .scenario import MIC_RADIUS, ScenarioConfig
-from .sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
+from .sh import common_radius, interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
 DEFAULT_RADII = tuple(np.round(np.arange(0.10, 0.401, 0.02), 10))
 SWEEP_POINTS = 400
@@ -55,6 +55,8 @@ class ExperimentSpec:
         if any(r <= 0 for r in radii) or list(radii) != sorted(radii):
             raise ValueError("sweep radii must be positive and ascending")
         self.radii = radii
+        if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
+            common_radius(self.scenario.monitoring_positions)
         if self.experiment == "field-map":  # the map models every path to its grid too
             sc = self.scenario
             fs, c, kinds = sc.sample_rate, sc.speed_of_sound, ("secondary source", "grid point")

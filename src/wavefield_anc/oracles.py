@@ -16,7 +16,7 @@ from .anc import run_anc
 from .geometry import cart_to_sph, sphere_points
 from .pinn import MlpParams, glorot_init, loss_and_grads, mlp_forward, mlp_second_derivs
 from .scenario import ScenarioConfig
-from .sh import ShIndex, real_sh, sh_fit, sh_indices, spherical_bessel_j
+from .sh import real_sh, sh_fit, spherical_bessel_j
 
 # figure -> (comparison, bound) it must satisfy
 LIMITS = {
@@ -121,18 +121,17 @@ def sh_figures() -> dict[str, float]:
     phi = np.arange(nph) * 2 * np.pi / nph
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
     w = np.sin(TH) * (np.pi / nth) * (2 * np.pi / nph)
-    idxs = sh_indices(3)
-    Y = np.stack([real_sh(ix, TH, PH) for ix in idxs])
-    gram = np.einsum("iab,jab,ab->ij", Y, Y, w)
+    Y = real_sh(3, TH, PH)
+    gram = np.einsum("abi,abj,ab->ij", Y, Y, w)
 
     positions = sphere_points(0.26, 16)
     _, theta, phi = cart_to_sph(positions)
-    signals = np.repeat(real_sh(ShIndex(1, 0), theta, phi)[:, None], 8, axis=1)
+    mode = 2  # (u, v) = (1, 0)
+    signals = np.repeat(real_sh(1, theta, phi)[:, mode, None], 8, axis=1)
     coeffs = sh_fit(positions, signals, 1, 24_000.0, reg=1e-9).coeffs[:, 0]
-    mode = ShIndex(1, 0).flat
     return {
-        "sh_gram_max_err": float(np.max(np.abs(gram - np.eye(len(idxs))))),
+        "sh_gram_max_err": float(np.max(np.abs(gram - np.eye(len(gram))))),
         "sh_mode_coeff_err": float(abs(coeffs[mode] - 1.0)),
         "sh_other_coeff_max": float(np.max(np.abs(np.delete(coeffs, mode)))),
-        "j1_at_1_err": float(abs(spherical_bessel_j(1, 1.0) - 0.3011687)),
+        "j1_at_1_err": float(abs(spherical_bessel_j(1, 1.0)[1] - 0.3011687)),
     }

@@ -18,25 +18,6 @@ from .geometry import cart_to_sph
 
 DB_FLOOR = -300.0
 BESSEL_DENOM_CLAMP = 1e-6
-BESSEL_SERIES_CUTOFF = 2.0
-
-
-@dataclass(frozen=True)
-class ShIndex:
-    order: int  # u >= 0
-    degree: int  # |v| <= u
-
-    def __post_init__(self):
-        if self.order < 0 or abs(self.degree) > self.order:
-            raise ValueError("need order >= 0 and |degree| <= order")
-
-    @property
-    def flat(self) -> int:
-        return self.order * self.order + self.order + self.degree
-
-
-def sh_indices(max_order: int) -> list[ShIndex]:
-    return [ShIndex(u, v) for u in range(max_order + 1) for v in range(-u, u + 1)]
 
 
 @dataclass
@@ -55,75 +36,58 @@ class ShCoeffSeries:
             raise ValueError(f"coeffs must have {expected} mode rows")
 
 
-def real_sh(idx: ShIndex, theta, phi):
-    """Real orthonormal spherical harmonic, Condon-Shortley phase omitted."""
-    u, v = idx.order, idx.degree
-    theta = np.asarray(theta, dtype=float)
+def real_sh(U: int, theta, phi) -> np.ndarray:
+    """Real orthonormal spherical harmonics of orders 0..U at the angles ``theta``, ``phi``
+    (broadcast together), Condon-Shortley phase omitted, as (..., (U+1)^2): mode (u, v),
+    |v| <= u, in column u^2 + u + v."""
+    x = np.cos(np.asarray(theta, dtype=float))
     phi = np.asarray(phi, dtype=float)
-    m = abs(v)
-    norm = np.sqrt((2 * u + 1) / (4.0 * np.pi) * factorial(u - m) / factorial(u + m))
-    # P_u^m(x), x = cos theta, upward in degree from P_m^m = (2m - 1)!! (1 - x^2)^(m/2)
-    x = np.cos(theta)
-    prev, leg = 0.0, float(np.prod(np.arange(2 * m - 1, 0, -2))) * np.sqrt(1.0 - x * x) ** m
-    for l in range(m + 1, u + 1):
-        prev, leg = leg, ((2 * l - 1) * x * leg - (l + m - 1) * prev) / (l - m)
-    if v == 0:
-        out = norm * leg
-    elif v > 0:
-        out = np.sqrt(2.0) * norm * leg * np.cos(m * phi)
-    else:
-        out = np.sqrt(2.0) * norm * leg * np.sin(m * phi)
-    return out if out.ndim else float(out)
+    sin_theta = np.sqrt(1.0 - x * x)
+    Y = np.empty(np.broadcast_shapes(x.shape, phi.shape) + ((U + 1) ** 2,))
+    double_fact = 1.0  # (2m - 1)!!
+    for m in range(U + 1):
+        double_fact *= max(2 * m - 1, 1)
+        cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
+        # P_u^m(x) upward in degree from P_m^m = (2m - 1)!! (1 - x^2)^(m/2)
+        prev, leg = 0.0, double_fact * sin_theta**m
+        for u in range(m, U + 1):
+            if u > m:
+                prev, leg = leg, ((2 * u - 1) * x * leg - (u + m - 1) * prev) / (u - m)
+            norm = np.sqrt((2 * u + 1) / (4.0 * np.pi) * factorial(u - m) / factorial(u + m))
+            norm *= np.sqrt(2.0) if m else 1.0
+            Y[..., u * u + u + m] = norm * leg * cos_m
+            if m:
+                Y[..., u * u + u - m] = norm * leg * sin_m
+    return Y
 
 
-_DOUBLE_FACT = {u: float(np.prod(np.arange(2 * u + 1, 0, -2))) for u in range(6)}
+def spherical_bessel_j(U: int, x) -> np.ndarray:
+    """Spherical Bessel functions of the first kind j_0 .. j_U at ``x`` >= 0, as (U+1, ...).
 
-
-def spherical_bessel_j(u: int, x) -> np.ndarray | float:
-    """Spherical Bessel function of the first kind, orders 0..4.
-
-    Closed forms for large arguments; power series below x=2 where the closed
-    forms cancel catastrophically.
+    Orders up to floor(x) come from j_{-1} = cos(x)/x and j_0 = sin(x)/x by the upward
+    recurrence j_{u+1} = (2u + 1)/x j_u - j_{u-1}, which is stable there. Each higher order is
+    j_u = j_{u-1} r_u, with the ratio r_u = j_u / j_{u-1} from the downward continued
+    fraction r_u = x / (2u + 1 - x r_{u+1}), started at u = U + 40 with r = 0. The anchor
+    j_{floor(x)} lies before its first zero, so the product is well conditioned.
     """
-    if not 0 <= u <= 4:
-        raise ValueError("orders 0..4 supported")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < BESSEL_SERIES_CUTOFF
-    out[small] = _bessel_series(u, x[small])
-    xl = x[~small]
-    if xl.size:
-        s, c = np.sin(xl), np.cos(xl)
-        if u == 0:
-            val = s / xl
-        elif u == 1:
-            val = s / xl**2 - c / xl
-        elif u == 2:
-            val = (3.0 / xl**3 - 1.0 / xl) * s - 3.0 / xl**2 * c
-        elif u == 3:
-            val = (15.0 / xl**4 - 6.0 / xl**2) * s - (15.0 / xl**3 - 1.0 / xl) * c
-        else:
-            val = (105.0 / xl**5 - 45.0 / xl**3 + 1.0 / xl) * s - (
-                105.0 / xl**4 - 10.0 / xl**2
-            ) * c
-        out[~small] = val
-    return float(out[0]) if scalar else out
-
-
-def _bessel_series(u: int, x: np.ndarray) -> np.ndarray:
-    # j_u(x) = sum_m (-1)^m x^(2m+u) / (2^m m! (2u+2m+1)!!)
-    acc = np.zeros_like(x)
-    term = x**u / _DOUBLE_FACT[u]
-    acc += term
-    x2 = x * x
-    for m in range(1, 30):
-        term = term * (-x2) / (2.0 * m * (2 * u + 2 * m + 1))
-        acc += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(acc) + 1e-300)):
-            break
-    return acc
+    xs = np.where(x > 0.0, x, 1.0)  # x = 0 takes the continued fraction from order 1
+    j = np.empty((U + 2, *x.shape))  # j[u + 1] = j_u, from j_{-1} = cos(x)/x
+    j[0] = np.cos(xs) / xs
+    j[1] = np.where(x > 0.0, np.sin(xs) / xs, 1.0)
+    ratios = np.empty((U + 1, *x.shape))
+    r = np.zeros(x.shape)
+    # unused values may pass a pole (the ratios below floor(x)) or overflow (the upward
+    # recurrence above it, at small x)
+    with np.errstate(all="ignore"):
+        for u in range(U + 40, 0, -1):
+            r = x / (2 * u + 1 - x * r)
+            if u <= U:
+                ratios[u] = r
+        for u in range(1, U + 1):
+            up = (2 * u - 1) / xs * j[u] - j[u - 1]
+            j[u + 1] = np.where(u > np.floor(x), j[u] * ratios[u], up)
+    return j[1:]
 
 
 def max_order(f_m: float, r: float, c: float) -> int:
@@ -134,6 +98,15 @@ def max_order(f_m: float, r: float, c: float) -> int:
     if arg < 1e-12:
         return 0
     return int(np.ceil(arg))
+
+
+def common_radius(positions: np.ndarray) -> float:
+    """Mean radius of the (Q, 3) ``positions``; RadiusMismatch (a ValueError) unless
+    their radii agree within 1e-6 m, as the SH fit needs."""
+    radii = cart_to_sph(positions)[0]
+    if np.ptp(radii) > 1e-6:
+        raise RadiusMismatch(f"sensor radii span {np.ptp(radii):.3g} m, not one sphere")
+    return float(radii.mean())
 
 
 def sh_fit(
@@ -155,36 +128,32 @@ def sh_fit(
     positions = np.asarray(positions, dtype=float)
     if P.ndim != 2 or positions.shape != (len(P), 3):
         raise ValueError("need (Q, 3) positions and (Q, T) signals")
-    radii, theta, phi = cart_to_sph(positions)
-    if np.ptp(radii) > 1e-6:
-        raise RadiusMismatch(f"sensor radii span {np.ptp(radii):.3g} m")
-
-    Y = np.column_stack([real_sh(ix, theta, phi) for ix in sh_indices(U)])  # (Q, (U+1)^2)
+    radius = common_radius(positions)
+    _, theta, phi = cart_to_sph(positions)
+    Y = real_sh(U, theta, phi)  # (Q, (U+1)^2)
     u_svd, s_svd, vt = np.linalg.svd(Y, full_matrices=False)
     lam = reg * s_svd[0]
     filt = s_svd / (s_svd**2 + lam**2)
     solver = vt.T @ (filt[:, None] * u_svd.T)  # ((U+1)^2, Q)
     coeffs = solver @ P
-    return ShCoeffSeries(U, float(radii.mean()), sample_rate, coeffs)
+    return ShCoeffSeries(U, radius, sample_rate, coeffs)
 
 
-def _radial_ratio(u: int, freqs: np.ndarray, r_from: float, r_to: float, c: float) -> np.ndarray:
-    """Per-bin j_u(k r_to)/j_u(k r_from), clamped away from Bessel zeros."""
+def _radial_ratio(U: int, freqs: np.ndarray, r_from: float, r_to: float, c: float) -> np.ndarray:
+    """(U+1, bins) ratios j_u(k r_to)/j_u(k r_from) of orders u = 0..U, clamped away
+    from Bessel zeros."""
     k_from = 2.0 * np.pi * freqs * r_from / c
     k_to = 2.0 * np.pi * freqs * r_to / c
-    num = spherical_bessel_j(u, k_to)
-    den = spherical_bessel_j(u, k_from)
+    num = spherical_bessel_j(U, k_to)
+    den = spherical_bessel_j(U, k_from)
     # clamp only near genuine zeros; below x=1 j_u is zero-free and the small
     # values cancel legitimately against an equally small numerator
-    near_zero = (np.abs(den) < BESSEL_DENOM_CLAMP) & (np.atleast_1d(k_from) >= 1.0)
+    near_zero = (np.abs(den) < BESSEL_DENOM_CLAMP) & (k_from >= 1.0)
     sign = np.where(den >= 0.0, 1.0, -1.0)
     den_clamped = np.where(near_zero | (den == 0.0), sign * BESSEL_DENOM_CLAMP, den)
     ratio = num / den_clamped
-    # 0/0 limit at DC for u >= 1: j_u(x) ~ x^u / (2u+1)!!
-    if u >= 1:
-        tiny = k_from < 1e-12
-        ratio = np.where(tiny, (r_to / r_from) ** u, ratio)
-    return ratio
+    # 0/0 limit at DC for u >= 1: j_u(x) ~ x^u / (2u+1)!!; 1 = j_0(0) / j_0(0) for u = 0
+    return np.where(k_from < 1e-12, (r_to / r_from) ** np.arange(U + 1)[:, None], ratio)
 
 
 def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.ndarray:
@@ -201,17 +170,14 @@ def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.n
     T = series.coeffs.shape[1]
     freqs = rfftfreq(T, d=1.0 / series.sample_rate)
     spec = rfft(series.coeffs, axis=1)
-    idxs = sh_indices(series.max_order)
-    orders = [ix.order for ix in idxs]
-    Y = np.column_stack([real_sh(ix, theta, phi) for ix in idxs])  # (P, modes)
+    U = series.max_order
+    orders = np.repeat(np.arange(U + 1), 2 * np.arange(U + 1) + 1)  # of each mode row
+    Y = real_sh(U, theta, phi)  # (P, modes)
     radii, group = np.unique(r_s, return_inverse=True)
     out = np.empty((len(r_s), T))
     for g, radius in enumerate(radii):
-        by_order = [
-            _radial_ratio(u, freqs, series.fit_radius, radius, c)
-            for u in range(series.max_order + 1)
-        ]
-        translated = irfft(spec * np.stack(by_order)[orders], n=T, axis=1)
+        ratio = _radial_ratio(U, freqs, series.fit_radius, radius, c)
+        translated = irfft(spec * ratio[orders], n=T, axis=1)
         members = group == g
         out[members] = Y[members] @ translated
     return out

@@ -223,12 +223,16 @@ def test_field_grid_single_tone_power_is_analytic():
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-3.0, 1.0),
     points=st.lists(st.integers(0, 440), min_size=1, max_size=3),
+    far=st.booleans(),
 )
-@example(seed=0, log_scale=0.0, points=[0, 220, 440])
-def test_field_grid_matches_brute_force(seed, log_scale, points):
+@example(seed=0, log_scale=0.0, points=[0, 220, 440], far=False)
+@example(seed=0, log_scale=0.0, points=[0, 220, 440], far=True)
+def test_field_grid_matches_brute_force(seed, log_scale, points, far):
     """Each point's power is the last-period mean of the primary plus every secondary
     source's output, -w_l * x, through its path FIR, by full-length convolution."""
     sc = default_scenario(0)
+    if far:  # path delays near PATH_TAPS: the oldest controller outputs reach the grid
+        sc = dataclasses.replace(sc, secondary_positions=[(0.0, 3.0, 0.0), (0.0, -3.0, 0.0)])
     fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
     n_total = PATH_TAPS + 4 * period
     w = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, FILTER_LEN))

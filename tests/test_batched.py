@@ -22,7 +22,9 @@ from wavefield_anc.pinn import (
     pinn_predict,
 )
 from wavefield_anc.scenario import default_scenario
-from wavefield_anc.sh import _radial_ratio, real_sh, sh_fit, sh_indices, sh_interpolate
+from wavefield_anc.sh import _radial_ratio, sh_fit, sh_interpolate
+
+from test_sh import scipy_real_sh
 
 FS = 24_000.0
 C = 343.0
@@ -78,15 +80,18 @@ def fir_one(source_pos, receiver, taps):
 
 
 def sh_interpolate_one(series, target):
-    """Radial translation of every mode at one target, summed mode by mode."""
+    """Radial translation of every mode at one target, summed mode by mode on the
+    per-mode scipy basis formula."""
     r, theta, phi = sph_one(*target)
     T = series.coeffs.shape[1]
     freqs = np.fft.rfftfreq(T, d=1.0 / series.sample_rate)
     spec = np.fft.rfft(series.coeffs, axis=1)
+    ratios = _radial_ratio(series.max_order, freqs, series.fit_radius, r, C)
     out = np.zeros(T)
-    for ix in sh_indices(series.max_order):
-        ratio = _radial_ratio(ix.order, freqs, series.fit_radius, r, C)
-        out += np.fft.irfft(spec[ix.flat] * ratio, n=T) * real_sh(ix, theta, phi)
+    for u in range(series.max_order + 1):
+        for v in range(-u, u + 1):
+            translated = np.fft.irfft(spec[u * u + u + v] * ratios[u], n=T)
+            out += translated * scipy_real_sh(u, v, theta, phi)
     return out
 
 

@@ -154,6 +154,40 @@ def test_secondary_path_beyond_its_fir_is_exit_2(
     assert not (tmp_path / "o").exists()
 
 
+def test_mics_off_one_sphere_are_exit_2_for_the_sweep_only(tmp_path, capsys):
+    d = default_scenario(0).to_dict()
+    d["monitoring_positions"][0] = [0.2, 0.15, 0.15]  # 0.2915 m out, the others 0.2598 m
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    for experiment in ("anc-convergence", "field-map"):  # these run with any mics
+        ExperimentSpec(experiment, ScenarioConfig.load(path), out_dir=tmp_path / "o")
+    assert main(["interp-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "sensor radii span 0.0317 m" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_above_sh_order_4_runs(tmp_path):
+    """600 + 900 Hz needs SH order 5 on the mics' sphere."""
+    d = default_scenario(0).to_dict()
+    d["primary_source"]["components"] = [
+        {"frequency": f, "amplitude": 10.0, "phase": 0.0} for f in (600.0, 900.0)
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "o"
+    assert main(["interp-sweep", "--config", str(path), "--epochs", "5", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ok"] is True
+    assert len((out / "interp_sweep.csv").read_text().splitlines()) == 1 + len(DEFAULT_RADII)
+
+
+def test_public_names_resolve():
+    assert "ShIndex" not in wavefield_anc.__all__
+    assert not hasattr(wavefield_anc, "ShIndex")
+    for name in wavefield_anc.__all__:
+        assert getattr(wavefield_anc, name) is not None, name
+
+
 @pytest.mark.parametrize("experiment", ["anc-convergence", "field-map"])
 def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     monkeypatch.setattr(experiments, "ANC_MU", 1e-2)  # far past the stable step size
