@@ -67,8 +67,10 @@ def fxlms_step(
     errors: np.ndarray,  # (M,)
     mu: float,
 ) -> np.ndarray:
-    """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3)."""
-    return w + mu * (filtered_refs.reshape(w.size, -1) @ errors).reshape(w.shape)
+    """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3),
+    in place: returns ``w``."""
+    w += mu * np.dot(filtered_refs.reshape(w.size, -1), errors).reshape(w.shape)
+    return w
 
 
 def run_anc(
@@ -105,13 +107,15 @@ def run_anc(
     w = np.zeros((FILTER_LEN, len(paths)))
     paths = -_tap_major(paths)  # (M, taps L), matching y[k : k + taps].ravel()
     errors = primary.T.copy()  # (N, M); the loop adds the secondary part
+    L, y_flat, secondary = y.shape[1], y.reshape(-1), np.empty(len(sensors))
 
+    # np.dot writes into its out= rows with no temporaries; per step, call overhead dominates
     for n in range(iterations):
         k = iterations - 1 - n
-        y[k] = x[k : k + FILTER_LEN] @ w
+        np.dot(x[k : k + FILTER_LEN], w, out=y[k])
         e = errors[n]
-        e += paths @ y[k : k + PATH_TAPS].ravel()
-        w = fxlms_step(w, fx[k : k + FILTER_LEN], e, mu)
+        e += np.dot(paths, y_flat[k * L : (k + PATH_TAPS) * L], out=secondary)
+        fxlms_step(w, fx[k : k + FILTER_LEN], e, mu)
         # below half the squared bound, the squared norm keeps every weight within it
         if not np.vdot(w, w) <= WEIGHT_BOUND**2 / 2 and not np.all(np.abs(w) <= WEIGHT_BOUND):
             break

@@ -7,6 +7,7 @@ on the config and seeds, so re-runs are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -144,6 +145,8 @@ def _finish(
     summary["metrics"] = metrics
     summary["timings"] = timings  # per-stage seconds
     summary["ok"] = ok
+    if model_path is not None:  # the model file this run wrote, by content
+        summary["model_sha256"] = hashlib.sha256(model_path.read_bytes()).hexdigest()
     json_path = spec.out_dir / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
     return OutputBundle(csv_paths, json_path, model_path, summary, ok)

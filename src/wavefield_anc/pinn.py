@@ -28,35 +28,48 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class MlpParams:
-    """Weights of the 4-input, one-hidden-layer tanh network, or of a stack of R
-    networks with a leading restart axis on every field."""
+    """Weights of the 4-input, one-hidden-layer tanh network, or of a stack of R networks
+    with a leading restart axis on every field. All live in one (..., 6N + 1) vector:
+    W1 (N, 4) row-major, b1 (N,), W2 (N,), b2; W1, b1 and W2 are views of it."""
 
-    W1: np.ndarray  # (N, 4) or (R, N, 4)
-    b1: np.ndarray  # (N,) or (R, N)
-    W2: np.ndarray  # (N,) or (R, N)
-    b2: float | np.ndarray  # float or (R,)
+    def __init__(self, W1, b1, W2, b2):
+        W1 = np.asarray(W1, dtype=float)
+        self._bind(np.empty((*W1.shape[:-2], 6 * W1.shape[-2] + 1)), W1.shape[-2])
+        self.W1[...], self.b1[...], self.W2[...], self.b2 = W1, b1, W2, b2
+
+    def _bind(self, vec: np.ndarray, n: int):
+        if vec.shape[-1] != 6 * n + 1:
+            raise ValueError(f"{n} hidden units need {6 * n + 1} parameters")
+        self._vec, self.hidden = vec, n
+        self.W1 = vec[..., : 4 * n].reshape(*vec.shape[:-1], n, 4)
+        self.b1, self.W2 = vec[..., 4 * n : 5 * n], vec[..., 5 * n : 6 * n]
 
     @property
-    def hidden(self) -> int:
-        return self.W1.shape[-2]
+    def b2(self) -> float | np.ndarray:  # a float for one network, a (R,) view for a stack
+        return self._vec[..., -1][()]
+
+    @b2.setter
+    def b2(self, value):
+        self._vec[..., -1] = value
 
     def __iter__(self):
         return iter((self.W1, self.b1, self.W2, self.b2))
 
     def __getitem__(self, r: int) -> "MlpParams":
-        """Network ``r`` of a stack."""
-        return MlpParams(*(f[r] for f in self))
+        """Network ``r`` of a stack, a view of its row of the vector."""
+        return MlpParams.from_vector(self._vec[r], self.hidden)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.W1.ravel(), self.b1, self.W2, [self.b2]])
+        """The parameter vector itself, not a copy."""
+        return self._vec
 
     @staticmethod
     def from_vector(vec: np.ndarray, hidden: int) -> "MlpParams":
-        n = hidden
-        W1, b1, W2 = vec[: 4 * n].reshape(n, 4), vec[4 * n : 5 * n], vec[5 * n : 6 * n]
-        return MlpParams(W1.copy(), b1.copy(), W2.copy(), float(vec[6 * n]))
+        """The parameters in the (..., 6 hidden + 1) ``vec``, which is used, not copied."""
+        params = MlpParams.__new__(MlpParams)
+        params._bind(np.asarray(vec, dtype=float), hidden)
+        return params
 
 
 @dataclass(frozen=True)
@@ -103,13 +116,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: MlpParams
-    v: MlpParams
+    m: np.ndarray  # first and second moments, shaped and ordered like MlpParams.to_vector()
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
     def zeros(params: MlpParams) -> "AdamState":
-        zero = MlpParams(*(np.zeros_like(f) for f in params))
+        zero = np.zeros_like(params.to_vector())
         return AdamState(zero, zero, 0)
 
 
@@ -218,26 +231,22 @@ def loss_and_grads(
         + (W2 * T)[..., None, :] * 2.0 * a_vec[:, None] * WeT
     )
 
-    gWe = gWeT.swapaxes(-1, -2)
-    return L_data, L_pde, MlpParams(gWe[..., :4], gWe[..., 4], gW2, gb2)
+    return L_data, L_pde, MlpParams(gWeT[..., :4, :].swapaxes(-1, -2), gWeT[..., 4, :], gW2, gb2)
 
 
 def adam_step(
     params: MlpParams, grads: MlpParams, state: AdamState, lr: float
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update with step size ``lr``, elementwise on every
-    parameter array (any leading restart axis)."""
+    """One bias-corrected Adam update with step size ``lr``, elementwise on the whole
+    parameter vector (any leading restart axis); returns new parameters and state."""
     t = state.t + 1
     beta1, beta2 = ADAM_BETA1, ADAM_BETA2
-    new = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g**2
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new.append((p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v))
-    p, m, v = (MlpParams(*f) for f in zip(*new))
-    return p, AdamState(m, v, t)
+    g = grads.to_vector()
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * np.square(g)
+    step = lr * (m / (1.0 - beta1**t))  # lr * m_hat / (sqrt(v_hat) + eps), in that order
+    step /= np.sqrt(v / (1.0 - beta2**t)) + ADAM_EPS
+    return MlpParams.from_vector(params.to_vector() - step, params.hidden), AdamState(m, v, t)
 
 
 def make_collocation_positions(
@@ -299,7 +308,7 @@ def train_pinn(
     targets_flat = targets.ravel() / rms
 
     seeds, A = range(cfg.seed, cfg.seed + cfg.restarts), COLLOCATION_COUNT
-    params = MlpParams(*(np.stack(f) for f in zip(*(glorot_init(s) for s in seeds))))
+    params = MlpParams.from_vector(np.stack([glorot_init(s).to_vector() for s in seeds]), HIDDEN)
     params.W1[..., 0] *= TIME_SCALE  # resolve the tones' time oscillation at init
     colloc = np.ones((cfg.restarts, A, 5))  # tau (redrawn every epoch), x, y, z, 1
     colloc[..., 1:4] = [make_collocation_positions(scenario, A, s) for s in seeds]
@@ -343,10 +352,8 @@ def train_pinn(
     history = [(e, float(d[best]), float(p[best])) for e, d, p in history]
     report = TrainReport(history, float(initial[best]), float(final[best]), norm, scores, best)
     report.diverged_restarts = sorted(diverged.items())
-    params = params[best]
-    # undo the target normalization; the output layer is linear in (W2, b2)
-    params.W2 *= rms
-    params.b2 *= rms
+    params = MlpParams.from_vector(params.to_vector()[best].copy(), HIDDEN)  # not a view
+    params.to_vector()[5 * HIDDEN :] *= rms  # undo the target normalization: (W2, b2) is linear
     return params, report
 
 
@@ -370,12 +377,8 @@ def pinn_predict(
 
 def save_params(params: MlpParams, norm: NormSpec, path: str | Path):
     """Flat text format: N, row-major W1, b1, W2, b2, then the time-map constants."""
-    lines = [str(params.hidden)]
-    for v in params.to_vector():
-        lines.append(f"{v:.17g}")
-    lines.append(f"{norm.duration:.17g}")
-    lines.append(f"{norm.half_range:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = [*params.to_vector(), norm.duration, norm.half_range]
+    Path(path).write_text("\n".join([str(params.hidden), *(f"{v:.17g}" for v in values)]) + "\n")
 
 
 def load_params(path: str | Path) -> tuple[MlpParams, NormSpec]:

@@ -81,19 +81,34 @@ def test_filtered_reference_brute_force():
 
 
 def test_fxlms_zero_error_fixed_point():
-    w = np.zeros((16, 2))
+    w = np.random.default_rng(0).normal(size=(16, 2))
+    before = w.copy()  # the update is in place
     refs = np.random.default_rng(1).normal(size=(16, 2, 3))
     out = fxlms_step(w, refs, np.zeros(3), 1e-3)
-    assert np.array_equal(out, w)
+    assert np.array_equal(out, before)
 
 
 def test_fxlms_update_along_reference():
     w = np.zeros((8, 1))
+    before = w.copy()  # the update is in place
     x = np.random.default_rng(2).normal(size=8)
     refs = x[:, None, None]
     e = np.array([0.5])
     out = fxlms_step(w, refs, e, 1e-2)
-    assert np.allclose(out[:, 0], 1e-2 * 0.5 * x, atol=1e-15)
+    assert np.allclose(out[:, 0] - before[:, 0], 1e-2 * 0.5 * x, atol=1e-15)
+
+
+@pytest.mark.parametrize("F, L, M", [(96, 2, 8), (96, 1, 1), (5, 3, 1), (7, 1, 4)])
+@pytest.mark.parametrize("seed", range(5))
+def test_fxlms_step_in_place_is_the_out_of_place_update(F, L, M, seed):
+    rng = np.random.default_rng(seed)
+    w, refs, e = rng.normal(size=(F, L)), rng.normal(size=(F, L, M)), rng.normal(size=M)
+    mu = rng.uniform(1e-6, 1e-2)
+    expected = w + mu * (refs.reshape(w.size, -1) @ e).reshape(w.shape)
+    given = w.copy()
+    out = fxlms_step(given, refs, e, mu)
+    assert out is given
+    assert np.array_equal(out, expected)
 
 
 def test_run_anc_zero_step_size():

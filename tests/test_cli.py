@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -28,9 +29,11 @@ QUICK = TrainConfig(epochs=1500, restarts=1)
 
 
 def assert_records_run(summary, stages):
-    """summary.json carries the restart selection and per-stage seconds."""
+    """summary.json carries the restart selection, per-stage seconds, and the model digest
+    when the run trains."""
     assert list(summary["timings"]) == list(stages)
     assert all(t >= 0.0 for t in summary["timings"].values())
+    assert ("model_sha256" in summary) == ("train" in stages)
     if "train" in stages:
         metrics = summary["metrics"]
         assert len(metrics["restart_scores"]) == QUICK.restarts
@@ -87,6 +90,21 @@ def test_two_coordinate_position_is_exit_2(tmp_path, capsys):
         code = main(["validate", "--config", str(bad), "--out", str(tmp_path / "v")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("speed_of_sound", "343"), ("frequency", None), ("duration", [0.1])],
+    ids=["string-speed", "null-frequency", "list-duration"],
+)
+def test_mistyped_config_value_is_exit_2(tmp_path, capsys, key, value):
+    d = default_scenario(0).to_dict()
+    (d["primary_source"]["components"][0] if key == "frequency" else d)[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
 
 
@@ -282,7 +300,10 @@ def test_anc_convergence_quick_and_deterministic(tmp_path):
     it, mp0, pn0 = first.split(",")
     assert it == "0"
     assert abs(float(mp0)) < 0.5 and abs(float(pn0)) < 0.5
-    assert_records_run(json.loads(b1.json_path.read_text()), ["train", "anc"])
+    summary = json.loads(b1.json_path.read_text())
+    assert_records_run(summary, ["train", "anc"])
+    # the summary names the model file it came with by its content
+    assert summary["model_sha256"] == hashlib.sha256(b1.model_path.read_bytes()).hexdigest()
 
 
 def test_field_map_quick(tmp_path):

@@ -51,6 +51,31 @@ def test_vector_round_trip():
     assert np.array_equal(p.to_vector(), q.to_vector())
 
 
+def test_fields_are_views_of_one_vector():
+    p = random_params(0)
+    p.W2[1] = 42.0
+    p.b2 = 3.5
+    vec = p.to_vector()
+    assert vec[5 * 8 + 1] == 42.0 and vec[-1] == 3.5 and p.b2 == 3.5
+    stack = MlpParams.from_vector(np.stack([random_params(s).to_vector() for s in range(3)]), 8)
+    assert stack.W1.shape == (3, 8, 4) and stack.b2.shape == (3,)
+    row = stack[1]
+    row.W1[0, 0] = -7.0
+    assert stack.W1[1, 0, 0] == -7.0  # network r of a stack is a view of its row
+    assert np.array_equal(row.to_vector(), stack.to_vector()[1])
+
+
+def test_save_params_writes_the_documented_lines(tmp_path):
+    W1 = np.arange(1.0, 9.0).reshape(2, 4)
+    p = MlpParams(W1, np.array([0.5, -0.5]), np.array([0.25, 1.0 / 3.0]), -2.0)
+    save_params(p, NormSpec(0.01), tmp_path / "model.txt")
+    w1_rows = ["1", "2", "3", "4", "5", "6", "7", "8"]  # row-major
+    b1, w2, b2 = ["0.5", "-0.5"], ["0.25", "0.33333333333333331"], ["-2"]
+    norm = ["0.01", "0.14999999999999999"]  # duration, time half-range
+    lines = (tmp_path / "model.txt").read_text().splitlines()
+    assert lines == ["2", *w1_rows, *b1, *w2, *b2, *norm]
+
+
 def test_forward_independent_reimplementation():
     p = random_params(1)
     u = np.array([0.1, 0.05, -0.05, 0.0])
@@ -198,6 +223,32 @@ def test_adam_scalar_convergence():
     assert abs(p.b2 - 3.0) < 0.1
 
 
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_stacked_adam_step_is_each_network_alone(restarts):
+    rng = np.random.default_rng(restarts)
+    nets = [random_params(30 + r) for r in range(restarts)]
+    stack = MlpParams.from_vector(np.stack([p.to_vector() for p in nets]), 8)
+    state, alone = AdamState.zeros(stack), [(p, AdamState.zeros(p)) for p in nets]
+    b1, b2, lr = pinn.ADAM_BETA1, pinn.ADAM_BETA2, 1e-2
+    for t in range(1, 6):
+        g = rng.normal(size=stack.to_vector().shape) * rng.choice([1e-6, 1.0, 1e3])
+        # the update as its formula, on the whole vector
+        m = b1 * state.m + (1.0 - b1) * g
+        v = b2 * state.v + (1.0 - b2) * g**2
+        m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+        expected = stack.to_vector() - lr * m_hat / (np.sqrt(v_hat) + pinn.ADAM_EPS)
+        stack, state = adam_step(stack, MlpParams.from_vector(g, 8), state, lr)
+        assert state.t == t
+        assert np.array_equal(stack.to_vector(), expected)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        alone = [
+            adam_step(p, MlpParams.from_vector(g[r], 8), st, lr) for r, (p, st) in enumerate(alone)
+        ]
+        for r, (p, st) in enumerate(alone):
+            assert np.array_equal(stack[r].to_vector(), p.to_vector())
+            assert np.array_equal(state.m[r], st.m) and np.array_equal(state.v[r], st.v)
+
+
 def test_norm_spec_maps_duration_to_range():
     norm = NormSpec(0.01)
     assert norm.to_tau(0.0) == pytest.approx(-0.15)
@@ -252,6 +303,22 @@ def bad_init_except(monkeypatch, keep, bad=np.nan):
         return params
 
     monkeypatch.setattr(pinn, "glorot_init", init)
+
+
+def test_trained_params_do_not_alias_the_stack(scenario, mic_signals, monkeypatch):
+    """The output-layer rescale after training writes into a copy of the winner's row."""
+    steps, real = [], pinn.adam_step
+
+    def recording(*args):
+        params, state = real(*args)
+        steps.append((params, params.to_vector().copy()))
+        return params, state
+
+    monkeypatch.setattr(pinn, "adam_step", recording)
+    params, _ = train_pinn(scenario, 7.0 * mic_signals, TrainConfig(epochs=20, restarts=2))
+    stack, snapshot = steps[-1]
+    assert np.array_equal(stack.to_vector(), snapshot)
+    assert not np.shares_memory(params.to_vector(), stack.to_vector())
 
 
 def test_each_restart_trains_as_its_seed_alone(scenario, mic_signals, monkeypatch):
