@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,38 @@ class TonalSource:
         if len(set(freqs)) != len(freqs):
             raise ValueError("tone frequencies must be distinct")
 
+    def period_samples(self, sample_rate: float) -> int | None:
+        """sample_rate / gcd(sample_rate, tones), the fewest samples that hold whole cycles of
+        every tone; None unless the tones and the sample rate are whole hertz."""
+        rates = [sample_rate, *(c.frequency for c in self.components)]
+        if sample_rate <= 0 or not all(float(f).is_integer() for f in rates):
+            return None
+        return round(sample_rate) // math.gcd(*map(round, rates))
+
     def waveform(self, sample_rate: float, num_samples: int) -> np.ndarray:
         """Source signal at zero distance and unit path gain (the reference x(n))."""
-        t = np.arange(num_samples) / sample_rate
-        out = np.zeros(num_samples)
-        for c in self.components:
-            out += c.amplitude * np.sin(2.0 * np.pi * c.frequency * t + c.phase)
-        return out
+        return _tone_sum(self, np.zeros(1), np.ones(1), sample_rate, num_samples)[0]
+
+
+def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray, sample_rate: float,
+              num_samples: int, start: int = 0) -> np.ndarray:
+    """(R, num_samples) sum_i A_i gains sin(2 pi f_i (t - delays) + phi_i) for n = start, ...,
+    at t = (n mod P) / sample_rate, each residue once; P is the sample period, or infinite."""
+    period = source.period_samples(sample_rate)
+    count = num_samples if period is None else min(num_samples, period)
+    n = np.arange(start, start + count)
+    t = (n if period is None else n % period) / sample_rate
+    p = np.zeros((delays.size, count))
+    tone = np.empty_like(p)  # one tone at a time, built in place
+    for comp in source.components:
+        np.subtract(t, delays[:, None], out=tone)
+        tone *= 2.0 * np.pi * comp.frequency
+        tone += comp.phase
+        np.sin(tone, out=tone)
+        tone *= (comp.amplitude * gains)[:, None]
+        p += tone
+    del tone  # before the full-length output is allocated, so the heap can reuse its block
+    return p if count == num_samples else p[:, np.arange(num_samples) % count]
 
 
 def propagate_tonal(
@@ -65,24 +91,11 @@ def propagate_tonal(
     d = distances(receivers, source.position)
     if np.any(d < 1e-9):
         raise ZeroDistance(f"a receiver is {d.min():.3g} m from the source")
-    nyquist = sample_rate / 2.0
-    for comp in source.components:
-        if comp.frequency >= nyquist:
-            raise ValueError(f"tone at {comp.frequency} Hz is at or above Nyquist")
+    if max(comp.frequency for comp in source.components) >= sample_rate / 2.0:
+        raise ValueError(f"a tone is at or above Nyquist ({sample_rate / 2.0} Hz)")
     if num_samples < 1:
         raise ValueError("signal must contain at least one sample")
-    t = np.arange(start, start + num_samples) / sample_rate
-    gain = 1.0 / (4.0 * np.pi * d)
-    p = np.zeros((d.size, num_samples))
-    tone = np.empty_like(p)  # one tone at a time, built in place
-    for comp in source.components:
-        np.subtract(t, (d / c)[:, None], out=tone)
-        tone *= 2.0 * np.pi * comp.frequency
-        tone += comp.phase
-        np.sin(tone, out=tone)
-        tone *= (comp.amplitude * gain)[:, None]
-        p += tone
-    return p
+    return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate, num_samples, start)
 
 
 def path_distances(

@@ -114,9 +114,11 @@ def _train_for(
     return params, report, mics, model_path
 
 
-def _restart_metrics(report: TrainReport) -> dict:
-    """Per-restart scores (None: diverged), the winner, and (restart, epoch) per divergence."""
-    return {k: getattr(report, k) for k in ("restart_scores", "best_restart", "diverged_restarts")}
+def _train_metrics(report: TrainReport) -> dict:
+    """Restart scores (None: diverged), the winner, (restart, epoch) per divergence, fit in dB."""
+    keys = ("restart_scores", "best_restart", "diverged_restarts")
+    fit = {"train_fit_db": ratio_to_db(report.final_data_loss)}
+    return {k: getattr(report, k) for k in keys} | fit
 
 
 def _summary_base(spec: ExperimentSpec, t0: float) -> dict:
@@ -183,7 +185,7 @@ def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
         "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
         "mean_margin_db_02_04": float(np.mean(rows[in_band, 1] - rows[in_band, 2])),
         "train_final_data_loss": report.final_data_loss,
-        **_restart_metrics(report),
+        **_train_metrics(report),
     }
     return _finish(spec, t0, {"interp_sweep": csv_path}, model_path, metrics, timings)
 
@@ -222,7 +224,7 @@ def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
         "steady_state_gap_db": float(mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()),
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
-        **_restart_metrics(report),
+        **_train_metrics(report),
     }
     ok = mp.converged and pn.converged
     return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics, timings, ok)
@@ -263,7 +265,7 @@ def run_field_map(spec: ExperimentSpec) -> OutputBundle:
         "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
-        **_restart_metrics(report),
+        **_train_metrics(report),
     }
     ok = mp.converged and pn.converged
     return _finish(spec, t0, csv_paths, model_path, metrics, timings, ok)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +14,13 @@ from .geometry import as_points
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
 MIC_RADIUS = np.sqrt(3.0) * MIC_CORNER  # 0.2598 m; the nominal "0.26 m" sphere
+
+
+def _number(d: dict, key: str) -> float:
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {type(value).__name__} {value!r}")
+    return value
 
 
 @dataclass(eq=False)  # array fields: compared by identity, hashable
@@ -49,20 +55,14 @@ class ScenarioConfig:
 
     @property
     def period_samples(self) -> int:
-        """Samples in one period of the sampled tone set, sample_rate / gcd(sample_rate, tones):
-        the fewest samples that hold a whole number of cycles of every tone.
-
-        ValueError naming the tones unless they are below Nyquist, they and the sample
-        rate are whole hertz, and the period fits in the scenario.
-        """
-        freqs = [c.frequency for c in self.primary_source.components]
-        fs = self.sample_rate
+        """Samples in one period of the primary source's tones (TonalSource.period_samples);
+        ValueError naming the tones unless they are below Nyquist, they and the sample rate
+        are whole hertz, and the period fits in the scenario."""
+        freqs, fs = [c.frequency for c in self.primary_source.components], self.sample_rate
         if max(freqs) >= fs / 2.0:
             raise ValueError(f"tones {freqs} Hz: {max(freqs)} Hz is at or above Nyquist")
-        whole = [max(round(f), 1) for f in [fs, *freqs]]
-        if any(abs(f - w) > 1e-9 for f, w in zip([fs, *freqs], whole)):
+        if (period := self.primary_source.period_samples(fs)) is None:
             raise ValueError(f"tones {freqs} Hz and sample rate {fs} Hz must be whole hertz")
-        period = whole[0] // math.gcd(*whole)
         if period > self.num_samples:
             raise ValueError(
                 f"tones {freqs} Hz repeat every {period} samples, "
@@ -94,7 +94,7 @@ class ScenarioConfig:
         source = TonalSource(
             position=src["position"],
             components=tuple(
-                ToneComponent(c["frequency"], c["amplitude"], c["phase"])
+                ToneComponent(*(_number(c, k) for k in ("frequency", "amplitude", "phase")))
                 for c in src["components"]
             ),
         )
@@ -103,10 +103,7 @@ class ScenarioConfig:
             secondary_positions=d["secondary_positions"],
             monitoring_positions=d["monitoring_positions"],
             virtual_positions=d["virtual_positions"],
-            speed_of_sound=d["speed_of_sound"],
-            sample_rate=d["sample_rate"],
-            duration=d["duration"],
-            rng_seed=d["rng_seed"],
+            **{k: _number(d, k) for k in ("speed_of_sound", "sample_rate", "duration", "rng_seed")},
         )
 
     def save(self, path: str | Path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavefield_anc.acoustics import (
@@ -11,6 +11,7 @@ from wavefield_anc.acoustics import (
     propagate_tonal,
 )
 from wavefield_anc.errors import DelayExceedsFilter, ZeroDistance
+from wavefield_anc.scenario import default_scenario
 
 FS = 24_000.0
 C = 343.0
@@ -33,6 +34,22 @@ def fir_one(source_pos, receiver, taps):
 
 def tone_source(pos, freq=400.0, amp=1.0, phase=0.0):
     return TonalSource(pos, (ToneComponent(freq, amp, phase),))
+
+
+def sample_period(freqs):
+    """FS / gcd(FS, tones): samples per period of whole-hertz tones sampled at FS."""
+    return int(FS) // np.gcd.reduce([int(FS), *(int(f) for f in freqs)])
+
+
+def direct(source, receivers, t):
+    """The free-field formula at the times t, per receiver and tone, summed tone by tone."""
+    d = np.array([np.linalg.norm(source.position - r) for r in receivers])[:, None]
+    p = np.zeros((len(d), len(t)))
+    for comp in source.components:
+        p += comp.amplitude * (1.0 / (4.0 * np.pi * d)) * np.sin(
+            2.0 * np.pi * comp.frequency * (t - d / C) + comp.phase
+        )
+    return p
 
 
 def test_unit_amplitude_at_one_meter():
@@ -159,6 +176,77 @@ def test_start_sample_is_a_slice_of_the_whole_signal(start, count):
     whole = propagate_tonal(src, receivers, FS, start + count, C)
     part = propagate_tonal(src, receivers, FS, count, C, start=start)
     assert np.array_equal(part, whole[:, start:])  # bitwise
+
+
+# harmonics of FS / P for periods P that mostly do not divide 2 400 (375 Hz: P = 64)
+harmonics = st.builds(
+    lambda period, k: k * 24_000 // period,
+    st.sampled_from([48, 64, 75, 80, 96, 120, 160, 240]),
+    st.integers(1, 10),
+)
+
+
+@given(
+    st.lists(st.one_of(harmonics, st.integers(20, 3000)), min_size=1, max_size=3, unique=True),
+    st.integers(0, 30_000),
+    st.integers(1, 500),
+)
+@example([375], 0, 200)
+@example([375], 29_990, 100)
+@settings(max_examples=60, deadline=None)
+def test_each_sample_is_the_formula_at_its_residue_in_the_period(freqs, start, count):
+    tones = tuple(ToneComponent(float(f), 1.0 + i, 0.3 * i) for i, f in enumerate(freqs))
+    src = TonalSource(P(0.6, 0.8, 1.0), tones)
+    receivers = np.array([[0.1, 0.0, 0.0], [0.0, -0.2, 0.05], [-0.15, 0.15, -0.15]])
+    t = (start + np.arange(count)) % sample_period(freqs) / FS
+    out = propagate_tonal(src, receivers, FS, count, C, start=start)
+    assert np.array_equal(out, direct(src, receivers, t))  # bitwise
+
+
+@pytest.mark.parametrize("freqs", [(300.0, 400.0, 500.0), (375.0,), (250.0, 350.0, 450.0)])
+def test_first_period_is_the_direct_formula(freqs):
+    """Sample n < P is evaluated at t = n / FS exactly as direct synthesis evaluates it, so the
+    period the PINN trains on does not depend on how later samples are formed."""
+    sc = default_scenario(0)
+    ref = sc.primary_source.components
+    tones = tuple(ToneComponent(f, c.amplitude, c.phase) for f, c in zip(freqs, ref))
+    src, mics = TonalSource(sc.primary_source.position, tones), sc.monitoring_positions
+    period = sample_period(freqs)
+    out = propagate_tonal(src, mics, FS, 2400, C)
+    assert np.array_equal(out[:, :period], direct(src, mics, np.arange(period) / FS))  # bitwise
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+def test_accuracy_against_extended_precision_synthesis():
+    """10 000 samples (the ANC truth) of the reference scenario's mics and ears, against the
+    formula in long double: within 1e-13 of the peak."""
+    sc = default_scenario(0)
+    receivers = np.vstack([sc.monitoring_positions, sc.virtual_positions])
+    out = propagate_tonal(sc.primary_source, receivers, FS, 10_000, C)
+    pi = np.arccos(np.longdouble(-1.0))
+    pos = sc.primary_source.position.astype(np.longdouble)
+    d = np.sqrt(np.sum((receivers.astype(np.longdouble) - pos) ** 2, axis=1))[:, None]
+    t = np.arange(10_000, dtype=np.longdouble) / np.longdouble(FS)
+    ref = np.zeros(out.shape, dtype=np.longdouble)
+    for comp in sc.primary_source.components:
+        f, amp, phase = (np.longdouble(x) for x in (comp.frequency, comp.amplitude, comp.phase))
+        ref += amp / (4 * pi * d) * np.sin(2 * pi * f * (t - d / np.longdouble(C)) + phase)
+    err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-13
+
+
+def test_waveform_repeats_its_first_period():
+    src = TonalSource(
+        P(1, 2, 3), (ToneComponent(375.0, 2.0, 0.5), ToneComponent(750.0, 1.0, 1.5))
+    )
+    period = sample_period([375.0, 750.0])  # 64
+    x = src.waveform(FS, 10 * period + 7)
+    t = np.arange(period) / FS
+    first = 2.0 * np.sin(2 * np.pi * 375.0 * t + 0.5) + 1.0 * np.sin(2 * np.pi * 750.0 * t + 1.5)
+    assert np.array_equal(x[:period], first)  # bitwise
+    assert np.array_equal(x[period:], x[:-period])
 
 
 def test_zero_length_signal_rejected():

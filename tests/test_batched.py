@@ -60,8 +60,10 @@ def sph_one(x, y, z):
 
 
 def propagate_one(source, receiver, n):
+    """Sample k at t = (k mod P) / FS, P = FS / gcd(FS, tones) the sample period."""
     d = float(np.linalg.norm(source.position - receiver))
-    t = np.arange(n) / FS
+    period = int(FS) // np.gcd.reduce([int(FS), *(int(c.frequency) for c in source.components)])
+    t = np.arange(n) % period / FS
     p = np.zeros(n)
     for comp in source.components:
         p += comp.amplitude * (1.0 / (4.0 * np.pi * d)) * np.sin(

@@ -29,8 +29,8 @@ QUICK = TrainConfig(epochs=1500, restarts=1)
 
 
 def assert_records_run(summary, stages):
-    """summary.json carries the restart selection, per-stage seconds, and the model digest
-    when the run trains."""
+    """summary.json carries the restart selection, the fit, per-stage seconds, and the model
+    digest when the run trains."""
     assert list(summary["timings"]) == list(stages)
     assert all(t >= 0.0 for t in summary["timings"].values())
     assert ("model_sha256" in summary) == ("train" in stages)
@@ -38,6 +38,7 @@ def assert_records_run(summary, stages):
         metrics = summary["metrics"]
         assert len(metrics["restart_scores"]) == QUICK.restarts
         assert metrics["best_restart"] == 0 and metrics["diverged_restarts"] == []
+        assert np.isfinite(metrics["train_fit_db"])
 
 
 def quick_spec(experiment, out_dir, radii=(0.1, 0.2, 0.3)):
@@ -104,7 +105,9 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, key, value):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(d))
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{key} must be a number, got {type(value).__name__}" in err
     assert not (tmp_path / "v").exists()
 
 
@@ -286,6 +289,8 @@ def test_interp_sweep_quick(tmp_path):
     assert summary["config"]["scenario"] == default_scenario(0).to_dict()
     assert bundle.model_path.exists()
     assert_records_run(summary, ["train", "evaluate"])
+    metrics = summary["metrics"]  # the fit in dB, from the loss the report gives
+    assert metrics["train_fit_db"] == 10 * np.log10(metrics["train_final_data_loss"])
 
 
 def test_anc_convergence_quick_and_deterministic(tmp_path):

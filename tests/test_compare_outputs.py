@@ -1,0 +1,66 @@
+"""scripts/compare_outputs.py on small hand-made result trees."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "compare_outputs.py"
+
+
+def write_tree(root, csv="r_s,eps\n0.1,-3\n", model="2\n0.5\n", metrics=None, timings=None):
+    run = root / "interp-sweep"
+    run.mkdir(parents=True)
+    (run / "interp_sweep.csv").write_text(csv)
+    if model is not None:
+        (run / "model.txt").write_text(model)
+    summary = {
+        "metrics": metrics or {"eps": -3.0, "scores": [1.0]},
+        "timings": timings or {"train": 1.0},
+        "wall_clock_s": 2.0,
+    }
+    (run / "summary.json").write_text(json.dumps(summary))
+
+
+def compare(parent, change):
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), str(parent), str(change)], capture_output=True, text=True
+    )
+    return run.returncode, run.stdout
+
+
+def test_identical_outputs_pass_whatever_the_timings(tmp_path):
+    write_tree(tmp_path / "a")
+    write_tree(tmp_path / "b", timings={"train": 9.0})
+    code, out = compare(tmp_path / "a", tmp_path / "b")
+    assert code == 0
+    assert "2 of 2 CSV and model files byte-identical" in out
+    assert "summary" not in out.replace("summary.json", "")
+
+
+def test_a_differing_csv_or_missing_model_fails(tmp_path):
+    write_tree(tmp_path / "a")
+    write_tree(tmp_path / "b", csv="r_s,eps\n0.1,-3.0000001\n")
+    write_tree(tmp_path / "c", model=None)
+    code, out = compare(tmp_path / "a", tmp_path / "b")
+    assert code == 1 and "DIFFERS interp-sweep/interp_sweep.csv" in out
+    code, out = compare(tmp_path / "a", tmp_path / "c")
+    assert code == 1 and "DIFFERS interp-sweep/model.txt" in out
+
+
+def test_summary_leaves_that_differ_are_listed_without_failing(tmp_path):
+    write_tree(tmp_path / "a")
+    write_tree(tmp_path / "b", metrics={"eps": -3.5, "scores": [1.0], "fit_db": -20.0})
+    code, out = compare(tmp_path / "a", tmp_path / "b")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("summary")]
+    assert lines == [
+        "summary interp-sweep/summary.json metrics.eps: -3.0 -> -3.5",
+        "summary interp-sweep/summary.json metrics.fit_db: (absent) -> -20.0",
+    ]
+
+
+def test_trees_without_outputs_are_an_error(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert compare(tmp_path / "a", tmp_path / "b")[0] == 2
