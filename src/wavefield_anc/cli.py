@@ -3,7 +3,7 @@
     wavefield-anc <experiment> --config <path> --out <dir> [--seed N]
                   [--epochs N] [--paper-scale]
 
-Exit codes: 0 success, 1 check failure, 2 config error.
+Exit codes: 0 success, 1 check failure or failed stage (named in summary.json), 2 config error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import RUNNERS, ExperimentSpec, _json_default
+from .experiments import RUNNERS, ExperimentSpec
 from .pinn import TrainConfig
 from .scenario import ScenarioConfig, default_scenario
 
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     bundle = RUNNERS[spec.experiment](spec)
-    print(json.dumps(bundle.summary["metrics"], indent=2, default=_json_default))
+    print(json.dumps(bundle.summary["metrics"], indent=2))
     print(f"outputs in {spec.out_dir}")
     return 0 if bundle.ok else 1
 

@@ -1,14 +1,16 @@
 """Experiment drivers: radius sweep, ANC convergence, field maps, self-check.
 
 Each run writes CSV tables (one per figure), a JSON summary echoing the
-resolved configuration, and the trained model file. CSV content depends only
-on the config and seeds, so re-runs are byte-identical.
+resolved configuration, and the trained model file; a failed stage still
+writes the summary. CSV content depends only on the config and seeds, so
+re-runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -64,130 +66,128 @@ class ExperimentSpec:
             path_distances(sc.secondary_positions, field_grid(), fs, c, kinds=kinds)
 
 
-@dataclass
 class OutputBundle:
-    csv_paths: dict[str, Path]
-    json_path: Path
-    model_path: Path | None
-    summary: dict
-    ok: bool = True
+    """The record a run fills in as it goes: per-stage seconds, CSVs, the model and its
+    training report; once the run ends, its ``summary`` (written to ``json_path``) and ``ok``."""
+
+    def __init__(self, spec: ExperimentSpec):
+        self.spec, self.ok, self.summary = spec, False, {}
+        self.timings: dict[str, float] = {}
+        self.open_stage: str | None = None  # the stage running, or the one that raised
+        self.csv_paths: dict[str, Path] = {}
+        self.json_path = spec.out_dir / "summary.json"
+        self.model_path: Path | None = None
+        self.report: TrainReport | None = None
+
+    @contextmanager
+    def stage(self, name: str):
+        """Records the block's time.perf_counter seconds as ``timings[name]``."""
+        self.open_stage, t = name, time.perf_counter()
+        yield  # an exception leaves open_stage naming this stage
+        self.timings[name], self.open_stage = time.perf_counter() - t, None
+
+    def csv(self, name: str, header: list[str], rows: np.ndarray):
+        """Writes ``rows`` to ``<name>.csv`` in the output directory as ``csv_paths[name]``."""
+        lines = [",".join(header)]
+        lines += [",".join(CSV_FMT % v for v in row) for row in np.atleast_2d(rows)]
+        path = self.csv_paths[name] = self.spec.out_dir / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+    def train(self) -> tuple[MlpParams, NormSpec, np.ndarray]:
+        """The PINN fit to the mic signals (the "train" stage), saved as model.txt."""
+        sc = self.spec.scenario
+        fs, c = sc.sample_rate, sc.speed_of_sound
+        mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
+        with self.stage("train"):
+            params, self.report = train_pinn(sc, mics, self.spec.train)
+        save_params(params, self.report.norm, self.spec.out_dir / "model.txt")
+        self.model_path = self.spec.out_dir / "model.txt"  # once written: the summary reads it
+        return params, self.report.norm, mics
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    if hasattr(obj, "__dict__"):
-        return vars(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _experiment(body):
+    """Makes ``body(spec, run) -> (metrics, ok)`` a runner ``spec -> OutputBundle`` that
+    creates the output directory, keeps the wall clock and writes summary.json, with the
+    training metrics after the body's own. When the body raises, summary.json is still
+    written, with ``ok: false``, the ``failed_stage`` and the ``error``, and the exception
+    propagates."""
+
+    def runner(spec: ExperimentSpec) -> OutputBundle:
+        t0, run, metrics, failure = time.time(), OutputBundle(spec), {}, {}
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            metrics, run.ok = body(spec, run)
+        except BaseException as exc:  # Ctrl-C too: the summary names the stage it stopped
+            failure = {"failed_stage": run.open_stage, "error": f"{type(exc).__name__}: {exc}"}
+            raise
+        finally:
+            if run.report is not None:  # restart scores (None: diverged), winner, divergences
+                keys = ("restart_scores", "best_restart", "diverged_restarts")
+                metrics |= {k: getattr(run.report, k) for k in keys}
+                metrics["train_fit_db"] = ratio_to_db(run.report.final_data_loss)
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            run.summary = {
+                "experiment": spec.experiment,
+                "config": {
+                    "scenario": spec.scenario.to_dict(),
+                    "train": asdict(spec.train),
+                    "radii": list(spec.radii),
+                },
+                "seeds": {"scenario": spec.scenario.rng_seed, "train": spec.train.seed},
+                "environment": {  # a figure at the float64 roundoff floor follows the BLAS
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "blas": f"{blas['name']} {blas['version']}",
+                    "machine": platform.machine(),
+                },
+                "wall_clock_s": round(time.time() - t0, 3),
+                "metrics": metrics,
+                "timings": run.timings,  # per-stage seconds
+                "ok": run.ok,
+                **failure,
+            }
+            if run.model_path is not None:  # the model file this run wrote, by content
+                model = run.model_path.read_bytes()
+                run.summary["model_sha256"] = hashlib.sha256(model).hexdigest()
+            run.json_path.write_text(json.dumps(run.summary, indent=2) + "\n")
+        return run
+
+    runner.__name__ = runner.__qualname__ = body.__name__
+    runner.__doc__ = body.__doc__
+    return runner
 
 
-def _write_csv(path: Path, header: list[str], rows: np.ndarray):
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(CSV_FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-@contextmanager
-def _stage(timings: dict[str, float], name: str):
-    """Records the block's time.perf_counter seconds as ``timings[name]``."""
-    t = time.perf_counter()
-    yield
-    timings[name] = time.perf_counter() - t
-
-
-def _train_for(
-    spec: ExperimentSpec, timings: dict[str, float]
-) -> tuple[MlpParams, TrainReport, np.ndarray, Path]:
-    """The PINN fit to the mic signals (the "train" stage), saved as model.txt."""
-    sc = spec.scenario
-    fs, c = sc.sample_rate, sc.speed_of_sound
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
-    with _stage(timings, "train"):
-        params, report = train_pinn(sc, mics, spec.train)
-    model_path = spec.out_dir / "model.txt"
-    save_params(params, report.norm, model_path)
-    return params, report, mics, model_path
-
-
-def _train_metrics(report: TrainReport) -> dict:
-    """Restart scores (None: diverged), the winner, (restart, epoch) per divergence, fit in dB."""
-    keys = ("restart_scores", "best_restart", "diverged_restarts")
-    fit = {"train_fit_db": ratio_to_db(report.final_data_loss)}
-    return {k: getattr(report, k) for k in keys} | fit
-
-
-def _summary_base(spec: ExperimentSpec, t0: float) -> dict:
-    return {
-        "experiment": spec.experiment,
-        "config": {
-            "scenario": spec.scenario.to_dict(),
-            "train": asdict(spec.train),
-            "radii": list(spec.radii),
-        },
-        "seeds": {"scenario": spec.scenario.rng_seed, "train": spec.train.seed},
-        "wall_clock_s": round(time.time() - t0, 3),
-    }
-
-
-def _finish(
-    spec: ExperimentSpec,
-    t0: float,
-    csv_paths: dict[str, Path],
-    model_path: Path | None,
-    metrics: dict,
-    timings: dict[str, float],
-    ok: bool = True,
-) -> OutputBundle:
-    summary = _summary_base(spec, t0)
-    summary["metrics"] = metrics
-    summary["timings"] = timings  # per-stage seconds
-    summary["ok"] = ok
-    if model_path is not None:  # the model file this run wrote, by content
-        summary["model_sha256"] = hashlib.sha256(model_path.read_bytes()).hexdigest()
-    json_path = spec.out_dir / "summary.json"
-    json_path.write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
-    return OutputBundle(csv_paths, json_path, model_path, summary, ok)
-
-
-def run_interp_sweep(spec: ExperimentSpec) -> OutputBundle:
+@_experiment
+def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Interpolation error vs evaluation-sphere radius, SH against the PINN."""
-    t0, timings = time.time(), {}
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
     fs, c = sc.sample_rate, sc.speed_of_sound
-    params, report, mics, model_path = _train_for(spec, timings)
+    params, norm, mics = run.train()
 
     f_max = max(comp.frequency for comp in sc.primary_source.components)
     U = max_order(f_max, MIC_RADIUS, c)
     rows = []
-    with _stage(timings, "evaluate"):
+    with run.stage("evaluate"):
         series = sh_fit(sc.monitoring_positions, mics, U, fs)
         for r_s in spec.radii:
             pts = sphere_points(r_s, SWEEP_POINTS)
             # PINN first, then the truth: one (SWEEP_POINTS, T) estimate alive at a time
-            est = pinn_predict(params, report.norm, pts, fs, sc.num_samples)
+            est = pinn_predict(params, norm, pts, fs, sc.num_samples)
             truth = propagate_tonal(sc.primary_source, pts, fs, sc.num_samples, c)
             eps_nn = ratio_to_db(interpolation_error(truth, est))
             del est
             eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
             rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
-    csv_path = spec.out_dir / "interp_sweep.csv"
-    _write_csv(csv_path, ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
+    run.csv("interp_sweep", ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
 
     in_band = (rows[:, 0] >= 0.2 - 1e-9) & (rows[:, 0] <= 0.4 + 1e-9)
     metrics = {
         "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
         "mean_margin_db_02_04": float(np.mean(rows[in_band, 1] - rows[in_band, 2])),
-        "train_final_data_loss": report.final_data_loss,
-        **_train_metrics(report),
+        "train_final_data_loss": run.report.final_data_loss,
     }
-    return _finish(spec, t0, {"interp_sweep": csv_path}, model_path, metrics, timings)
+    return metrics, True
 
 
 def run_controls(
@@ -203,20 +203,16 @@ def run_controls(
     return multipoint, pinn
 
 
-def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
+@_experiment
+def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Ear noise-reduction curves for multiple-point and PINN-assisted control;
     ok=False when either controller diverged."""
-    t0, timings = time.time(), {}
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    sc = spec.scenario
-    params, report, _, model_path = _train_for(spec, timings)
-
-    with _stage(timings, "anc"):
-        mp, pn = run_controls(sc, params, report.norm)
+    params, norm, _ = run.train()
+    with run.stage("anc"):
+        mp, pn = run_controls(spec.scenario, params, norm)
     n = min(mp.iterations, pn.iterations)
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
-    csv_path = spec.out_dir / "anc_convergence.csv"
-    _write_csv(csv_path, ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
+    run.csv("anc_convergence", ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
 
     metrics = {
         "multipoint_last1000_mean_db": float(mp.eps_db[-1000:].mean()),
@@ -224,10 +220,8 @@ def run_anc_convergence(spec: ExperimentSpec) -> OutputBundle:
         "steady_state_gap_db": float(mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()),
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
-        **_train_metrics(report),
     }
-    ok = mp.converged and pn.converged
-    return _finish(spec, t0, {"anc_convergence": csv_path}, model_path, metrics, timings, ok)
+    return metrics, mp.converged and pn.converged
 
 
 def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
@@ -236,28 +230,23 @@ def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
     return np.any(d2 <= EAR_DISK_RADIUS**2 + 1e-12, axis=1)
 
 
-def run_field_map(spec: ExperimentSpec) -> OutputBundle:
+@_experiment
+def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """xy-plane signal-power maps: primary, multipoint residual, PINN residual;
     ok=False when either controller diverged."""
-    t0, timings = time.time(), {}
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     sc = spec.scenario
-    params, report, _, model_path = _train_for(spec, timings)
-
-    with _stage(timings, "anc"):
-        mp, pn = run_controls(sc, params, report.norm)
-    with _stage(timings, "field"):
+    params, norm, _ = run.train()
+    with run.stage("anc"):
+        mp, pn = run_controls(sc, params, norm)
+    with run.stage("field"):
         gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
 
     ref = p_primary.max()
-    csv_paths = {}
     disk_means = {}
     mask = ear_disk_mask(gx, gy, sc.virtual_positions)
     for name, power in (("primary", p_primary), ("multipoint", p_mp), ("pinn", p_pn)):
         power_db = 10.0 * np.log10(np.maximum(power / ref, 1e-30))
-        path = spec.out_dir / f"field_{name}.csv"
-        _write_csv(path, ["x", "y", "power_dB"], np.column_stack([gx, gy, power_db]))
-        csv_paths[f"field_{name}"] = path
+        run.csv(f"field_{name}", ["x", "y", "power_dB"], np.column_stack([gx, gy, power_db]))
         disk_means[name] = float(10.0 * np.log10(np.mean(power[mask]) / ref))
 
     metrics = {
@@ -265,10 +254,8 @@ def run_field_map(spec: ExperimentSpec) -> OutputBundle:
         "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
-        **_train_metrics(report),
     }
-    ok = mp.converged and pn.converged
-    return _finish(spec, t0, csv_paths, model_path, metrics, timings, ok)
+    return metrics, mp.converged and pn.converged
 
 
 def _adam_scalar_check() -> dict:
@@ -278,20 +265,18 @@ def _adam_scalar_check() -> dict:
     for _ in range(200):
         g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
         p, st = adam_step(p, g, st, 0.1)
-    return {"value": p.b2, "target": 3.0, "tol": 0.1, "pass": abs(p.b2 - 3.0) < 0.1}
+    return {"value": p.b2, "target": 3.0, "tol": 0.1, "pass": bool(abs(p.b2 - 3.0) < 0.1)}
 
 
-def run_validate(spec: ExperimentSpec) -> OutputBundle:
+@_experiment
+def run_validate(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Release-gate oracle suite: acceptance criteria 4, 6 and 7 at the bounds the
     acceptance tests assert, plus an Adam check; ok=False when any check fails."""
-    t0, timings = time.time(), {}
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    with _stage(timings, "checks"):
+    with run.stage("checks"):
         figures = {**derivative_figures(), **fxlms_figures(), **sh_figures()}
         checks = {name: check(name, value) for name, value in figures.items()}
         checks["adam_scalar_convergence"] = _adam_scalar_check()
-    ok = all(c["pass"] for c in checks.values())
-    return _finish(spec, t0, {}, None, {"checks": checks}, timings, ok=ok)
+    return {"checks": checks}, all(c["pass"] for c in checks.values())
 
 
 RUNNERS = {

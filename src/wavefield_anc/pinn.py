@@ -315,7 +315,8 @@ def train_pinn(
     rngs = [default_rng(s) for s in seeds]
     state = AdamState.zeros(params)
     history = []
-    initial = final = np.zeros(cfg.restarts)
+    if cfg.epochs == 0:  # no epoch records the fit: the untrained network's data loss
+        initial = final = loss_and_grads(params, inputs, targets_flat, colloc, 0.0, c_eff)[0]
     diverged: dict[int, int] = {}  # restart -> first epoch with a non-finite loss
 
     lr_ratio = LEARNING_RATE_END / LEARNING_RATE

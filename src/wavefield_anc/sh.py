@@ -40,9 +40,8 @@ def real_sh(U: int, theta, phi) -> np.ndarray:
     """Real orthonormal spherical harmonics of orders 0..U at the angles ``theta``, ``phi``
     (broadcast together), Condon-Shortley phase omitted, as (..., (U+1)^2): mode (u, v),
     |v| <= u, in column u^2 + u + v."""
-    x = np.cos(np.asarray(theta, dtype=float))
-    phi = np.asarray(phi, dtype=float)
-    sin_theta = np.sqrt(1.0 - x * x)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    x, sin_theta = np.cos(theta), np.sin(theta)  # not sqrt(1 - x^2): exact near the poles
     Y = np.empty(np.broadcast_shapes(x.shape, phi.shape) + ((U + 1) ** 2,))
     double_fact = 1.0  # (2m - 1)!!
     for m in range(U + 1):

@@ -24,7 +24,7 @@ from wavefield_anc.pinn import (
 from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import _radial_ratio, sh_fit, sh_interpolate
 
-from test_sh import scipy_real_sh
+from test_sh import legendre_real_sh
 
 FS = 24_000.0
 C = 343.0
@@ -83,7 +83,7 @@ def fir_one(source_pos, receiver, taps):
 
 def sh_interpolate_one(series, target):
     """Radial translation of every mode at one target, summed mode by mode on the
-    per-mode scipy basis formula."""
+    per-mode Legendre basis formula."""
     r, theta, phi = sph_one(*target)
     T = series.coeffs.shape[1]
     freqs = np.fft.rfftfreq(T, d=1.0 / series.sample_rate)
@@ -93,7 +93,7 @@ def sh_interpolate_one(series, target):
     for u in range(series.max_order + 1):
         for v in range(-u, u + 1):
             translated = np.fft.irfft(spec[u * u + u + v] * ratios[u], n=T)
-            out += translated * scipy_real_sh(u, v, theta, phi)
+            out += translated * legendre_real_sh(u, v, theta, phi)
     return out
 
 

@@ -29,8 +29,10 @@ QUICK = TrainConfig(epochs=1500, restarts=1)
 
 
 def assert_records_run(summary, stages):
-    """summary.json carries the restart selection, the fit, per-stage seconds, and the model
-    digest when the run trains."""
+    """summary.json carries the environment, per-stage seconds, no failure, and when the run
+    trains, the restart selection, the fit and the model digest."""
+    assert set(summary["environment"]) == {"python", "numpy", "blas", "machine"}
+    assert "failed_stage" not in summary and "error" not in summary
     assert list(summary["timings"]) == list(stages)
     assert all(t >= 0.0 for t in summary["timings"].values())
     assert ("model_sha256" in summary) == ("train" in stages)
@@ -220,11 +222,74 @@ def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     assert not (metrics["multipoint_converged"] and metrics["pinn_converged"])
 
 
+def run_python(code, *args):
+    """``python -c code *args`` with this package on the path."""
+    src = str(Path(wavefield_anc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-c", textwrap.dedent(code), *map(str, args)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+
+def test_every_restart_diverging_fails_the_train_stage(tmp_path):
+    """The interpreter prints the traceback and exits 1; summary.json names the stage."""
+    code = """
+        import sys
+        from wavefield_anc import pinn
+        from wavefield_anc.cli import main
+        real = pinn.glorot_init
+        def init(seed, N=16):
+            params = real(seed, N)
+            params.W2[:] = float("nan")
+            return params
+        pinn.glorot_init = init
+        sys.exit(main(["anc-convergence", "--epochs", "5", "--out", sys.argv[1]]))
+        """
+    out = tmp_path / "o"
+    run = run_python(code, out)
+    assert run.returncode == 1
+    assert "Traceback" in run.stderr and "DivergenceDetected" in run.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ok"] is False and summary["failed_stage"] == "train"
+    assert summary["error"].startswith("DivergenceDetected: non-finite loss in every restart")
+    assert summary["timings"] == {} and summary["metrics"] == {}
+    assert "model_sha256" not in summary
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+@pytest.mark.parametrize(
+    "name, stage, stages",
+    [
+        ("save_params", None, ["train"]),  # between the train and anc stages
+        ("run_controls", "anc", ["train"]),
+        ("field_grid_power", "field", ["train", "anc"]),
+    ],
+)
+def test_failed_stage_is_named_in_the_summary(tmp_path, monkeypatch, name, stage, stages):
+    def broken(*args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(experiments, name, broken)
+    spec = quick_spec("field-map", tmp_path / "f")
+    spec.train = dataclasses.replace(QUICK, epochs=10)
+    with pytest.raises(RuntimeError, match="broken on purpose"):
+        run_field_map(spec)
+    summary = json.loads((spec.out_dir / "summary.json").read_text())
+    assert summary["ok"] is False and summary["failed_stage"] == stage
+    assert summary["error"] == "RuntimeError: broken on purpose"
+    assert list(summary["timings"]) == stages
+    assert summary["metrics"]["best_restart"] == 0  # the training figures, as trained
+    model = spec.out_dir / "model.txt"
+    if stage is not None:  # the model written before the failure
+        assert summary["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
+    else:
+        assert "model_sha256" not in summary and not model.exists()
+    assert not list(spec.out_dir.glob("*.csv"))
+
+
 def test_scipy_stays_off_the_import_path(tmp_path):
     """No run imports scipy, and numpy's lazily loaded submodules load at package import,
     not inside the first run."""
-    code = textwrap.dedent(
-        """
+    code = """
         import sys
         import wavefield_anc
         from wavefield_anc.cli import main
@@ -234,12 +299,7 @@ def test_scipy_stays_off_the_import_path(tmp_path):
             main([experiment, "--epochs", "2", "--out", f"{sys.argv[1]}/{experiment}"])
         assert "scipy" not in sys.modules, "a run imported scipy"
         """
-    )
-    src = str(Path(wavefield_anc.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
-    )
+    run = run_python(code, tmp_path)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "interp-sweep" / "interp_sweep.csv").exists()
 

@@ -286,6 +286,15 @@ def test_train_zero_epochs(scenario, mic_signals):
     assert params.hidden == pinn.HIDDEN
 
 
+def test_train_zero_epochs_reports_the_untrained_fit(scenario, mic_signals):
+    """With no epoch run, the loss reported and scored is the initial network's, not 0."""
+    one = TrainConfig(epochs=1, restarts=1)
+    _, untrained = train_pinn(scenario, mic_signals, dataclasses.replace(one, epochs=0))
+    _, first = train_pinn(scenario, mic_signals, one)
+    assert untrained.final_data_loss == untrained.initial_data_loss > 0.0
+    assert untrained.initial_data_loss == first.initial_data_loss
+
+
 def test_train_deterministic(scenario, mic_signals):
     p1, _ = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     p2, _ = train_pinn(scenario, mic_signals, QUICK_TRAIN)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import lpmv, spherical_jn
+from numpy.polynomial.legendre import Legendre
+from scipy.special import spherical_jn
 
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.errors import EmptySignals, RadiusMismatch, ZeroDenominator
@@ -44,15 +45,31 @@ def test_dipole_at_pole():
     assert y10 == pytest.approx(0.4886025, abs=1e-7)
 
 
+@pytest.mark.parametrize("theta", [1e-8, 1e-4, np.pi - 1e-4, np.pi - 1e-8])
+def test_basis_is_exact_near_the_poles(theta):
+    """sin(theta) taken as sqrt(1 - cos^2) would lose it: Y_1^1 read exactly 0 at 1e-8."""
+    phi, x, sin = 0.7, np.cos(theta), np.sin(theta)
+    dp8 = (51480 * x**7 - 72072 * x**5 + 27720 * x**3 - 2520 * x) / 128  # P_8'(x)
+    Y = real_sh(8, theta, phi)
+    closed = {
+        (1, 1): np.sqrt(3 / (4 * np.pi)) * sin * np.cos(phi),
+        (8, 1): np.sqrt(17 / (144 * np.pi)) * sin * dp8 * np.cos(phi),
+    }
+    for (u, v), value in closed.items():
+        assert Y[flat(u, v)] == pytest.approx(value, rel=1e-12, abs=0.0), (u, v)
+
+
 def test_basis_shape_broadcasts_the_angles():
     assert real_sh(4, np.zeros((3, 1)), np.zeros(5)).shape == (3, 5, 25)
 
 
-def scipy_real_sh(u, v, theta, phi):
-    """The former per-mode formula on scipy's lpmv, kept as the oracle of real_sh."""
+def legendre_real_sh(u, v, theta, phi):
+    """The per-mode formula, P_u^m = sin^m(theta) times the m-th derivative of the Legendre
+    polynomial P_u at cos(theta) (numpy's Legendre series), as the oracle of real_sh. Not
+    scipy's lpmv: it takes sin(theta) as sqrt(1 - cos^2), up to 6.6e-8 off near the poles."""
     m = abs(v)
     norm = np.sqrt((2 * u + 1) / (4.0 * np.pi) * factorial(u - m) / factorial(u + m))
-    leg = (-1.0) ** m * lpmv(m, u, np.cos(theta))  # lpmv carries the Condon-Shortley phase
+    leg = np.sin(theta) ** m * Legendre.basis(u).deriv(m)(np.cos(theta))
     if v == 0:
         return norm * leg
     return np.sqrt(2.0) * norm * leg * (np.cos(m * phi) if v > 0 else np.sin(m * phi))
@@ -63,14 +80,14 @@ def scipy_real_sh(u, v, theta, phi):
     st.lists(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)), max_size=20),
 )
 @settings(max_examples=100, deadline=None)
-def test_real_sh_matches_the_scipy_formula(U, angles):
+def test_real_sh_matches_the_legendre_formula(U, angles):
     theta, phi = np.array([(0.0, 0.3), (np.pi, 1.1), *angles]).T  # both poles, then drawn
     Y = real_sh(U, theta, phi)
     assert Y.shape == (len(theta), (U + 1) ** 2)
     for u in range(U + 1):
         for v in range(-u, u + 1):
             ours = Y[:, flat(u, v)]
-            assert np.max(np.abs(ours - scipy_real_sh(u, v, theta, phi))) <= 1e-13, (u, v)
+            assert np.max(np.abs(ours - legendre_real_sh(u, v, theta, phi))) <= 1e-13, (u, v)
 
 
 def test_quadrature_orthogonality():
