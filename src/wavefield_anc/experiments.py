@@ -97,6 +97,8 @@ class OutputBundle:
         """The PINN fit to the mic signals (the "train" stage), saved as model.txt."""
         sc = self.spec.scenario
         fs, c = sc.sample_rate, sc.speed_of_sound
+        # at full length (column-major): train_pinn's target RMS sums in memory order, so a
+        # one-period (row-major) array would move the model's last bits on some tone sets
         mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
         with self.stage("train"):
             params, self.report = train_pinn(sc, mics, self.spec.train)
@@ -166,16 +168,14 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
 
     f_max = max(comp.frequency for comp in sc.primary_source.components)
     U = max_order(f_max, MIC_RADIUS, c)
+    P = sc.period_samples  # the window: one period, so the SH fit's DFT bins hold every tone
     rows = []
     with run.stage("evaluate"):
-        series = sh_fit(sc.monitoring_positions, mics, U, fs)
+        series = sh_fit(sc.monitoring_positions, mics[:, :P], U, fs)
         for r_s in spec.radii:
             pts = sphere_points(r_s, SWEEP_POINTS)
-            # PINN first, then the truth: one (SWEEP_POINTS, T) estimate alive at a time
-            est = pinn_predict(params, norm, pts, fs, sc.num_samples)
-            truth = propagate_tonal(sc.primary_source, pts, fs, sc.num_samples, c)
-            eps_nn = ratio_to_db(interpolation_error(truth, est))
-            del est
+            truth = propagate_tonal(sc.primary_source, pts, fs, P, c)
+            eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, norm, pts, fs, P)))
             eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
             rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
@@ -185,6 +185,7 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     metrics = {
         "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
         "mean_margin_db_02_04": float(np.mean(rows[in_band, 1] - rows[in_band, 2])),
+        "window_samples": P,  # the samples every error is taken over
         "train_final_data_loss": run.report.final_data_loss,
     }
     return metrics, True

@@ -12,7 +12,7 @@ import pytest
 
 import wavefield_anc
 from wavefield_anc import experiments
-from wavefield_anc.acoustics import TonalSource, ToneComponent
+from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.cli import build_parser, main, resolve_spec
 from wavefield_anc.experiments import (
     DEFAULT_RADII,
@@ -22,8 +22,10 @@ from wavefield_anc.experiments import (
     run_interp_sweep,
     run_validate,
 )
-from wavefield_anc.pinn import TrainConfig
-from wavefield_anc.scenario import ScenarioConfig, default_scenario
+from wavefield_anc.geometry import sphere_points
+from wavefield_anc.pinn import TrainConfig, load_params, pinn_predict
+from wavefield_anc.scenario import MIC_RADIUS, ScenarioConfig, default_scenario
+from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
 QUICK = TrainConfig(epochs=1500, restarts=1)
 
@@ -351,6 +353,63 @@ def test_interp_sweep_quick(tmp_path):
     assert_records_run(summary, ["train", "evaluate"])
     metrics = summary["metrics"]  # the fit in dB, from the loss the report gives
     assert metrics["train_fit_db"] == 10 * np.log10(metrics["train_final_data_loss"])
+    assert metrics["window_samples"] == default_scenario(0).period_samples == 240
+
+
+def with_tones(sc, freqs):
+    """``sc`` with its first tones moved to ``freqs``, amplitudes and phases kept."""
+    src = sc.primary_source
+    tones = tuple(dataclasses.replace(t, frequency=f) for f, t in zip(freqs, src.components))
+    return dataclasses.replace(sc, primary_source=TonalSource(src.position, tones))
+
+
+def test_sweep_sh_baseline_free_of_window_leakage(tmp_path):
+    """375 Hz repeats every 64 samples, which do not divide the scenario's 2 400: over the
+    whole window the SH fit's DFT leaks and its error read +28.7 dB at 0.10 m. Over one
+    period it stays below 0 dB at every radius (the SH column does not depend on training)."""
+    sc = with_tones(default_scenario(0), [375.0])
+    assert sc.num_samples % sc.period_samples != 0
+    spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=5, restarts=1),
+                          out_dir=tmp_path / "o")
+    bundle = run_interp_sweep(spec)
+    rows = np.loadtxt(bundle.csv_paths["interp_sweep"], delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], DEFAULT_RADII)
+    assert np.all(rows[:, 1] < 0.0), rows[:, 1]
+    assert bundle.summary["metrics"]["window_samples"] == 64
+
+
+@pytest.mark.parametrize("freqs", [(300.0, 400.0, 500.0), (250.0, 350.0, 450.0)],
+                         ids=["240-sample-period", "480-sample-period"])
+def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
+    """Where the period divides the scenario's samples, the sweep's one-period rows equal
+    the errors taken over all of them, from mics, truth and PINN at full length."""
+    written = {}
+
+    def record_csv(self, name, header, rows):
+        written[name] = np.array(rows)
+        real_csv(self, name, header, rows)
+
+    real_csv = experiments.OutputBundle.csv
+    monkeypatch.setattr(experiments.OutputBundle, "csv", record_csv)
+    sc = with_tones(default_scenario(0), freqs)
+    spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=25, restarts=1),
+                          radii=(0.1, 0.2, 0.3), out_dir=tmp_path / "o")
+    bundle = run_interp_sweep(spec)
+    window = bundle.summary["metrics"]["window_samples"]
+    assert window == sc.period_samples and sc.num_samples % window == 0
+
+    fs, c, T = sc.sample_rate, sc.speed_of_sound, sc.num_samples
+    params, norm = load_params(bundle.model_path)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, T, c)
+    series = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), MIC_RADIUS, c), fs)
+    full = []
+    for r_s in spec.radii:
+        pts = sphere_points(r_s, experiments.SWEEP_POINTS)
+        truth = propagate_tonal(sc.primary_source, pts, fs, T, c)
+        eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
+        eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, norm, pts, fs, T)))
+        full.append((r_s, eps_sh, eps_nn))
+    np.testing.assert_allclose(written["interp_sweep"], full, rtol=0.0, atol=1e-9)
 
 
 def test_anc_convergence_quick_and_deterministic(tmp_path):
