@@ -120,18 +120,17 @@ def path_distances(
 
 
 def make_path_fir(
-    source_pos: np.ndarray,
+    sources: np.ndarray,
     receivers: np.ndarray,
     sample_rate: float,
     num_taps: int,
     c: float,
 ) -> np.ndarray:
-    """(P, num_taps) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain,
-    one per (P, 3) receiver."""
-    d = path_distances([source_pos], receivers, sample_rate, c, num_taps)[0]
-    delay = d / c * sample_rate
-    offset = np.arange(num_taps) - delay[:, None]
+    """(S, P, num_taps) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain, one per
+    path from the (S, 3) sources to the (P, 3) receivers."""
+    d = path_distances(sources, receivers, sample_rate, c, num_taps)[..., None]
+    offset = np.arange(num_taps) - d / c * sample_rate
     x = np.pi * offset / SINC_WINDOW_HALF_WIDTH  # Blackman window, zero past its half width
     window = 0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
     window[np.abs(offset) > SINC_WINDOW_HALF_WIDTH] = 0.0
-    return np.sinc(offset) * window / (4.0 * np.pi * d)[:, None]
+    return np.sinc(offset) * window / (4.0 * np.pi * d)

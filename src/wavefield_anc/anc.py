@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .acoustics import PATH_TAPS, make_path_fir, propagate_tonal
 from .geometry import as_points
 from .scenario import ScenarioConfig
-from .sh import DB_FLOOR
+from .sh import ratio_to_db
 
 FILTER_LEN = 96  # adaptive FIR taps per secondary source
 EPS_WINDOW = 480  # trailing samples for the per-iteration reduction ratio
@@ -28,13 +28,6 @@ class AncRunReport:
     ear_residual: np.ndarray  # (V, iterations) controlled pressure at the ears
     converged: bool
     iterations: int
-
-
-def path_firs(
-    sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float
-) -> np.ndarray:
-    """(len(sources), len(receivers), PATH_TAPS) FIR models of every source-receiver path."""
-    return np.stack([make_path_fir(s, receivers, sample_rate, PATH_TAPS, c) for s in sources])
 
 
 def _tap_major(firs: np.ndarray) -> np.ndarray:
@@ -95,7 +88,7 @@ def run_anc(
     fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
     iterations = primary.shape[1]
-    paths = path_firs(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
+    paths = make_path_fir(scenario.secondary_positions, sensors, fs, PATH_TAPS, c)  # (L, M, taps)
 
     # Histories run newest first along their first axis: row k holds step
     # iterations - 1 - k and zeros past the end stand for the samples before
@@ -125,7 +118,7 @@ def run_anc(
     # ears, for the reported reduction curve (known to the simulation, not the controller)
     ears = scenario.virtual_positions
     ear_primary = propagate_tonal(src, ears, fs, n_done, c)
-    ear_firs = -path_firs(scenario.secondary_positions, ears, fs, c)
+    ear_firs = -make_path_fir(scenario.secondary_positions, ears, fs, PATH_TAPS, c)
     ear_resid = ear_primary + _fir_sum(y[iterations - n_done :], ear_firs)[::-1].T
 
     # trailing-window power ratio at the ears
@@ -140,7 +133,7 @@ def run_anc(
     wd = csum_d[idx] - csum_d[lo]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(wd > 0, wn / np.maximum(wd, 1e-300), 1.0)
-    eps_db = np.maximum(10.0 * np.log10(np.maximum(ratio, 10.0 ** (DB_FLOOR / 10.0))), DB_FLOOR)
+    eps_db = ratio_to_db(ratio)
 
     return AncRunReport(
         eps_db=eps_db,
@@ -183,7 +176,7 @@ def field_grid_power(
     power = np.empty((len(weight_sets), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
         primary = propagate_tonal(src, grid[row], fs, period, c, start=n_total - period)
-        firs = path_firs(scenario.secondary_positions, grid[row], fs, c)
+        firs = make_path_fir(scenario.secondary_positions, grid[row], fs, PATH_TAPS, c)
         for k, out in enumerate(outputs):
             tail = primary if out is None else primary + _fir_sum(out, firs)[::-1].T
             power[k, row] = np.mean(tail**2, axis=1)

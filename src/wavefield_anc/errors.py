@@ -1,29 +1,25 @@
 """Exception types shared across the package."""
 
 
-class WavefieldError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ZeroDistance(WavefieldError, ValueError):
+class ZeroDistance(ValueError):
     """Source and receiver coincide; the free-field kernel is singular."""
 
 
-class DelayExceedsFilter(WavefieldError, ValueError):
+class DelayExceedsFilter(ValueError):
     """Propagation delay does not fit inside the requested FIR length."""
 
 
-class RadiusMismatch(WavefieldError, ValueError):
+class RadiusMismatch(ValueError):
     """Sensor positions are not on a common sphere."""
 
 
-class EmptySignals(WavefieldError):
+class EmptySignals(Exception):
     """An operation received no signal data."""
 
 
-class ZeroDenominator(WavefieldError):
+class ZeroDenominator(Exception):
     """A power ratio was requested against an identically-zero reference."""
 
 
-class DivergenceDetected(WavefieldError):
+class DivergenceDetected(Exception):
     """Training loss became non-finite in every restart."""

@@ -1,8 +1,8 @@
-"""Oracle checks of acceptance criteria 4, 6 and 7, shared by the tests and ``validate``.
+"""Oracle checks shared by the tests and ``validate``: acceptance criteria 4, 6 and 7, Adam.
 
-Each function recomputes one criterion's figures at fixed seeds and sizes and
-returns them by name. ``LIMITS`` holds the bound that ``tests/test_acceptance.py``
-asserts on each figure.
+Each function recomputes one check's figures at fixed seeds and sizes and returns
+them by name. ``LIMITS`` holds the bound on each figure, which the tests assert and
+``validate`` applies.
 """
 
 from __future__ import annotations
@@ -14,7 +14,15 @@ import numpy as np
 from .acoustics import TonalSource, ToneComponent, propagate_tonal
 from .anc import run_anc
 from .geometry import cart_to_sph, sphere_points
-from .pinn import MlpParams, glorot_init, loss_and_grads, mlp_forward, mlp_second_derivs
+from .pinn import (
+    AdamState,
+    MlpParams,
+    adam_step,
+    glorot_init,
+    loss_and_grads,
+    mlp_forward,
+    mlp_second_derivs,
+)
 from .scenario import ScenarioConfig
 from .sh import real_sh, sh_fit, spherical_bessel_j
 
@@ -29,6 +37,7 @@ LIMITS = {
     "sh_mode_coeff_err": ("<", 1e-6),
     "sh_other_coeff_max": ("<", 1e-6),
     "j1_at_1_err": ("<", 1e-6),
+    "adam_scalar_err": ("<", 0.1),
 }
 _COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
 
@@ -135,3 +144,13 @@ def sh_figures() -> dict[str, float]:
         "sh_other_coeff_max": float(np.max(np.abs(np.delete(coeffs, mode)))),
         "j1_at_1_err": float(abs(spherical_bessel_j(1, 1.0)[1] - 0.3011687)),
     }
+
+
+def adam_figures() -> dict[str, float]:
+    """Adam on (b2 - 3)^2 from b2 = 0 at step size 0.1: |b2 - 3| after 200 steps."""
+    p = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 0.0)
+    st = AdamState.zeros(p)
+    for _ in range(200):
+        g = MlpParams(np.zeros((1, 4)), np.zeros(1), np.zeros(1), 2.0 * (p.b2 - 3.0))
+        p, st = adam_step(p, g, st, 0.1)
+    return {"adam_scalar_err": float(abs(p.b2 - 3.0))}

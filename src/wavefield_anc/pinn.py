@@ -53,9 +53,6 @@ class MlpParams:
     def b2(self, value):
         self._vec[..., -1] = value
 
-    def __iter__(self):
-        return iter((self.W1, self.b1, self.W2, self.b2))
-
     def __getitem__(self, r: int) -> "MlpParams":
         """Network ``r`` of a stack, a view of its row of the vector."""
         return MlpParams.from_vector(self._vec[r], self.hidden)
@@ -129,7 +126,6 @@ class AdamState:
 @dataclass
 class TrainReport:
     history: list[tuple[int, float, float]] = field(default_factory=list)  # epoch, L_data, L_pde
-    initial_data_loss: float = 0.0
     final_data_loss: float = 0.0
     norm: NormSpec | None = None  # time map the winning model was trained under
     restart_scores: list[float | None] = field(default_factory=list)  # None: diverged
@@ -302,7 +298,8 @@ def train_pinn(
     c_eff = norm.c_eff(scenario.speed_of_sound)
 
     targets = mic_signals[:, :period]
-    rms = float(np.sqrt(np.mean(targets**2))) or 1.0
+    # summed in one fixed (column-major) order, whatever the layout of mic_signals
+    rms = float(np.sqrt(np.mean(np.ascontiguousarray(targets.T) ** 2))) or 1.0
     tau = norm.to_tau(np.arange(period) / fs)
     inputs = _with_ones(_grid_inputs(tau, scenario.monitoring_positions))  # (B, 5)
     targets_flat = targets.ravel() / rms
@@ -316,7 +313,7 @@ def train_pinn(
     state = AdamState.zeros(params)
     history = []
     if cfg.epochs == 0:  # no epoch records the fit: the untrained network's data loss
-        initial = final = loss_and_grads(params, inputs, targets_flat, colloc, 0.0, c_eff)[0]
+        final = loss_and_grads(params, inputs, targets_flat, colloc, 0.0, c_eff)[0]
     diverged: dict[int, int] = {}  # restart -> first epoch with a non-finite loss
 
     lr_ratio = LEARNING_RATE_END / LEARNING_RATE
@@ -334,8 +331,6 @@ def train_pinn(
                 diverged.setdefault(int(r), epoch)
             if len(diverged) == cfg.restarts:
                 raise DivergenceDetected(f"non-finite loss in every restart by epoch {epoch}")
-            if epoch == 0:
-                initial = L_data
             params, state = adam_step(params, grads, state, lr)
             if epoch % 100 == 0:
                 history.append((epoch, L_data, L_pde))
@@ -351,7 +346,7 @@ def train_pinn(
     scores = [None if r in diverged else float(s) for r, s in enumerate(scores)]
     best = min((s, r) for r, s in enumerate(scores) if s is not None)[1]
     history = [(e, float(d[best]), float(p[best])) for e, d, p in history]
-    report = TrainReport(history, float(initial[best]), float(final[best]), norm, scores, best)
+    report = TrainReport(history, float(final[best]), norm, scores, best)
     report.diverged_restarts = sorted(diverged.items())
     params = MlpParams.from_vector(params.to_vector()[best].copy(), HIDDEN)  # not a view
     params.to_vector()[5 * HIDDEN :] *= rms  # undo the target normalization: (W2, b2) is linear

@@ -194,8 +194,7 @@ def interpolation_error(truth: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.sum(err)) / den
 
 
-def ratio_to_db(ratio: float) -> float:
-    """10 log10 of a power ratio, floored at -300 dB."""
-    if ratio <= 10.0 ** (DB_FLOOR / 10.0):
-        return DB_FLOOR
-    return float(10.0 * np.log10(ratio))
+def ratio_to_db(ratio: float | np.ndarray) -> float | np.ndarray:
+    """10 log10 of a power ratio or an array of them, floored at -300 dB; float for a scalar."""
+    db = 10.0 * np.log10(np.maximum(ratio, 10.0 ** (DB_FLOOR / 10.0)))
+    return float(db) if np.ndim(db) == 0 else db

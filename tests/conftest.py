@@ -1,12 +1,13 @@
 import pytest
 
-import wavefield_anc as wa
 from wavefield_anc.acoustics import propagate_tonal
+from wavefield_anc.pinn import TrainConfig, train_pinn
+from wavefield_anc.scenario import default_scenario
 
 
 @pytest.fixture(scope="session")
 def scenario():
-    return wa.default_scenario(0)
+    return default_scenario(0)
 
 
 @pytest.fixture(scope="session")
@@ -19,5 +20,5 @@ def mic_signals(scenario):
 @pytest.fixture(scope="session")
 def trained(scenario, mic_signals):
     """Full desk-scale training run, shared across the acceptance tests."""
-    params, report = wa.train_pinn(scenario, mic_signals, wa.TrainConfig())
+    params, report = train_pinn(scenario, mic_signals, TrainConfig())
     return params, report

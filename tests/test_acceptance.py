@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-import wavefield_anc as wa
 from wavefield_anc.acoustics import propagate_tonal
 from wavefield_anc.anc import field_grid_power
 from wavefield_anc.experiments import (

@@ -28,8 +28,7 @@ def propagate_one(source, receiver, num_samples):
 
 
 def fir_one(source_pos, receiver, taps):
-    (fir,) = make_path_fir(source_pos, receiver[None], FS, taps, C)
-    return fir
+    return make_path_fir([source_pos], receiver[None], FS, taps, C)[0, 0]
 
 
 def tone_source(pos, freq=400.0, amp=1.0, phase=0.0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
+from wavefield_anc.acoustics import TonalSource, ToneComponent, make_path_fir, propagate_tonal
 from wavefield_anc.anc import (
     EPS_WINDOW,
     FILTER_LEN,
@@ -14,10 +14,9 @@ from wavefield_anc.anc import (
     field_grid_power,
     filtered_reference,
     fxlms_step,
-    path_firs,
     run_anc,
 )
-from wavefield_anc.pinn import pinn_predict
+from wavefield_anc.pinn import TrainConfig, pinn_predict, train_pinn
 from wavefield_anc.scenario import ScenarioConfig, default_scenario
 from wavefield_anc.sh import DB_FLOOR
 
@@ -174,7 +173,7 @@ def test_weights_are_per_source_newest_lag_first():
     before, after = multipoint(sc, n - 1, mu), multipoint(sc, n, mu)
     assert after.weights.shape == (1, FILTER_LEN)
     fs, c = sc.sample_rate, sc.speed_of_sound
-    paths = path_firs(sc.secondary_positions, sc.monitoring_positions, fs, c)
+    paths = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, PATH_TAPS, c)
     ref = filtered_reference(sc.primary_source.waveform(fs, n), paths)[:FILTER_LEN, 0, 0]
     step = after.weights[0] - before.weights[0]
     e = step @ ref / (ref @ ref) / mu  # the last error, fitted
@@ -207,12 +206,13 @@ def test_ideal_mode_bounds_pinn_mode(scenario, trained_quick):
     assert ideal.eps_db[-480:].mean() <= pinn.eps_db[-480:].mean() + 0.5
 
 
-def test_path_firs_shapes():
+def test_make_path_fir_shapes():
     sc = default_scenario(0)
-    firs = path_firs(
-        sc.secondary_positions, sc.monitoring_positions, sc.sample_rate, sc.speed_of_sound
-    )
-    assert firs.shape == (2, 8, PATH_TAPS)
+    fs, c = sc.sample_rate, sc.speed_of_sound
+    firs = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, PATH_TAPS, c)
+    assert firs.shape == (2, 8, PATH_TAPS)  # (sources, receivers, taps)
+    one = make_path_fir(sc.secondary_positions[:1], sc.virtual_positions, fs, 64, c)
+    assert one.shape == (1, 2, 64)
 
 
 def test_field_grid_zero_weights_is_primary():
@@ -255,7 +255,7 @@ def test_field_grid_matches_brute_force(seed, log_scale, points, far):
     x = sc.primary_source.waveform(fs, n_total)
     for i in points:
         point = np.array([[gx[i], gy[i], 0.0]])
-        firs = path_firs(sc.secondary_positions, point, fs, c)[:, 0]
+        firs = make_path_fir(sc.secondary_positions, point, fs, PATH_TAPS, c)[:, 0]
         p = truth(sc, point, n_total)[0]
         for w_l, fir_l in zip(w, firs):
             p = p + np.convolve(np.convolve(x, -w_l), fir_l)[:n_total]
@@ -273,8 +273,9 @@ def reference_run_anc(scenario, sensors, primary, mu):
     src = scenario.primary_source
     iterations = primary.shape[1]
     ear_primary = truth(scenario, scenario.virtual_positions, iterations)
-    S = path_firs(scenario.secondary_positions, sensors, fs, c)
-    S_ear = path_firs(scenario.secondary_positions, scenario.virtual_positions, fs, c)
+    secondaries, ears = scenario.secondary_positions, scenario.virtual_positions
+    S = make_path_fir(secondaries, sensors, fs, PATH_TAPS, c)
+    S_ear = make_path_fir(secondaries, ears, fs, PATH_TAPS, c)
     L, M = S.shape[:2]
     x = src.waveform(fs, iterations)
 
@@ -398,9 +399,5 @@ def test_run_anc_matches_shift_register_loop(
 
 @pytest.fixture(scope="module")
 def trained_quick(scenario, mic_signals):
-    import wavefield_anc as wa
-
-    params, report = wa.train_pinn(
-        scenario, mic_signals, wa.TrainConfig(epochs=3000, restarts=1)
-    )
+    params, report = train_pinn(scenario, mic_signals, TrainConfig(epochs=3000, restarts=1))
     return params, report

@@ -124,6 +124,11 @@ def loss_and_grads_unfused(params, U, tgt, C, lam, c_eff):
     return np.mean(resid**2), np.mean(R**2), MlpParams(gW1, gb1, gW2, gb2)
 
 
+def fields(params):
+    """The four weight arrays of an MlpParams, in its vector's order."""
+    return params.W1, params.b1, params.W2, params.b2
+
+
 def random_network(rng, n):
     params = glorot_init(int(rng.integers(1000)), n)
     params.W1[:, 0] *= rng.choice([1.0, 100.0])
@@ -150,7 +155,7 @@ def test_fused_loss_and_grads_matches_unfused(seed, n):
     ref_data, ref_pde, ref = loss_and_grads_unfused(params, U, tgt, C, lam, c_eff)
     assert abs(L_data - ref_data) <= 1e-12 * ref_data
     assert abs(L_pde - ref_pde) <= 1e-12 * ref_pde
-    for got, want in zip(grads, ref):
+    for got, want in zip(fields(grads), fields(ref)):
         assert np.shape(got) == np.shape(want)
         assert rel_err(np.asarray(got), np.asarray(want)) <= 1e-12
 
@@ -160,13 +165,13 @@ def test_fused_loss_and_grads_matches_unfused(seed, n):
 def test_stacked_loss_and_grads_is_each_network_alone(seed, n, restarts):
     rng = np.random.default_rng(seed)
     nets = [random_network(rng, n) for _ in range(restarts)]
-    stack = MlpParams(*(np.stack(f) for f in zip(*nets)))
+    stack = MlpParams.from_vector(np.stack([p.to_vector() for p in nets]), n)
     U, tgt, C, lam, c_eff = kernel_case(rng, restarts)
     L_data, L_pde, grads = loss_and_grads(stack, U, tgt, C, lam, c_eff)
     for r, net in enumerate(nets):
         alone = loss_and_grads(net, U, tgt, C[r], lam, c_eff)
         assert L_data[r] == alone[0] and L_pde[r] == alone[1]
-        for got, want in zip(grads, alone[2]):
+        for got, want in zip(fields(grads), fields(alone[2])):
             assert np.array_equal(got[r], want)
 
 
@@ -196,15 +201,19 @@ def test_propagate_tonal_matches_per_point(seed, count, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, count=counts, taps=st.sampled_from([64, 128, 256]))
-def test_make_path_fir_matches_per_point(seed, count, taps):
+@given(
+    seed=seeds, count=counts, sources=st.integers(1, 3), taps=st.sampled_from([64, 128, 256])
+)
+def test_make_path_fir_matches_per_point(seed, count, sources, taps):
     rng = np.random.default_rng(seed)
     # 0.1 to 0.6 m: the delay fits the shortest filter
-    source_pos = random_points(rng, 1, 0.3, 0.4)[0]
+    source_pos = random_points(rng, sources, 0.3, 0.4)
     receivers = random_points(rng, count, 0.01, 0.2)
     out = make_path_fir(source_pos, receivers, FS, taps, C)
-    assert out.shape == (count, taps)
-    assert np.array_equal(out, [fir_one(source_pos, r, taps) for r in receivers])
+    assert out.shape == (sources, count, taps)
+    for s, row in zip(source_pos, out):  # each source's row is a one-source call
+        assert np.array_equal(row, make_path_fir([s], receivers, FS, taps, C)[0])
+        assert np.array_equal(row, [fir_one(s, r, taps) for r in receivers])
 
 
 @settings(max_examples=25, deadline=None)

@@ -23,6 +23,7 @@ from wavefield_anc.experiments import (
     run_validate,
 )
 from wavefield_anc.geometry import sphere_points
+from wavefield_anc.oracles import LIMITS
 from wavefield_anc.pinn import TrainConfig, load_params, pinn_predict
 from wavefield_anc.scenario import MIC_RADIUS, ScenarioConfig, default_scenario
 from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
@@ -206,13 +207,6 @@ def test_sweep_above_sh_order_4_runs(tmp_path):
     assert len((out / "interp_sweep.csv").read_text().splitlines()) == 1 + len(DEFAULT_RADII)
 
 
-def test_public_names_resolve():
-    assert "ShIndex" not in wavefield_anc.__all__
-    assert not hasattr(wavefield_anc, "ShIndex")
-    for name in wavefield_anc.__all__:
-        assert getattr(wavefield_anc, name) is not None, name
-
-
 @pytest.mark.parametrize("experiment", ["anc-convergence", "field-map"])
 def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     monkeypatch.setattr(experiments, "ANC_MU", 1e-2)  # far past the stable step size
@@ -352,7 +346,8 @@ def test_interp_sweep_quick(tmp_path):
     assert bundle.model_path.exists()
     assert_records_run(summary, ["train", "evaluate"])
     metrics = summary["metrics"]  # the fit in dB, from the loss the report gives
-    assert metrics["train_fit_db"] == 10 * np.log10(metrics["train_final_data_loss"])
+    assert metrics["train_fit_db"] == 10 * np.log10(bundle.report.final_data_loss)
+    assert "train_final_data_loss" not in metrics
     assert metrics["window_samples"] == default_scenario(0).period_samples == 240
 
 
@@ -447,7 +442,28 @@ def test_run_validate_reports_checks(tmp_path):
     checks = bundle.summary["metrics"]["checks"]
     assert checks["gradient_max_rel_err"]["pass"]
     assert checks["j1_at_1_err"]["pass"]
+    assert set(checks) == set(LIMITS)  # every check is bounded in LIMITS, and by that bound
+    for name, record in checks.items():
+        assert record["bound"] == "{} {}".format(*LIMITS[name]), name
     assert_records_run(bundle.summary, ["checks"])
+
+
+def test_sweep_sh_order_follows_the_mics_radius(tmp_path, monkeypatch):
+    """Corner mics on a 0.4 m sphere need SH order ceil(2 pi 500 Hz 0.4 m / c) = 4, not the
+    order 3 of the default 0.26 m sphere."""
+    orders, real_fit = [], experiments.sh_fit
+
+    def recording(positions, signals, U, *args, **kwargs):
+        orders.append(U)
+        return real_fit(positions, signals, U, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sh_fit", recording)
+    sc = default_scenario(0)
+    sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / MIC_RADIUS)
+    spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=2, restarts=1),
+                          radii=(0.2, 0.3), out_dir=tmp_path / "o")
+    assert run_interp_sweep(spec).ok
+    assert orders == [4]
 
 
 def test_bad_radii_rejected(tmp_path):

@@ -284,6 +284,15 @@ def test_interpolation_error_shape_mismatch():
 def test_ratio_to_db_floor():
     assert ratio_to_db(0.0) == -300.0
     assert ratio_to_db(1.0) == 0.0
+    assert type(ratio_to_db(10.0)) is float
+
+
+def test_ratio_to_db_on_arrays_is_the_scalar_result():
+    ratios = np.array([0.0, 1e-31, 1e-30, 1e-29, 1.0, 10.0])
+    db = ratio_to_db(ratios)
+    assert isinstance(db, np.ndarray) and db.shape == ratios.shape
+    assert np.array_equal(db, [ratio_to_db(float(r)) for r in ratios])
+    assert db[0] == -300.0
 
 
 @given(st.floats(1e-20, 1e10))
