@@ -53,8 +53,8 @@ class ExperimentSpec:
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
         radii = tuple(float(r) for r in self.radii)
-        if any(r <= 0 for r in radii) or list(radii) != sorted(radii):
-            raise ValueError("sweep radii must be positive and ascending")
+        if not radii or any(r <= 0 for r in radii) or list(radii) != sorted(radii):
+            raise ValueError("sweep radii must be at least one, positive and ascending")
         self.radii = radii
         if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
             common_radius(self.scenario.monitoring_positions)
@@ -178,9 +178,10 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     run.csv("interp_sweep", ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
 
     in_band = (rows[:, 0] >= 0.2 - 1e-9) & (rows[:, 0] <= 0.4 + 1e-9)
+    margins = rows[in_band, 1] - rows[in_band, 2]  # none: no swept radius in the band
     metrics = {
         "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
-        "mean_margin_db_02_04": float(np.mean(rows[in_band, 1] - rows[in_band, 2])),
+        "mean_margin_db_02_04": float(np.mean(margins)) if margins.size else None,
         "window_samples": P,  # the samples every error is taken over
     }
     return metrics, True

@@ -23,6 +23,8 @@ COLLOCATION_COUNT = 100  # mic positions plus ball-sampled points
 TIME_SCALE = 100.0  # init multiplier on the time column of W1
 LEARNING_RATE = 1e-2  # decays geometrically to LEARNING_RATE_END over the epochs
 LEARNING_RATE_END = 1e-4
+PDE_WEIGHT = 3e-8  # ramps geometrically to PDE_WEIGHT_END over the epochs
+PDE_WEIGHT_END = 3e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -52,10 +54,6 @@ class MlpParams:
     @b2.setter
     def b2(self, value):
         self._vec[..., -1] = value
-
-    def __getitem__(self, r: int) -> "MlpParams":
-        """Network ``r`` of a stack, a view of its row of the vector."""
-        return MlpParams.from_vector(self._vec[r], self.hidden)
 
     def to_vector(self) -> np.ndarray:
         """The parameter vector itself, not a copy."""
@@ -91,23 +89,21 @@ class NormSpec:
 
 @dataclass
 class TrainConfig:
-    """Training schedule.
+    """Training budget and seeds.
 
-    The learning rate decays geometrically from LEARNING_RATE to
-    LEARNING_RATE_END and the PDE weight ramps geometrically from
-    ``pde_weight`` to ``pde_weight_end`` over the epoch budget. ``restarts``
-    independent seeds are trained and the winner is picked by data loss plus a
-    small interior wave-equation residual penalty (spatial-overfit guard).
+    Over the ``epochs`` the learning rate decays geometrically from
+    LEARNING_RATE to LEARNING_RATE_END and the PDE weight ramps geometrically
+    from PDE_WEIGHT to PDE_WEIGHT_END. ``restarts`` independent seeds from
+    ``seed`` on are trained and the winner is picked by data loss plus a small
+    interior wave-equation residual penalty (spatial-overfit guard).
     """
 
     epochs: int = 50_000
-    pde_weight: float = 3e-8
-    pde_weight_end: float = 3e-7
     restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.pde_weight < 0 or self.pde_weight_end < 0 or self.restarts < 1:
+        if self.epochs < 0 or self.restarts < 1:
             raise ValueError("bad training configuration")
 
 
@@ -153,21 +149,23 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def mlp_second_derivs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Pure second partials wrt each of the four inputs; shape (B, 4) or (4,)."""
+    """Pure second partials wrt each of the four inputs; shape (..., B, 4) for (B, 4)
+    inputs or (..., 4) for (4,), the leading axes those of a stack of networks."""
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    h = np.tanh(u @ params.W1.T + params.b1)
+    h = np.tanh(u @ params.W1.swapaxes(-1, -2) + params.b1[..., None, :])
     hpp = -2.0 * h * (1.0 - h * h)  # tanh''
-    d2 = (params.W2 * hpp) @ (params.W1**2)  # (B, 4)
-    return d2 if np.asarray(inputs).ndim > 1 else d2[0]
+    d2 = (params.W2[..., None, :] * hpp) @ (params.W1**2)  # (..., B, 4)
+    return d2 if np.asarray(inputs).ndim > 1 else d2[..., 0, :]
 
 
 def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndarray | float:
-    """Wave-equation residual c_eff^2 * Laplacian - d^2/dtau^2 at each input."""
+    """Wave-equation residual c_eff^2 * Laplacian - d^2/dtau^2 at each input; (..., B)
+    for (B, 4) inputs, (...) for (4,), the leading axes those of a stack of networks."""
     if c_eff <= 0:
         raise ValueError("c_eff must be positive")
-    d2 = np.atleast_2d(mlp_second_derivs(params, inputs))
-    res = c_eff**2 * d2[:, 1:].sum(axis=1) - d2[:, 0]
-    return res if np.asarray(inputs).ndim > 1 else float(res[0])
+    d2 = mlp_second_derivs(params, np.atleast_2d(inputs))
+    res = c_eff**2 * d2[..., 1:].sum(axis=-1) - d2[..., 0]
+    return res if np.asarray(inputs).ndim > 1 else res[..., 0][()]
 
 
 def _with_ones(inputs: np.ndarray) -> np.ndarray:
@@ -317,13 +315,13 @@ def train_pinn(
     diverged: dict[int, int] = {}  # restart -> first epoch with a non-finite loss
 
     lr_ratio = LEARNING_RATE_END / LEARNING_RATE
-    lam_ratio = cfg.pde_weight_end / cfg.pde_weight if cfg.pde_weight > 0 else 1.0
+    lam_ratio = PDE_WEIGHT_END / PDE_WEIGHT if PDE_WEIGHT > 0 else 1.0
     denom = max(cfg.epochs - 1, 1)
     with np.errstate(all="ignore"):  # a diverging restart stays in its own slice
         for epoch in range(cfg.epochs):
             frac = epoch / denom
             lr = LEARNING_RATE * lr_ratio**frac
-            lam = cfg.pde_weight * lam_ratio**frac
+            lam = PDE_WEIGHT * lam_ratio**frac
             for r, rng in enumerate(rngs):
                 colloc[r, :, 0] = rng.uniform(-norm.half_range, norm.half_range, size=A)
             L_data, L_pde, grads = loss_and_grads(params, inputs, targets_flat, colloc, lam, c_eff)
@@ -341,7 +339,7 @@ def train_pinn(
         val_xyz = ball_points(MIC_RADIUS, VALIDATION_POINTS, seed=cfg.seed + VALIDATION_SEED_OFFSET)
         val_tau = val_rng.uniform(-norm.half_range, norm.half_range, size=VALIDATION_POINTS)
         val_points = np.column_stack([val_tau, val_xyz])
-        resid = np.stack([pde_residual(params[r], val_points, c_eff) for r in range(cfg.restarts)])
+        resid = pde_residual(params, val_points, c_eff)  # (restarts, VALIDATION_POINTS)
         scores = final + PDE_SCORE_WEIGHT * np.mean(resid**2, axis=-1)
     scores = [None if r in diverged else float(s) for r, s in enumerate(scores)]
     best = min((s, r) for r, s in enumerate(scores) if s is not None)[1]

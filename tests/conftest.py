@@ -1,8 +1,20 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from wavefield_anc.acoustics import propagate_tonal
-from wavefield_anc.pinn import TrainConfig, train_pinn
 from wavefield_anc.scenario import default_scenario
+
+
+def read_summary(path) -> dict:
+    """A run's summary.json, parsed strictly: the NaN, Infinity and -Infinity that
+    ``json.dumps`` writes for non-finite floats are not JSON, and raise ValueError."""
+
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 @pytest.fixture(scope="session")
@@ -15,10 +27,3 @@ def mic_signals(scenario):
     sc = scenario
     fs, c = sc.sample_rate, sc.speed_of_sound
     return propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
-
-
-@pytest.fixture(scope="session")
-def trained(scenario, mic_signals):
-    """Full desk-scale training run, shared across the acceptance tests."""
-    params, report = train_pinn(scenario, mic_signals, TrainConfig())
-    return params, report

@@ -19,6 +19,7 @@ from wavefield_anc.pinn import (
     glorot_init,
     loss_and_grads,
     mlp_forward,
+    pde_residual,
     pinn_predict,
 )
 from wavefield_anc.scenario import default_scenario
@@ -168,11 +169,13 @@ def test_stacked_loss_and_grads_is_each_network_alone(seed, n, restarts):
     stack = MlpParams.from_vector(np.stack([p.to_vector() for p in nets]), n)
     U, tgt, C, lam, c_eff = kernel_case(rng, restarts)
     L_data, L_pde, grads = loss_and_grads(stack, U, tgt, C, lam, c_eff)
+    residual = pde_residual(stack, U, c_eff)  # the restart score's term, at shared points
     for r, net in enumerate(nets):
         alone = loss_and_grads(net, U, tgt, C[r], lam, c_eff)
         assert L_data[r] == alone[0] and L_pde[r] == alone[1]
         for got, want in zip(fields(grads), fields(alone[2])):
             assert np.array_equal(got[r], want)
+        assert np.array_equal(residual[r], pde_residual(net, U, c_eff))
 
 
 @settings(max_examples=40, deadline=None)

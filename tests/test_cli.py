@@ -28,6 +28,8 @@ from wavefield_anc.pinn import TrainConfig, load_params, pinn_predict
 from wavefield_anc.scenario import MIC_RADIUS, ScenarioConfig, default_scenario
 from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
+from conftest import read_summary
+
 QUICK = TrainConfig(epochs=1500, restarts=1)
 
 
@@ -202,7 +204,7 @@ def test_sweep_above_sh_order_4_runs(tmp_path):
     path.write_text(json.dumps(d))
     out = tmp_path / "o"
     assert main(["interp-sweep", "--config", str(path), "--epochs", "5", "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out / "summary.json")
     assert summary["ok"] is True
     assert len((out / "interp_sweep.csv").read_text().splitlines()) == 1 + len(DEFAULT_RADII)
 
@@ -212,7 +214,7 @@ def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     monkeypatch.setattr(experiments, "ANC_MU", 1e-2)  # far past the stable step size
     out = tmp_path / "o"
     assert main([experiment, "--epochs", "10", "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out / "summary.json")
     assert summary["ok"] is False
     metrics = summary["metrics"]
     assert not (metrics["multipoint_converged"] and metrics["pinn_converged"])
@@ -244,7 +246,7 @@ def test_every_restart_diverging_fails_the_train_stage(tmp_path):
     run = run_python(code, out)
     assert run.returncode == 1
     assert "Traceback" in run.stderr and "DivergenceDetected" in run.stderr
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out / "summary.json")
     assert summary["ok"] is False and summary["failed_stage"] == "train"
     assert summary["error"].startswith("DivergenceDetected: non-finite loss in every restart")
     assert summary["timings"] == {} and summary["metrics"] == {}
@@ -269,7 +271,7 @@ def test_failed_stage_is_named_in_the_summary(tmp_path, monkeypatch, name, stage
     spec.train = dataclasses.replace(QUICK, epochs=10)
     with pytest.raises(RuntimeError, match="broken on purpose"):
         run_field_map(spec)
-    summary = json.loads((spec.out_dir / "summary.json").read_text())
+    summary = read_summary(spec.out_dir / "summary.json")
     assert summary["ok"] is False and summary["failed_stage"] == stage
     assert summary["error"] == "RuntimeError: broken on purpose"
     assert list(summary["timings"]) == stages
@@ -333,7 +335,7 @@ def test_array_dataclasses_compare_by_identity_and_hash():
 def test_validate_cli_exit_0(tmp_path, capsys):
     code = main(["validate", "--out", str(tmp_path / "v")])
     assert code == 0
-    assert (tmp_path / "v" / "summary.json").exists()
+    assert read_summary(tmp_path / "v" / "summary.json")["ok"] is True
 
 
 def test_interp_sweep_quick(tmp_path):
@@ -341,7 +343,7 @@ def test_interp_sweep_quick(tmp_path):
     csv = bundle.csv_paths["interp_sweep"].read_text().splitlines()
     assert csv[0] == "r_s,eps_sh_dB,eps_pinn_dB"
     assert len(csv) == 4  # header + 3 radii
-    summary = json.loads(bundle.json_path.read_text())
+    summary = read_summary(bundle.json_path)
     assert summary["config"]["scenario"] == default_scenario(0).to_dict()
     assert bundle.model_path.exists()
     assert_records_run(summary, ["train", "evaluate"])
@@ -419,7 +421,7 @@ def test_anc_convergence_quick_and_deterministic(tmp_path):
     it, mp0, pn0 = first.split(",")
     assert it == "0"
     assert abs(float(mp0)) < 0.5 and abs(float(pn0)) < 0.5
-    summary = json.loads(b1.json_path.read_text())
+    summary = read_summary(b1.json_path)
     assert_records_run(summary, ["train", "anc"])
     # the summary names the model file it came with by its content
     assert summary["model_sha256"] == hashlib.sha256(b1.model_path.read_bytes()).hexdigest()
@@ -433,7 +435,7 @@ def test_field_map_quick(tmp_path):
         assert len(lines) == 442
     primary = np.loadtxt(bundle.csv_paths["field_primary"], delimiter=",", skiprows=1)
     assert primary[:, 2].max() == pytest.approx(0.0, abs=1e-9)
-    assert_records_run(json.loads(bundle.json_path.read_text()), ["train", "anc", "field"])
+    assert_records_run(read_summary(bundle.json_path), ["train", "anc", "field"])
 
 
 def test_run_validate_reports_checks(tmp_path):
@@ -467,5 +469,16 @@ def test_sweep_sh_order_follows_the_mics_radius(tmp_path, monkeypatch):
 
 
 def test_bad_radii_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        quick_spec("interp-sweep", tmp_path, radii=(0.3, 0.1))
+    for radii in [(0.3, 0.1), ()]:
+        with pytest.raises(ValueError):
+            quick_spec("interp-sweep", tmp_path, radii=radii)
+
+
+def test_sweep_without_a_radius_in_the_margin_band_writes_null(tmp_path):
+    """With no swept radius in [0.2, 0.4] the mean margin has nothing to average: the
+    summary says null, where NaN would not parse as JSON."""
+    spec = ExperimentSpec("interp-sweep", default_scenario(0), TrainConfig(epochs=2, restarts=1),
+                          radii=(0.1,), out_dir=tmp_path / "o")
+    run_interp_sweep(spec)
+    summary = read_summary(spec.out_dir / "summary.json")
+    assert summary["ok"] is True and summary["metrics"]["mean_margin_db_02_04"] is None
