@@ -9,7 +9,7 @@ from wavefield_anc.cli import main
 OUT = Path("results")
 
 if __name__ == "__main__":
-    extra = sys.argv[1:]  # e.g. --paper-scale or --epochs N
+    extra = sys.argv[1:]  # e.g. --epochs N
     rc = 0
     for experiment in ("validate", "interp-sweep", "anc-convergence", "field-map"):
         code = main([experiment, "--out", str(OUT / experiment), *extra])

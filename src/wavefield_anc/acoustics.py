@@ -71,7 +71,13 @@ def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray, sample
         tone *= (comp.amplitude * gains)[:, None]
         p += tone
     del tone  # before the full-length output is allocated, so the heap can reuse its block
-    return p if count == num_samples else p[:, np.arange(num_samples) % count]
+    return repeat_period(p, num_samples)
+
+
+def repeat_period(one_period: np.ndarray, num_samples: int) -> np.ndarray:
+    """(..., num_samples) signals from one period's (..., P) samples: sample n is column n mod P."""
+    period = one_period.shape[-1]
+    return one_period if num_samples == period else one_period[..., np.arange(num_samples) % period]
 
 
 def propagate_tonal(

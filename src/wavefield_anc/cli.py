@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-    wavefield-anc <experiment> --config <path> --out <dir> [--seed N]
-                  [--epochs N] [--paper-scale]
+    wavefield-anc <experiment> --config <path> --out <dir> [--seed N] [--epochs N]
 
 Exit codes: 0 success, 1 check failure or failed stage (named in summary.json), 2 config error.
 """
@@ -9,7 +8,6 @@ Exit codes: 0 success, 1 check failure or failed stage (named in summary.json), 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,8 +15,6 @@ from pathlib import Path
 from .experiments import RUNNERS, ExperimentSpec
 from .pinn import TrainConfig
 from .scenario import ScenarioConfig, default_scenario
-
-PAPER_SCALE_EPOCHS = 500_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,12 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="scenario JSON (default: built-in)")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="scenario and training seed")
-    parser.add_argument("--epochs", type=int, help="override the training epoch budget")
-    parser.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help=f"full-budget training ({PAPER_SCALE_EPOCHS} epochs)",
-    )
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
     return parser
 
 
@@ -46,11 +37,7 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         scenario = ScenarioConfig.load(args.config)
     else:
         scenario = default_scenario(args.seed)
-    train = TrainConfig(seed=args.seed)
-    if args.paper_scale:
-        train = dataclasses.replace(train, epochs=PAPER_SCALE_EPOCHS)
-    if args.epochs is not None:
-        train = dataclasses.replace(train, epochs=args.epochs)
+    train = TrainConfig(epochs=args.epochs, seed=args.seed)
     return ExperimentSpec(
         experiment=args.experiment, scenario=scenario, train=train, out_dir=args.out
     )

@@ -53,8 +53,8 @@ class ExperimentSpec:
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
         radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0 for r in radii) or list(radii) != sorted(radii):
-            raise ValueError("sweep radii must be at least one, positive and ascending")
+        if not radii or not all(0 < r < np.inf for r in radii) or list(radii) != sorted(radii):
+            raise ValueError("sweep radii must be at least one, finite, positive and ascending")
         self.radii = radii
         if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
             common_radius(self.scenario.monitoring_positions)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
+from .acoustics import repeat_period
 from .errors import DivergenceDetected
 from .geometry import ball_points
 from .scenario import MIC_RADIUS, ScenarioConfig
@@ -28,6 +29,7 @@ PDE_WEIGHT_END = 3e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PREDICT_BLOCK_ROWS = 8192  # inputs per pinn_predict block: a 1 MB (rows, HIDDEN) hidden array
 
 
 class MlpParams:
@@ -361,12 +363,19 @@ def pinn_predict(
     """The network's signal at each of the (P, 3) points; (P, num_samples).
 
     The network models one period, ``norm.duration``, of a periodic field: it is
-    evaluated on that period's time grid and repeated to ``num_samples``.
+    evaluated on that period's time grid, in blocks of PREDICT_BLOCK_ROWS inputs, and
+    repeated to ``num_samples``. Blocks start at multiples of it and none is one row (numpy
+    rounds a one-row product otherwise), so outputs are bitwise one single-threaded pass's.
     """
     period = round(norm.duration * sample_rate)
-    inputs = _grid_inputs(norm.to_tau(np.arange(period) / sample_rate), points)
-    one_period = mlp_forward(params, inputs).reshape(len(points), period)
-    return np.tile(one_period, -(-num_samples // period))[:, :num_samples]
+    tau = norm.to_tau(np.arange(period) / sample_rate)
+    out = np.empty(len(points) * period)
+    bounds = [0, *range(PREDICT_BLOCK_ROWS, out.size - 1, PREDICT_BLOCK_ROWS), out.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        skip = start % period  # rows of its first point that the previous block evaluated
+        grid = _grid_inputs(tau, points[start // period : -(-stop // period)])
+        out[start:stop] = mlp_forward(params, grid[skip : skip + stop - start])
+    return repeat_period(out.reshape(len(points), period), num_samples)
 
 
 def save_params(params: MlpParams, norm: NormSpec, path: str | Path):

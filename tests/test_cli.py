@@ -67,8 +67,6 @@ def test_parser_defaults():
 
 
 def test_parser_epoch_overrides():
-    args = build_parser().parse_args(["interp-sweep", "--paper-scale"])
-    assert resolve_spec(args).train.epochs == 500_000
     args = build_parser().parse_args(["interp-sweep", "--epochs", "123"])
     assert resolve_spec(args).train.epochs == 123
 
@@ -469,7 +467,7 @@ def test_sweep_sh_order_follows_the_mics_radius(tmp_path, monkeypatch):
 
 
 def test_bad_radii_rejected(tmp_path):
-    for radii in [(0.3, 0.1), ()]:
+    for radii in [(0.3, 0.1), (), (0.2, float("nan")), (0.2, float("inf")), (float("nan"),)]:
         with pytest.raises(ValueError):
             quick_spec("interp-sweep", tmp_path, radii=radii)
 

@@ -1,8 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavefield_anc import pinn
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
@@ -388,6 +395,73 @@ def test_predict_tiles_one_period(num_samples):
     one_period = pinn_predict(p, norm, points, 24_000.0, 240)
     out = pinn_predict(p, norm, points, 24_000.0, num_samples)
     assert np.array_equal(out, np.tile(one_period, 5)[:, :num_samples])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    period=st.one_of(st.integers(1, 600), st.integers(pinn.PREDICT_BLOCK_ROWS + 1, 9_000)),
+    count_pick=st.integers(0, 4),
+    samples_pick=st.sampled_from(["below", "equal", "above"]),
+    extra=st.integers(0, 10**6),
+)
+@example(seed=2, period=3, count_pick=3, samples_pick="equal", extra=0)  # 8 193 inputs: 8 192 + 1
+def _predict_is_one_whole_grid_pass(seed, period, count_pick, samples_pick, extra):
+    """Called by test_predict_blocks_are_one_whole_grid_pass, on one BLAS thread."""
+    rng = np.random.default_rng(seed)
+    params = glorot_init(seed % 1000, pinn.HIDDEN)
+    params.W1[:, 0] *= pinn.TIME_SCALE
+    params.b1[...] = rng.normal(size=pinn.HIDDEN)
+    step = max(1, pinn.PREDICT_BLOCK_ROWS // period)  # whole points' grids that fit in a block
+    counts = [c for c in (1, step - 1, step, step + 1, 400) if 1 <= c <= 240_000 // period]
+    count = counts[count_pick % len(counts)]
+    if period == 1 or samples_pick == "equal":
+        num_samples = period
+    elif samples_pick == "below":
+        num_samples = 1 + extra % (period - 1)
+    else:  # above the period and not a multiple of it
+        num_samples = period * (1 + extra % 3) + 1 + extra % (period - 1)
+    points = rng.uniform(-0.5, 0.5, (count, 3))
+    norm = NormSpec(period / 24_000.0)
+    tau = norm.to_tau(np.arange(period) / 24_000.0)
+    grid = np.column_stack([np.tile(tau, count), np.repeat(points, period, axis=0)])
+    whole = mlp_forward(params, grid).reshape(count, period)
+    out = pinn_predict(params, norm, points, 24_000.0, num_samples)
+    assert np.array_equal(out, np.tile(whole, -(-num_samples // period))[:, :num_samples])
+
+
+def test_predict_blocks_are_one_whole_grid_pass(tmp_path):
+    """pinn_predict gives, bit for bit, one mlp_forward over the whole (point, time) grid,
+    repeated to num_samples: point counts around a block's worth and 400, a period longer
+    than a block, and num_samples below, at and above the period. The check runs in a child
+    process on one BLAS thread, because there the whole-grid reference is one fixed sum per
+    row: on two, OpenBLAS 0.3.31 splits the output product of a pass of about 29 000 rows or
+    more between the threads, and a split at a row that is not a multiple of 4 moves the
+    reference's own last bits. pinn_predict's blocks are smaller than that."""
+    paths = [str(Path(pinn.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    env.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1"))
+    code = "import test_pinn; test_pinn._predict_is_one_whole_grid_pass()"
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_predict_memory_is_one_block():
+    """The sweep's grid, 400 points x 240 samples: the peak allocation is the result and one
+    block's arrays, not the whole grid's (16 MB when it was one pass)."""
+    params = glorot_init(0, pinn.HIDDEN)
+    points = np.random.default_rng(0).uniform(-0.4, 0.4, (400, 3))
+    tracemalloc.start()
+    try:
+        out = pinn_predict(params, NormSpec(0.01), points, 24_000.0, 240)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (P, T) result, then per block a (rows, HIDDEN) hidden array and (rows, 4) inputs;
+    # the factor 2 covers the inputs of the points a block straddles and its output rows
+    rows = pinn.PREDICT_BLOCK_ROWS
+    assert peak < out.nbytes + 2 * rows * (pinn.HIDDEN + 4) * 8
 
 
 def test_save_load_round_trip(tmp_path):
