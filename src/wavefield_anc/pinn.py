@@ -150,14 +150,27 @@ def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return out if np.asarray(inputs).ndim > 1 else float(out[0])
 
 
-def mlp_second_derivs(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Pure second partials wrt each of the four inputs; shape (..., B, 4) for (B, 4)
-    inputs or (..., 4) for (4,), the leading axes those of a stack of networks."""
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    h = np.tanh(u @ params.W1.swapaxes(-1, -2) + params.b1[..., None, :])
-    hpp = -2.0 * h * (1.0 - h * h)  # tanh''
-    d2 = (params.W2[..., None, :] * hpp) @ (params.W1**2)  # (..., B, 4)
-    return d2 if np.asarray(inputs).ndim > 1 else d2[..., 0, :]
+def _with_ones(inputs: np.ndarray) -> np.ndarray:
+    """(..., 4) inputs with the ones column of the bias b1 appended; (..., 5) pass through."""
+    u = np.asarray(inputs, dtype=float)
+    return u if u.shape[-1] == 5 else np.concatenate([u, np.ones(u.shape[:-1] + (1,))], axis=-1)
+
+
+def _wave_terms(params: MlpParams, C: np.ndarray, c_eff: float) -> tuple[np.ndarray, ...]:
+    """The wave-equation residual R (..., A) at the (..., A, 5) ones-column inputs ``C``, with
+    the terms its parameter gradients reuse: WeT, the (..., 5, N) transpose of the extended
+    input weights We = [W1 | b1]; the operator coefficients a; g = (We * We) @ a (..., N);
+    and tanh^2 and tanh'' of the hidden layer (..., A, N). Each unit's input second
+    derivatives are We_ki^2 tanh'', so R = tanh'' @ (W2 * g)."""
+    We = np.concatenate([params.W1, params.b1[..., None]], axis=-1)  # (..., N, 5)
+    WeT = np.ascontiguousarray(We.swapaxes(-1, -2))  # contiguous operands: faster products
+    a_vec = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2, 0.0])  # the bias column: 0
+    g = (We * We) @ a_vec  # (..., N) signed quadratic form of input weights
+    Hc = np.tanh(C @ WeT)
+    Hc2 = Hc * Hc
+    hpp = -2.0 * Hc * (1.0 - Hc2)
+    R = (hpp @ (params.W2 * g)[..., None])[..., 0]  # (..., A)
+    return WeT, a_vec, g, Hc2, hpp, R
 
 
 def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndarray | float:
@@ -165,15 +178,8 @@ def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndar
     for (B, 4) inputs, (...) for (4,), the leading axes those of a stack of networks."""
     if c_eff <= 0:
         raise ValueError("c_eff must be positive")
-    d2 = mlp_second_derivs(params, np.atleast_2d(inputs))
-    res = c_eff**2 * d2[..., 1:].sum(axis=-1) - d2[..., 0]
+    res = _wave_terms(params, _with_ones(np.atleast_2d(inputs)), c_eff)[-1]
     return res if np.asarray(inputs).ndim > 1 else res[..., 0][()]
-
-
-def _with_ones(inputs: np.ndarray) -> np.ndarray:
-    """(..., 4) inputs with the ones column of the bias b1 appended; (..., 5) pass through."""
-    u = np.asarray(inputs, dtype=float)
-    return u if u.shape[-1] == 5 else np.concatenate([u, np.ones(u.shape[:-1] + (1,))], axis=-1)
 
 
 def loss_and_grads(
@@ -191,8 +197,8 @@ def loss_and_grads(
     the losses are (R,). The bias b1 is the weight of a ones input column, so
     one product gives the gradients of W1 and b1 together.
     """
-    We = np.concatenate([params.W1, params.b1[..., None]], axis=-1)  # (..., N, 5)
-    WeT = np.ascontiguousarray(We.swapaxes(-1, -2))  # contiguous operands: faster products
+    C = _with_ones(colloc_inputs)
+    WeT, a_vec, g, Hc2, hpp, R = _wave_terms(params, C, c_eff)
     W2 = params.W2
 
     # data term: mean squared error at the measured points, in place over (..., B, N)
@@ -210,14 +216,7 @@ def loss_and_grads(
     gWeT = W2[..., None, :] * ((np.ascontiguousarray(U.T) * dLdp[..., None, :]) @ H)  # (..., 5, N)
 
     # PDE term: mean squared wave-equation residual at collocation points
-    C = _with_ones(colloc_inputs)
-    a_vec = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2, 0.0])  # the bias column: 0
-    g = (We * We) @ a_vec  # (..., N) signed quadratic form of input weights
-    Hc = np.tanh(C @ WeT)
-    Hc2 = Hc * Hc
-    hpp = -2.0 * Hc * (1.0 - Hc2)
     hppp = -2.0 + 8.0 * Hc2 - 6.0 * Hc2 * Hc2
-    R = (hpp @ (W2 * g)[..., None])[..., 0]  # (..., A)
     L_pde = np.mean(R**2, axis=-1)
     dLdR = 2.0 * R / C.shape[-2]
     T = (dLdR[..., None, :] @ hpp)[..., 0, :]  # (..., N)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -334,6 +335,27 @@ def test_validate_cli_exit_0(tmp_path, capsys):
     code = main(["validate", "--out", str(tmp_path / "v")])
     assert code == 0
     assert read_summary(tmp_path / "v" / "summary.json")["ok"] is True
+
+
+def test_validate_fails_on_a_flipped_wave_operator(tmp_path):
+    """A copy of the package whose wave operator carries +d^2/dtau^2, so that training would
+    enforce c^2 Laplacian + d^2/dtau^2 = 0, fails validate on the wave-operator figure alone:
+    the loss gradients stay consistent with the flipped loss."""
+    copy = tmp_path / "src" / "wavefield_anc"
+    shutil.copytree(Path(wavefield_anc.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    pinn_py = copy / "pinn.py"
+    text = pinn_py.read_text()
+    anchor = "np.array([-1.0, c_eff**2, c_eff**2, c_eff**2, 0.0])"
+    assert text.count(anchor) == 1  # the one definition of the operator's coefficients
+    pinn_py.write_text(text.replace(anchor, anchor.replace("-1.0", "1.0")))
+    out = tmp_path / "v"
+    run = subprocess.run([sys.executable, "-m", "wavefield_anc.cli", "validate", "--out", str(out)],
+                         env={**os.environ, "PYTHONPATH": str(copy.parent)}, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 1, run.stderr
+    checks = read_summary(out / "summary.json")["metrics"]["checks"]
+    assert {name for name, c in checks.items() if not c["pass"]} == {"wave_operator_max_rel_err"}
 
 
 def test_interp_sweep_quick(tmp_path):

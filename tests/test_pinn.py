@@ -26,7 +26,6 @@ from wavefield_anc.pinn import (
     loss_and_grads,
     make_collocation_positions,
     mlp_forward,
-    mlp_second_derivs,
     pde_residual,
     pinn_predict,
     save_params,
@@ -102,18 +101,17 @@ def test_forward_constant_network():
     assert mlp_forward(p, np.array([1.0, 2.0, 3.0, 4.0])) == 1.7
 
 
-def test_second_derivs_zero_at_hyperplane():
+def test_pde_residual_zero_at_hyperplane():
     # single unit, input on its hyperplane: tanh''(0) = 0
     p = MlpParams(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros(1), np.ones(1), 0.0)
-    d2 = mlp_second_derivs(p, np.array([0.0, 0.3, 0.4, 0.5]))
-    assert np.allclose(d2, 0.0, atol=1e-15)
+    assert abs(pde_residual(p, np.array([0.0, 0.3, 0.4, 0.5]), 2.0)) < 1e-15
 
 
-def test_second_derivs_linear_in_output_layer():
+def test_pde_residual_linear_in_output_layer():
     p = random_params(2)
     doubled = MlpParams(p.W1, p.b1, 2.0 * p.W2, p.b2)
-    u = np.array([0.1, -0.1, 0.05, 0.0])
-    assert np.allclose(mlp_second_derivs(doubled, u), 2.0 * mlp_second_derivs(p, u), atol=1e-15)
+    u = np.array([[0.1, -0.1, 0.05, 0.0], [0.02, 0.3, -0.2, 0.1]])
+    assert np.allclose(pde_residual(doubled, u, 3.0), 2.0 * pde_residual(p, u, 3.0), atol=1e-15)
 
 
 def test_pde_residual_constant_network():
@@ -121,15 +119,10 @@ def test_pde_residual_constant_network():
     assert pde_residual(p, np.array([0.1, 0.2, 0.3, 0.4]), 2.0) == 0.0
 
 
-def test_pde_residual_matches_second_derivs():
-    p = random_params(4)
-    u = np.array([0.05, 0.1, -0.08, 0.02])
-    d2 = mlp_second_derivs(p, u)
-    c_eff = 3.0
-    expected = c_eff**2 * d2[1:].sum() - d2[0]
-    assert pde_residual(p, u, c_eff) == pytest.approx(expected, rel=1e-12)
+@pytest.mark.parametrize("c_eff", [0.0, -1.0])
+def test_pde_residual_rejects_nonpositive_c_eff(c_eff):
     with pytest.raises(ValueError):
-        pde_residual(p, u, 0.0)
+        pde_residual(random_params(4), np.array([0.05, 0.1, -0.08, 0.02]), c_eff)
 
 
 def test_grads_zero_at_fit_point():
