@@ -16,7 +16,7 @@ from numpy.random import default_rng
 from .acoustics import repeat_period
 from .errors import DivergenceDetected
 from .geometry import ball_points
-from .scenario import MIC_RADIUS, ScenarioConfig
+from .scenario import ScenarioConfig
 
 TIME_HALF_RANGE = 0.15  # physical time maps onto [-0.15, 0.15], like the coordinates
 HIDDEN = 16
@@ -247,12 +247,13 @@ def adam_step(
 def make_collocation_positions(
     scenario: ScenarioConfig, count: int, seed: int
 ) -> np.ndarray:
-    """Mic positions plus seeded ball samples inside the monitoring sphere; (count, 3)."""
+    """Mic positions plus seeded samples of the ball the mics span, of radius
+    ``scenario.mic_radius``; (count, 3)."""
     mics = scenario.monitoring_positions
     extra = count - len(mics)
     if extra < 0:
         raise ValueError("collocation count smaller than the mic count")
-    return np.vstack([mics, ball_points(MIC_RADIUS, extra, seed=seed)])
+    return np.vstack([mics, ball_points(scenario.mic_radius, extra, seed=seed)])
 
 
 def _grid_inputs(tau: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -336,8 +337,9 @@ def train_pinn(
             final = L_data
 
         # held-out interior points for the restart-selection residual score
-        val_rng = default_rng(cfg.seed + VALIDATION_SEED_OFFSET)
-        val_xyz = ball_points(MIC_RADIUS, VALIDATION_POINTS, seed=cfg.seed + VALIDATION_SEED_OFFSET)
+        val_seed = cfg.seed + VALIDATION_SEED_OFFSET
+        val_rng = default_rng(val_seed)
+        val_xyz = ball_points(scenario.mic_radius, VALIDATION_POINTS, seed=val_seed)
         val_tau = val_rng.uniform(-norm.half_range, norm.half_range, size=VALIDATION_POINTS)
         val_points = np.column_stack([val_tau, val_xyz])
         resid = pde_residual(params, val_points, c_eff)  # (restarts, VALIDATION_POINTS)

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .acoustics import TonalSource, ToneComponent, path_distances
-from .geometry import as_points
+from .geometry import ORIGIN, as_points, distances
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
 MIC_RADIUS = np.sqrt(3.0) * MIC_CORNER  # 0.2598 m; the nominal "0.26 m" sphere
@@ -43,11 +43,19 @@ class ScenarioConfig:
         gaps = np.linalg.norm(mics[:, None, :] - mics[None, :, :], axis=-1)
         if np.any(gaps[np.triu_indices(len(mics), 1)] < 1e-12):
             raise ValueError("microphone positions must be distinct")
+        if self.mic_radius == 0.0:
+            raise ValueError("the monitoring mics span no ball: the only one is at the origin")
         self.period_samples  # validates the tone set
         # every path the controller models must fit its FIR
         sources, fs, c = self.secondary_positions, self.sample_rate, self.speed_of_sound
         for kind, pts in (("mic", self.monitoring_positions), ("ear", self.virtual_positions)):
             path_distances(sources, pts, fs, c, kinds=("secondary source", kind))
+
+    @property
+    def mic_radius(self) -> float:
+        """Largest distance of a monitoring mic from the origin: the radius of the ball whose
+        interior the PINN's collocation and restart-scoring points fill."""
+        return float(distances(self.monitoring_positions, ORIGIN).max())
 
     @property
     def num_samples(self) -> int:

@@ -193,6 +193,18 @@ def test_mics_off_one_sphere_are_exit_2_for_the_sweep_only(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_one_mic_at_the_origin_is_exit_2(tmp_path, capsys):
+    """The PINN's collocation points fill the ball the mics span; one mic at the origin
+    spans none."""
+    d = default_scenario(0).to_dict()
+    d["monitoring_positions"] = [[0.0, 0.0, 0.0]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert main(["anc-convergence", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "span no ball" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_above_sh_order_4_runs(tmp_path):
     """600 + 900 Hz needs SH order 5 on the mics' sphere."""
     d = default_scenario(0).to_dict()

@@ -230,6 +230,27 @@ def test_collocation_positions():
     assert np.all(np.linalg.norm(pts, axis=1) <= MIC_RADIUS + 1e-12)
 
 
+def test_collocation_and_scoring_points_fill_the_mics_ball(monkeypatch):
+    """Mics on a 0.4 m sphere: the wave equation is enforced, and the restarts scored, on
+    points drawn from the 0.4 m ball, not from the nominal 0.26 m one."""
+    sc = default_scenario(0)
+    sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / MIC_RADIUS)
+    assert sc.mic_radius == pytest.approx(0.4)
+    pts = make_collocation_positions(sc, 100, seed=0)
+    assert 0.3 < np.linalg.norm(pts, axis=1).max() <= sc.mic_radius
+    radii, real = [], pinn.ball_points
+
+    def recording(radius, *args, **kwargs):
+        radii.append(radius)
+        return real(radius, *args, **kwargs)
+
+    monkeypatch.setattr(pinn, "ball_points", recording)
+    fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, period, c)
+    train_pinn(sc, mics, TrainConfig(epochs=1, restarts=2))
+    assert radii == [sc.mic_radius] * 3  # two restarts' collocation points, the scoring points
+
+
 def test_train_zero_epochs(scenario, mic_signals):
     cfg = dataclasses.replace(QUICK_TRAIN, epochs=0)
     params, report = train_pinn(scenario, mic_signals, cfg)
