@@ -92,7 +92,8 @@ class OutputBundle:
         path.write_text("\n".join(lines) + "\n")
 
     def train(self) -> tuple[MlpParams, NormSpec, np.ndarray]:
-        """The PINN fit to one period of the mic signals (the "train" stage), saved as model.txt."""
+        """The PINN fit to one period of the mic signals (the "train" stage), saved as model.txt,
+        with the winning restart's loss curve, every 100 epochs, as train_history.csv."""
         sc = self.spec.scenario
         fs, c, P = sc.sample_rate, sc.speed_of_sound, sc.period_samples
         mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, P, c)
@@ -100,6 +101,8 @@ class OutputBundle:
             params, self.report = train_pinn(sc, mics, self.spec.train)
         save_params(params, self.report.norm, self.spec.out_dir / "model.txt")
         self.model_path = self.spec.out_dir / "model.txt"  # once written: the summary reads it
+        history = np.reshape(self.report.history, (-1, 3))  # no rows at 0 epochs
+        self.csv("train_history", ["epoch", "L_data", "L_pde"], history)
         return params, self.report.norm, mics
 
 

@@ -292,7 +292,9 @@ def test_failed_stage_is_named_in_the_summary(tmp_path, monkeypatch, name, stage
         assert summary["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
     else:
         assert "model_sha256" not in summary and not model.exists()
-    assert not list(spec.out_dir.glob("*.csv"))
+    # a failure after the train stage keeps its loss curve, and nothing of the later stages
+    csvs = [p.name for p in spec.out_dir.glob("*.csv")]
+    assert csvs == ([] if stage is None else ["train_history.csv"])
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
@@ -457,6 +459,27 @@ def test_anc_convergence_quick_and_deterministic(tmp_path):
     assert_records_run(summary, ["train", "anc"])
     # the summary names the model file it came with by its content
     assert summary["model_sha256"] == hashlib.sha256(b1.model_path.read_bytes()).hexdigest()
+
+
+def test_train_history_csv_is_the_winners_curve(tmp_path):
+    """One row every 100 epochs, the winning restart's, byte-identical on a re-run."""
+    cfg = TrainConfig(epochs=250, restarts=3, seed=4)
+    spec = ExperimentSpec("interp-sweep", default_scenario(0), cfg, radii=(0.1,),
+                          out_dir=tmp_path / "a")
+    bundle = run_interp_sweep(spec)
+    assert bundle.report.best_restart == 1  # neither the first restart nor the last
+    rerun = run_interp_sweep(dataclasses.replace(spec, out_dir=tmp_path / "b"))
+    text = bundle.csv_paths["train_history"].read_bytes()
+    assert text == rerun.csv_paths["train_history"].read_bytes()
+    rows = np.loadtxt(bundle.csv_paths["train_history"], delimiter=",", skiprows=1)
+    assert text.decode().splitlines()[0] == "epoch,L_data,L_pde"
+    assert rows[:, 0].tolist() == [0.0, 100.0, 200.0]
+    sc = spec.scenario
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, sc.sample_rate,
+                           sc.period_samples, sc.speed_of_sound)
+    winner = dataclasses.replace(cfg, restarts=1, seed=cfg.seed + bundle.report.best_restart)
+    _, alone = experiments.train_pinn(sc, mics, winner)  # the winning seed trained by itself
+    np.testing.assert_allclose(rows, alone.history, rtol=1e-8, atol=0.0)  # %.9g in the CSV
 
 
 def test_field_map_quick(tmp_path):
