@@ -247,8 +247,7 @@ def adam_step(
 def make_collocation_positions(
     scenario: ScenarioConfig, count: int, seed: int
 ) -> np.ndarray:
-    """Mic positions plus seeded samples of the ball the mics span, of radius
-    ``scenario.mic_radius``; (count, 3)."""
+    """Mic positions plus seeded samples of the ball of radius scenario.mic_radius; (count, 3)."""
     mics = scenario.monitoring_positions
     extra = count - len(mics)
     if extra < 0:
