@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayExceedsFilter, ZeroDistance
 from .geometry import as_points, distances
 
 SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional delay
@@ -40,12 +39,18 @@ class TonalSource:
         if len(set(freqs)) != len(freqs):
             raise ValueError("tone frequencies must be distinct")
 
-    def period_samples(self, sample_rate: float) -> int | None:
+    def period_samples(self, sample_rate: float) -> int:
         """sample_rate / gcd(sample_rate, tones), the fewest samples that hold whole cycles of
-        every tone; None unless the tones and the sample rate are whole hertz."""
-        rates = [sample_rate, *(c.frequency for c in self.components)]
-        if sample_rate <= 0 or not all(float(f).is_integer() for f in rates):
-            return None
+        every tone; ValueError naming the tones unless they are below Nyquist and they and the
+        sample rate are whole hertz."""
+        freqs = [c.frequency for c in self.components]
+        if max(freqs) >= sample_rate / 2.0:
+            raise ValueError(f"tones {freqs} Hz: {max(freqs)} Hz is at or above Nyquist")
+        rates = [sample_rate, *freqs]
+        if not all(float(f).is_integer() for f in rates):
+            raise ValueError(
+                f"tones {freqs} Hz and sample rate {sample_rate} Hz must be whole hertz"
+            )
         return round(sample_rate) // math.gcd(*map(round, rates))
 
     def waveform(self, sample_rate: float, num_samples: int) -> np.ndarray:
@@ -56,12 +61,10 @@ class TonalSource:
 def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray, sample_rate: float,
               num_samples: int, start: int = 0) -> np.ndarray:
     """(R, num_samples) sum_i A_i gains sin(2 pi f_i (t - delays) + phi_i) for n = start, ...,
-    at t = (n mod P) / sample_rate, each residue once; P is the sample period, or infinite."""
+    at t = (n mod P) / sample_rate, each residue once; P is the sample period."""
     period = source.period_samples(sample_rate)
-    count = num_samples if period is None else min(num_samples, period)
-    n = np.arange(start, start + count)
-    t = (n if period is None else n % period) / sample_rate
-    p = np.zeros((delays.size, count))
+    t = np.arange(start, start + min(num_samples, period)) % period / sample_rate
+    p = np.zeros((delays.size, len(t)))
     tone = np.empty_like(p)  # one tone at a time, built in place
     for comp in source.components:
         np.subtract(t, delays[:, None], out=tone)
@@ -96,9 +99,7 @@ def propagate_tonal(
     """
     d = distances(receivers, source.position)
     if np.any(d < 1e-9):
-        raise ZeroDistance(f"a receiver is {d.min():.3g} m from the source")
-    if max(comp.frequency for comp in source.components) >= sample_rate / 2.0:
-        raise ValueError(f"a tone is at or above Nyquist ({sample_rate / 2.0} Hz)")
+        raise ValueError(f"a receiver is {d.min():.3g} m from the source")
     if num_samples < 1:
         raise ValueError("signal must contain at least one sample")
     return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate, num_samples, start)
@@ -108,9 +109,9 @@ def path_distances(
     sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float,
     num_taps: int = PATH_TAPS, kinds: tuple[str, str] = ("source", "receiver"),
 ) -> np.ndarray:
-    """(S, P) distances from the (S, 3) sources to the (P, 3) receivers; ZeroDistance or
-    DelayExceedsFilter unless make_path_fir can model every path in num_taps taps. The
-    error names the worst path, its ends called ``kinds`` with their index and position."""
+    """(S, P) distances from the (S, 3) sources to the (P, 3) receivers; ValueError unless
+    make_path_fir can model every path in num_taps taps, naming the worst path (a zero
+    distance, else the longest delay), its ends called ``kinds`` with index and position."""
     d = np.stack([distances(receivers, s) for s in sources])
     zero, delay = d.min() < 1e-9, d.max() / c * sample_rate
     if zero or np.floor(delay) >= num_taps - SINC_WINDOW_HALF_WIDTH:
@@ -118,10 +119,8 @@ def path_distances(
         ends = zip(kinds, (s, p), (sources[s], receivers[p]))
         path = " to ".join(f"{k} {i} at {np.round(x, 4).tolist()}" for k, i, x in ends)
         if zero:
-            raise ZeroDistance(f"{path}: {d.min():.3g} m apart")
-        raise DelayExceedsFilter(
-            f"{path}: {delay:.1f}-sample delay does not fit in {num_taps} taps"
-        )
+            raise ValueError(f"{path}: {d.min():.3g} m apart")
+        raise ValueError(f"{path}: {delay:.1f}-sample delay does not fit in {num_taps} taps")
     return d
 
 

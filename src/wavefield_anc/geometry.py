@@ -42,17 +42,12 @@ def cart_to_sph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def sphere_points(radius: float, count: int) -> np.ndarray:
-    """Deterministic Fibonacci-lattice points on the origin-centred sphere; (count, 3).
-
-    All points sit at exactly ``radius`` from the origin; count=1 degenerates
-    to the north pole.
-    """
+    """Deterministic Fibonacci-lattice points on the origin-centred sphere of ``radius``;
+    (count, 3)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count == 1:
-        return np.array([[0.0, 0.0, radius]])
     i = np.arange(count)
     # midpoint offsets keep points away from the poles
     cos_theta = 1.0 - (2.0 * i + 1.0) / count

@@ -83,7 +83,7 @@ def derivative_figures() -> dict[str, float]:
         p = glorot_init(200 + trial, 8)
         u = rng.normal(scale=0.5, size=4)
         fd = operator_coeffs @ (stencil @ mlp_forward(p, (u + steps).reshape(-1, 4)).reshape(5, 4))
-        res = pde_residual(p, u, c_eff)
+        res = pde_residual(p, u[None], c_eff)[0]
         worst_op = max(worst_op, abs(fd - res) / max(abs(fd), abs(res), 1e-6))
     return {
         "gradient_max_rel_err": float(worst_grad),

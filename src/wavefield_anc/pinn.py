@@ -14,7 +14,6 @@ import numpy as np
 from numpy.random import default_rng
 
 from .acoustics import repeat_period
-from .errors import DivergenceDetected
 from .geometry import ball_points
 from .scenario import ScenarioConfig
 
@@ -30,6 +29,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PREDICT_BLOCK_ROWS = 8192  # inputs per pinn_predict block: a 1 MB (rows, HIDDEN) hidden array
+
+
+class DivergenceDetected(Exception):
+    """Training loss became non-finite in every restart."""
 
 
 class MlpParams:
@@ -142,12 +145,10 @@ def glorot_init(seed: int, N: int = HIDDEN) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    """Network output for inputs of shape (B, 4) or (4,)."""
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    h = u @ params.W1.T
+    """Network output (..., B) at the (..., B, 4) ``inputs``."""
+    h = np.asarray(inputs, dtype=float) @ params.W1.T
     h += params.b1  # in place: h is the largest array
-    out = np.tanh(h, out=h) @ params.W2 + params.b2
-    return out if np.asarray(inputs).ndim > 1 else float(out[0])
+    return np.tanh(h, out=h) @ params.W2 + params.b2
 
 
 def _with_ones(inputs: np.ndarray) -> np.ndarray:
@@ -173,13 +174,12 @@ def _wave_terms(params: MlpParams, C: np.ndarray, c_eff: float) -> tuple[np.ndar
     return WeT, a_vec, g, Hc2, hpp, R
 
 
-def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndarray | float:
-    """Wave-equation residual c_eff^2 * Laplacian - d^2/dtau^2 at each input; (..., B)
-    for (B, 4) inputs, (...) for (4,), the leading axes those of a stack of networks."""
+def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndarray:
+    """Wave-equation residual c_eff^2 * Laplacian - d^2/dtau^2 at each of the (..., B, 4)
+    ``inputs``; (..., B), the leading axes those of a stack of networks."""
     if c_eff <= 0:
         raise ValueError("c_eff must be positive")
-    res = _wave_terms(params, _with_ones(np.atleast_2d(inputs)), c_eff)[-1]
-    return res if np.asarray(inputs).ndim > 1 else res[..., 0][()]
+    return _wave_terms(params, _with_ones(inputs), c_eff)[-1]
 
 
 def loss_and_grads(

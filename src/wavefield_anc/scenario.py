@@ -13,13 +13,14 @@ from .acoustics import TonalSource, ToneComponent, path_distances
 from .geometry import ORIGIN, as_points, distances
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
-MIC_RADIUS = np.sqrt(3.0) * MIC_CORNER  # 0.2598 m; the nominal "0.26 m" sphere
 
 
 def _number(d: dict, key: str) -> float:
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, got {type(value).__name__} {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 
@@ -63,15 +64,12 @@ class ScenarioConfig:
 
     @property
     def period_samples(self) -> int:
-        """Samples in one period of the primary source's tones (TonalSource.period_samples);
-        ValueError naming the tones unless they are below Nyquist, they and the sample rate
-        are whole hertz, and the period fits in the scenario."""
-        freqs, fs = [c.frequency for c in self.primary_source.components], self.sample_rate
-        if max(freqs) >= fs / 2.0:
-            raise ValueError(f"tones {freqs} Hz: {max(freqs)} Hz is at or above Nyquist")
-        if (period := self.primary_source.period_samples(fs)) is None:
-            raise ValueError(f"tones {freqs} Hz and sample rate {fs} Hz must be whole hertz")
+        """Samples in one period of the primary source's tones (TonalSource.period_samples,
+        which holds the tone-set rule); ValueError naming the tones unless it fits in the
+        scenario."""
+        period = self.primary_source.period_samples(self.sample_rate)
         if period > self.num_samples:
+            freqs = [c.frequency for c in self.primary_source.components]
             raise ValueError(
                 f"tones {freqs} Hz repeat every {period} samples, "
                 f"more than the scenario's {self.num_samples}"

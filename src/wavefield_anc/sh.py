@@ -13,7 +13,6 @@ from math import factorial
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
 
-from .errors import EmptySignals, RadiusMismatch, ZeroDenominator
 from .geometry import cart_to_sph
 
 DB_FLOOR = -300.0
@@ -100,11 +99,11 @@ def max_order(f_m: float, r: float, c: float) -> int:
 
 
 def common_radius(positions: np.ndarray) -> float:
-    """Mean radius of the (Q, 3) ``positions``; RadiusMismatch (a ValueError) unless
-    their radii agree within 1e-6 m, as the SH fit needs."""
+    """Mean radius of the (Q, 3) ``positions``; ValueError unless their radii agree within
+    1e-6 m, as the SH fit and evaluation need."""
     radii = cart_to_sph(positions)[0]
     if np.ptp(radii) > 1e-6:
-        raise RadiusMismatch(f"sensor radii span {np.ptp(radii):.3g} m, not one sphere")
+        raise ValueError(f"sensor radii span {np.ptp(radii):.3g} m, not one sphere")
     return float(radii.mean())
 
 
@@ -123,7 +122,7 @@ def sh_fit(
     """
     P = np.asarray(signals, dtype=float)
     if P.size == 0:
-        raise EmptySignals("need non-empty signals")
+        raise ValueError("need non-empty signals")
     positions = np.asarray(positions, dtype=float)
     if P.ndim != 2 or positions.shape != (len(P), 3):
         raise ValueError("need (Q, 3) positions and (Q, T) signals")
@@ -156,30 +155,24 @@ def _radial_ratio(U: int, freqs: np.ndarray, r_from: float, r_to: float, c: floa
 
 
 def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.ndarray:
-    """Reconstruct the (P, T) pressure signals at the (P, 3) ``targets``.
+    """Reconstruct the (P, T) pressure signals at the (P, 3) ``targets``, which lie on one
+    origin-centred sphere (common_radius).
 
-    Each mode's coefficient series is translated radially in the DFT domain by
-    the spherical-Bessel ratio at that bin's frequency, then recombined with
-    the SH basis at the target angles. Targets sharing a radius share one
-    translation.
+    Each mode's coefficient series is translated radially to that sphere in the DFT
+    domain by the spherical-Bessel ratio at each bin's frequency, then recombined with
+    the SH basis at the target angles.
     """
-    r_s, theta, phi = cart_to_sph(targets)
-    if np.any(r_s <= 0):
+    radius = common_radius(targets)
+    if radius <= 0:
         raise ValueError("target radius must be positive")
+    _, theta, phi = cart_to_sph(targets)
     T = series.coeffs.shape[1]
     freqs = rfftfreq(T, d=1.0 / series.sample_rate)
-    spec = rfft(series.coeffs, axis=1)
     U = series.max_order
     orders = np.repeat(np.arange(U + 1), 2 * np.arange(U + 1) + 1)  # of each mode row
-    Y = real_sh(U, theta, phi)  # (P, modes)
-    radii, group = np.unique(r_s, return_inverse=True)
-    out = np.empty((len(r_s), T))
-    for g, radius in enumerate(radii):
-        ratio = _radial_ratio(U, freqs, series.fit_radius, radius, c)
-        translated = irfft(spec * ratio[orders], n=T, axis=1)
-        members = group == g
-        out[members] = Y[members] @ translated
-    return out
+    ratio = _radial_ratio(U, freqs, series.fit_radius, radius, c)
+    translated = irfft(rfft(series.coeffs, axis=1) * ratio[orders], n=T, axis=1)
+    return real_sh(U, theta, phi) @ translated
 
 
 def interpolation_error(truth: np.ndarray, estimate: np.ndarray) -> float:
@@ -188,7 +181,7 @@ def interpolation_error(truth: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError("need non-empty signal arrays of one shape")
     den = float(np.sum(np.square(truth)))
     if den == 0.0:
-        raise ZeroDenominator("truth signals are identically zero")
+        raise ValueError("truth signals are identically zero")
     err = np.subtract(truth, estimate)
     err *= err
     return float(np.sum(err)) / den

@@ -10,7 +10,6 @@ from wavefield_anc.acoustics import (
     path_distances,
     propagate_tonal,
 )
-from wavefield_anc.errors import DelayExceedsFilter, ZeroDistance
 from wavefield_anc.scenario import default_scenario
 
 FS = 24_000.0
@@ -80,25 +79,25 @@ def test_inverse_distance_law():
 
 def test_zero_distance_raises():
     src = tone_source(P(0.1, 0.2, 0.3))
-    with pytest.raises(ZeroDistance):
+    with pytest.raises(ValueError, match="from the source"):
         propagate_one(src, P(0.1, 0.2, 0.3), 240)
 
 
 def test_nyquist_guard():
     src = tone_source(P(0, 0, 0), freq=12_000.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="12000.0 Hz is at or above Nyquist"):
         propagate_one(src, P(1, 0, 0), 240)
 
 
 @given(
-    st.floats(100.0, 900.0),
-    st.floats(100.0, 900.0),
+    st.integers(100, 900),  # whole hertz: a tone set without a sample period is rejected
+    st.integers(100, 900),
     st.floats(0.0, 2 * np.pi),
     st.floats(0.0, 2 * np.pi),
 )
 @settings(max_examples=30)
 def test_superposition(f1, f2, ph1, ph2):
-    if abs(f1 - f2) < 1e-6:
+    if f1 == f2:
         return
     pos = P(0.5, 0.5, 0.5)
     rx = P(0, 0, 0)
@@ -152,7 +151,7 @@ def test_integer_delay_collapses_to_impulse():
 
 
 def test_delay_exceeds_filter():
-    with pytest.raises(DelayExceedsFilter):
+    with pytest.raises(ValueError, match="delay does not fit in 64 taps"):
         fir_one(P(0, 0, 0), P(10.0, 0, 0), 64)
 
 
@@ -160,10 +159,10 @@ def test_path_error_names_the_worst_path():
     sources = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     receivers = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     farthest = r"secondary source 1 at \[5.0, 0.0, 0.0\] to mic 0 at \[1.0, 0.0, 0.0\]: 279.9-"
-    with pytest.raises(DelayExceedsFilter, match=farthest):
+    with pytest.raises(ValueError, match=farthest):
         path_distances(sources, receivers, FS, C, kinds=("secondary source", "mic"))
     coincident = r"^source 0 at \[0.0, 0.0, 0.0\] to receiver 1 at \[0.0, 0.0, 0.0\]: 0 m apart"
-    with pytest.raises(ZeroDistance, match=coincident):
+    with pytest.raises(ValueError, match=coincident):
         path_distances(sources[:1], np.vstack([receivers[:1], sources[:1]]), FS, C)
 
 

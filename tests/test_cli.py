@@ -26,7 +26,7 @@ from wavefield_anc.experiments import (
 from wavefield_anc.geometry import sphere_points
 from wavefield_anc.oracles import LIMITS
 from wavefield_anc.pinn import TrainConfig, load_params, pinn_predict
-from wavefield_anc.scenario import MIC_RADIUS, ScenarioConfig, default_scenario
+from wavefield_anc.scenario import ScenarioConfig, default_scenario
 from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
 from conftest import read_summary
@@ -114,6 +114,27 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{key} must be a number, got {type(value).__name__}" in err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("speed_of_sound", float("nan")),
+        ("duration", float("inf")),
+        ("amplitude", float("inf")),
+        ("rng_seed", float("nan")),
+    ],
+)
+def test_non_finite_config_number_is_exit_2(tmp_path, capsys, key, value):
+    """json reads NaN and Infinity; the loader rejects them, naming the key."""
+    d = default_scenario(0).to_dict()
+    (d["primary_source"]["components"][0] if key == "amplitude" else d)[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be finite, got {value!r}" in err
     assert not (tmp_path / "v").exists()
 
 
@@ -432,7 +453,7 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
     fs, c, T = sc.sample_rate, sc.speed_of_sound, sc.num_samples
     params, norm = load_params(bundle.model_path)
     mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, T, c)
-    series = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), MIC_RADIUS, c), fs)
+    series = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), sc.mic_radius, c), fs)
     full = []
     for r_s in spec.radii:
         pts = sphere_points(r_s, experiments.SWEEP_POINTS)
@@ -516,7 +537,7 @@ def test_sweep_sh_order_follows_the_mics_radius(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "sh_fit", recording)
     sc = default_scenario(0)
-    sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / MIC_RADIUS)
+    sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / sc.mic_radius)
     spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=2, restarts=1),
                           radii=(0.2, 0.3), out_dir=tmp_path / "o")
     assert run_interp_sweep(spec).ok

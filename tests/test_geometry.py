@@ -71,12 +71,6 @@ def test_radius_definition(x, y, z):
     assert r == np.sqrt(x * x + y * y + z * z)
 
 
-def test_sphere_points_single_is_pole():
-    pts = sphere_points(0.26, 1)
-    assert pts.shape == (1, 3)
-    assert pts[0] == pytest.approx([0.0, 0.0, 0.26])
-
-
 def test_sphere_points_all_on_sphere():
     pts = sphere_points(0.26, 400)
     assert pts.shape == (400, 3)

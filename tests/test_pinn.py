@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from wavefield_anc import pinn
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
-from wavefield_anc.errors import DivergenceDetected
 from wavefield_anc.oracles import adam_figures
 from wavefield_anc.pinn import (
     AdamState,
+    DivergenceDetected,
     MlpParams,
     NormSpec,
     TrainConfig,
@@ -31,7 +31,7 @@ from wavefield_anc.pinn import (
     save_params,
     train_pinn,
 )
-from wavefield_anc.scenario import MIC_RADIUS, default_scenario
+from wavefield_anc.scenario import default_scenario
 
 QUICK_TRAIN = TrainConfig(epochs=2000, restarts=1)
 
@@ -93,18 +93,18 @@ def test_forward_independent_reimplementation():
             z += p.W1[k, i] * u[i]
         expected += p.W2[k] * np.tanh(z)
     expected += p.b2
-    assert mlp_forward(p, u) == pytest.approx(expected, abs=1e-14)
+    assert mlp_forward(p, u[None]) == pytest.approx([expected], abs=1e-14)
 
 
 def test_forward_constant_network():
     p = MlpParams(np.ones((4, 4)), np.zeros(4), np.zeros(4), 1.7)
-    assert mlp_forward(p, np.array([1.0, 2.0, 3.0, 4.0])) == 1.7
+    assert np.array_equal(mlp_forward(p, np.array([[1.0, 2.0, 3.0, 4.0]])), [1.7])
 
 
 def test_pde_residual_zero_at_hyperplane():
     # single unit, input on its hyperplane: tanh''(0) = 0
     p = MlpParams(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros(1), np.ones(1), 0.0)
-    assert abs(pde_residual(p, np.array([0.0, 0.3, 0.4, 0.5]), 2.0)) < 1e-15
+    assert np.all(np.abs(pde_residual(p, np.array([[0.0, 0.3, 0.4, 0.5]]), 2.0)) < 1e-15)
 
 
 def test_pde_residual_linear_in_output_layer():
@@ -116,19 +116,19 @@ def test_pde_residual_linear_in_output_layer():
 
 def test_pde_residual_constant_network():
     p = MlpParams(np.ones((3, 4)), np.ones(3), np.zeros(3), 5.0)
-    assert pde_residual(p, np.array([0.1, 0.2, 0.3, 0.4]), 2.0) == 0.0
+    assert np.array_equal(pde_residual(p, np.array([[0.1, 0.2, 0.3, 0.4]]), 2.0), [0.0])
 
 
 @pytest.mark.parametrize("c_eff", [0.0, -1.0])
 def test_pde_residual_rejects_nonpositive_c_eff(c_eff):
     with pytest.raises(ValueError):
-        pde_residual(random_params(4), np.array([0.05, 0.1, -0.08, 0.02]), c_eff)
+        pde_residual(random_params(4), np.array([[0.05, 0.1, -0.08, 0.02]]), c_eff)
 
 
 def test_grads_zero_at_fit_point():
     p = random_params(5)
     u = np.array([[0.1, 0.0, 0.0, 0.0]])
-    target = np.array([mlp_forward(p, u[0])])
+    target = mlp_forward(p, u)
     _, _, grads = loss_and_grads(p, u, target, u, 0.0, 1.0)
     assert np.max(np.abs(grads.to_vector())) < 1e-14
 
@@ -227,14 +227,14 @@ def test_collocation_positions():
     pts = make_collocation_positions(sc, 100, seed=0)
     assert pts.shape == (100, 3)
     assert np.array_equal(pts[:8], sc.monitoring_positions)
-    assert np.all(np.linalg.norm(pts, axis=1) <= MIC_RADIUS + 1e-12)
+    assert np.all(np.linalg.norm(pts, axis=1) <= sc.mic_radius + 1e-12)
 
 
 def test_collocation_and_scoring_points_fill_the_mics_ball(monkeypatch):
     """Mics on a 0.4 m sphere: the wave equation is enforced, and the restarts scored, on
     points drawn from the 0.4 m ball, not from the nominal 0.26 m one."""
     sc = default_scenario(0)
-    sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / MIC_RADIUS)
+    sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / sc.mic_radius)
     assert sc.mic_radius == pytest.approx(0.4)
     pts = make_collocation_positions(sc, 100, seed=0)
     assert 0.3 < np.linalg.norm(pts, axis=1).max() <= sc.mic_radius

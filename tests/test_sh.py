@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import Legendre
 from scipy.special import spherical_jn
 
+from wavefield_anc import sh
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
-from wavefield_anc.errors import EmptySignals, RadiusMismatch, ZeroDenominator
 from wavefield_anc.geometry import cart_to_sph, sphere_points
-from wavefield_anc.scenario import MIC_RADIUS, default_scenario
+from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import (
     ShCoeffSeries,
     _radial_ratio,
@@ -128,7 +128,7 @@ def test_bessel_of_a_0d_argument(U, x):
 
 
 def test_max_order_examples():
-    assert max_order(500.0, MIC_RADIUS, C) == 3
+    assert max_order(500.0, default_scenario(0).mic_radius, C) == 3
     assert max_order(C / (2 * np.pi), 1.0, C) == 1
     with pytest.raises(ValueError):
         max_order(0.0, 1.0, C)
@@ -160,7 +160,7 @@ def test_underdetermined_fit_is_min_norm():
 def test_fit_radius_mismatch():
     positions = np.array([[0.26, 0, 0], [0, 0.30, 0]])
     signals = _constant_field_signals(positions, 1.0)
-    with pytest.raises(RadiusMismatch, match="span 0.04 m"):
+    with pytest.raises(ValueError, match="span 0.04 m"):
         sh_fit(positions, signals, 1, FS)
     with pytest.raises(ValueError):  # a config error, like the other load-time checks
         common_radius(positions)
@@ -168,9 +168,9 @@ def test_fit_radius_mismatch():
 
 
 def test_fit_empty_signals():
-    with pytest.raises(EmptySignals):
+    with pytest.raises(ValueError, match="non-empty signals"):
         sh_fit(np.zeros((0, 3)), np.zeros((0, 8)), 1, FS)
-    with pytest.raises(EmptySignals):
+    with pytest.raises(ValueError, match="non-empty signals"):
         sh_fit(sphere_points(0.26, 4), np.zeros((4, 0)), 1, FS)
 
 
@@ -189,7 +189,7 @@ def test_interpolate_identity_radius():
     mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 1200, C)
     series = sh_fit(sc.monitoring_positions, mics, 2, FS)
     theta, phi = 1.0, 2.0
-    target = MIC_RADIUS * np.array(
+    target = sc.mic_radius * np.array(
         [[np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]]
     )
     (out,) = sh_interpolate(series, target, C)
@@ -203,13 +203,33 @@ def test_interpolate_linearity():
     rng = np.random.default_rng(11)
     sig_a = rng.normal(size=(len(sc.monitoring_positions), 64))
     sig_b = rng.normal(size=(len(sc.monitoring_positions), 64))
-    targets = np.array([[0.0, 0.1, 0.0], [0.05, -0.2, 0.1]])
+    targets = sphere_points(0.2, 5)
 
     def interpolate(signals):
         return sh_interpolate(sh_fit(sc.monitoring_positions, signals, 2, FS), targets, C)
 
     out_ab = interpolate(sig_a + sig_b)
     assert np.allclose(out_ab, interpolate(sig_a) + interpolate(sig_b), atol=1e-10)
+
+
+def test_sh_interpolate_translates_once_per_sphere(monkeypatch):
+    """The sweep's 400 points on one sphere hold several radii one ulp apart: one radial
+    translation serves them all. Targets on two spheres are rejected."""
+    sc = default_scenario(0)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 240, C)
+    series = sh_fit(sc.monitoring_positions, mics, 3, FS)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _radial_ratio(*args)
+
+    monkeypatch.setattr(sh, "_radial_ratio", counted)
+    sh_interpolate(series, sphere_points(0.2, 400), C)
+    assert len(calls) == 1
+    two_spheres = np.vstack([sphere_points(0.2, 10), sphere_points(0.3, 10)])
+    with pytest.raises(ValueError, match="sensor radii span 0.1 m, not one sphere"):
+        sh_interpolate(series, two_spheres, C)
 
 
 def test_dc_bessel_ratio_limit():
@@ -241,7 +261,7 @@ def test_interpolation_error_examples():
     eps = interpolation_error(truth, scaled)
     assert eps == pytest.approx(0.01, rel=1e-9)
     assert ratio_to_db(eps) == pytest.approx(-20.0, abs=1e-9)
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ValueError, match="identically zero"):
         interpolation_error(zero, truth)
 
 
