@@ -13,6 +13,14 @@ SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional 
 PATH_TAPS = 256  # secondary-path FIR length
 
 
+def require_finite(obj, names: tuple[str, ...]):
+    """ValueError naming the first of the fields ``names`` of ``obj`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) and not math.isfinite(value):  # ints: finite past float range
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ToneComponent:
     frequency: float  # Hz
@@ -20,6 +28,7 @@ class ToneComponent:
     phase: float = 0.0  # rad
 
     def __post_init__(self):
+        require_finite(self, ("frequency", "amplitude", "phase"))
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
         if self.amplitude < 0:

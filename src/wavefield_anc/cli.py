@@ -31,13 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
+    train = TrainConfig(epochs=args.epochs, seed=args.seed)  # first: it names a bad --seed
     if args.config is not None:
-        if not args.config.exists():
-            raise FileNotFoundError(f"config file not found: {args.config}")
         scenario = ScenarioConfig.load(args.config)
     else:
         scenario = default_scenario(args.seed)
-    train = TrainConfig(epochs=args.epochs, seed=args.seed)
     return ExperimentSpec(
         experiment=args.experiment, scenario=scenario, train=train, out_dir=args.out
     )

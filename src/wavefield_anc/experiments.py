@@ -23,7 +23,6 @@ from .anc import AncRunReport, field_grid, field_grid_power, run_anc
 from .geometry import sphere_points
 from .oracles import adam_figures, check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import (
-    MlpParams,
     NormSpec,
     TrainConfig,
     TrainReport,
@@ -91,7 +90,7 @@ class OutputBundle:
         path = self.csv_paths[name] = self.spec.out_dir / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
 
-    def train(self) -> tuple[MlpParams, NormSpec, np.ndarray]:
+    def train(self) -> tuple[np.ndarray, NormSpec, np.ndarray]:
         """The PINN fit to one period of the mic signals (the "train" stage), saved as model.txt,
         with the winning restart's loss curve, every 100 epochs, as train_history.csv."""
         sc = self.spec.scenario
@@ -191,7 +190,7 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
 
 
 def run_controls(
-    sc: ScenarioConfig, params: MlpParams, norm: NormSpec
+    sc: ScenarioConfig, params: np.ndarray, norm: NormSpec
 ) -> tuple[AncRunReport, AncRunReport]:
     """The two controllers the paper compares, ANC_ITERATIONS steps each:
     multiple-point control on the measured mic signals, and PINN-assisted

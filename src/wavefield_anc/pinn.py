@@ -7,7 +7,7 @@ data + PDE loss (third-order chain rule through tanh).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,41 +35,16 @@ class DivergenceDetected(Exception):
     """Training loss became non-finite in every restart."""
 
 
-class MlpParams:
-    """Weights of the 4-input, one-hidden-layer tanh network, or of a stack of R networks
-    with a leading restart axis on every field. All live in one (..., 6N + 1) vector:
-    W1 (N, 4) row-major, b1 (N,), W2 (N,), b2; W1, b1 and W2 are views of it."""
-
-    def __init__(self, W1, b1, W2, b2):
-        W1 = np.asarray(W1, dtype=float)
-        self._bind(np.empty((*W1.shape[:-2], 6 * W1.shape[-2] + 1)), W1.shape[-2])
-        self.W1[...], self.b1[...], self.W2[...], self.b2 = W1, b1, W2, b2
-
-    def _bind(self, vec: np.ndarray, n: int):
-        if vec.shape[-1] != 6 * n + 1:
-            raise ValueError(f"{n} hidden units need {6 * n + 1} parameters")
-        self._vec, self.hidden = vec, n
-        self.W1 = vec[..., : 4 * n].reshape(*vec.shape[:-1], n, 4)
-        self.b1, self.W2 = vec[..., 4 * n : 5 * n], vec[..., 5 * n : 6 * n]
-
-    @property
-    def b2(self) -> float | np.ndarray:  # a float for one network, a (R,) view for a stack
-        return self._vec[..., -1][()]
-
-    @b2.setter
-    def b2(self, value):
-        self._vec[..., -1] = value
-
-    def to_vector(self) -> np.ndarray:
-        """The parameter vector itself, not a copy."""
-        return self._vec
-
-    @staticmethod
-    def from_vector(vec: np.ndarray, hidden: int) -> "MlpParams":
-        """The parameters in the (..., 6 hidden + 1) ``vec``, which is used, not copied."""
-        params = MlpParams.__new__(MlpParams)
-        params._bind(np.asarray(vec, dtype=float), hidden)
-        return params
+def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the weights in the (..., 6N + 1) parameters of a 4-input, N-unit tanh network,
+    or of a stack of them along the leading axes: W1 (..., N, 4) row-major, b1 (..., N),
+    W2 (..., N) and b2 (...), in that order; the layout of model.txt."""
+    size = params.shape[-1]
+    n = (size - 1) // 6
+    if n < 1 or size != 6 * n + 1:
+        raise ValueError(f"{size} parameters are not 6N + 1 for N >= 1 hidden units")
+    W1 = params[..., : 4 * n].reshape(*params.shape[:-1], n, 4)
+    return W1, params[..., 4 * n : 5 * n], params[..., 5 * n : 6 * n], params[..., -1]
 
 
 @dataclass(frozen=True)
@@ -108,47 +83,47 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.restarts < 1:
-            raise ValueError("bad training configuration")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class AdamState:
-    m: np.ndarray  # first and second moments, shaped and ordered like MlpParams.to_vector()
+    m: np.ndarray  # first and second moments, shaped and ordered like the parameters
     v: np.ndarray
     t: int = 0
-
-    @staticmethod
-    def zeros(params: MlpParams) -> "AdamState":
-        zero = np.zeros_like(params.to_vector())
-        return AdamState(zero, zero, 0)
 
 
 @dataclass
 class TrainReport:
-    history: list[tuple[int, float, float]] = field(default_factory=list)  # epoch, L_data, L_pde
-    final_data_loss: float = 0.0
-    norm: NormSpec | None = None  # time map the winning model was trained under
-    restart_scores: list[float | None] = field(default_factory=list)  # None: diverged
-    best_restart: int = 0
-    diverged_restarts: list[tuple[int, int]] = field(default_factory=list)  # restart, epoch
+    history: list[tuple[int, float, float]]  # epoch, L_data, L_pde
+    final_data_loss: float
+    norm: NormSpec  # time map the winning model was trained under
+    restart_scores: list[float | None]  # None: diverged
+    best_restart: int
+    diverged_restarts: list[tuple[int, int]]  # restart, epoch
 
 
-def glorot_init(seed: int, N: int = HIDDEN) -> MlpParams:
-    """Glorot-normal weights (std sqrt(2/(fan_in+fan_out))), zero biases."""
-    if N < 1:
-        raise ValueError("need at least one hidden unit")
+def glorot_init(seed: int, N: int = HIDDEN) -> np.ndarray:
+    """Glorot-normal weights (std sqrt(2/(fan_in+fan_out))), zero biases; (6N + 1,)."""
+    params = np.zeros(6 * N + 1)
+    W1, _, W2, _ = unpack(params)
     rng = default_rng(seed)
-    W1 = rng.normal(0.0, np.sqrt(2.0 / (4 + N)), size=(N, 4))
-    W2 = rng.normal(0.0, np.sqrt(2.0 / (N + 1)), size=N)
-    return MlpParams(W1=W1, b1=np.zeros(N), W2=W2, b2=0.0)
+    W1[...] = rng.normal(0.0, np.sqrt(2.0 / (4 + N)), size=(N, 4))
+    W2[...] = rng.normal(0.0, np.sqrt(2.0 / (N + 1)), size=N)
+    return params
 
 
-def mlp_forward(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
+def mlp_forward(params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Network output (..., B) at the (..., B, 4) ``inputs``."""
-    h = np.asarray(inputs, dtype=float) @ params.W1.T
-    h += params.b1  # in place: h is the largest array
-    return np.tanh(h, out=h) @ params.W2 + params.b2
+    W1, b1, W2, b2 = unpack(params)
+    h = np.asarray(inputs, dtype=float) @ W1.T
+    h += b1  # in place: h is the largest array
+    return np.tanh(h, out=h) @ W2 + b2
 
 
 def _with_ones(inputs: np.ndarray) -> np.ndarray:
@@ -157,24 +132,25 @@ def _with_ones(inputs: np.ndarray) -> np.ndarray:
     return u if u.shape[-1] == 5 else np.concatenate([u, np.ones(u.shape[:-1] + (1,))], axis=-1)
 
 
-def _wave_terms(params: MlpParams, C: np.ndarray, c_eff: float) -> tuple[np.ndarray, ...]:
+def _wave_terms(params: np.ndarray, C: np.ndarray, c_eff: float) -> tuple[np.ndarray, ...]:
     """The wave-equation residual R (..., A) at the (..., A, 5) ones-column inputs ``C``, with
     the terms its parameter gradients reuse: WeT, the (..., 5, N) transpose of the extended
     input weights We = [W1 | b1]; the operator coefficients a; g = (We * We) @ a (..., N);
     and tanh^2 and tanh'' of the hidden layer (..., A, N). Each unit's input second
     derivatives are We_ki^2 tanh'', so R = tanh'' @ (W2 * g)."""
-    We = np.concatenate([params.W1, params.b1[..., None]], axis=-1)  # (..., N, 5)
+    W1, b1, W2, _ = unpack(params)
+    We = np.concatenate([W1, b1[..., None]], axis=-1)  # (..., N, 5)
     WeT = np.ascontiguousarray(We.swapaxes(-1, -2))  # contiguous operands: faster products
     a_vec = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2, 0.0])  # the bias column: 0
     g = (We * We) @ a_vec  # (..., N) signed quadratic form of input weights
     Hc = np.tanh(C @ WeT)
     Hc2 = Hc * Hc
     hpp = -2.0 * Hc * (1.0 - Hc2)
-    R = (hpp @ (params.W2 * g)[..., None])[..., 0]  # (..., A)
+    R = (hpp @ (W2 * g)[..., None])[..., 0]  # (..., A)
     return WeT, a_vec, g, Hc2, hpp, R
 
 
-def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndarray:
+def pde_residual(params: np.ndarray, inputs: np.ndarray, c_eff: float) -> np.ndarray:
     """Wave-equation residual c_eff^2 * Laplacian - d^2/dtau^2 at each of the (..., B, 4)
     ``inputs``; (..., B), the leading axes those of a stack of networks."""
     if c_eff <= 0:
@@ -183,34 +159,34 @@ def pde_residual(params: MlpParams, inputs: np.ndarray, c_eff: float) -> np.ndar
 
 
 def loss_and_grads(
-    params: MlpParams,
+    params: np.ndarray,
     mic_inputs: np.ndarray,  # (B, 4), or (B, 5) with the ones column
     mic_targets: np.ndarray,  # (B,)
     colloc_inputs: np.ndarray,  # (A, 4) or (A, 5); (R, A, .) for a stack of R networks
     pde_weight: float,
     c_eff: float,
-) -> tuple[float | np.ndarray, float | np.ndarray, MlpParams]:
+) -> tuple[float | np.ndarray, float | np.ndarray, np.ndarray]:
     """Data + PDE loss and its exact parameter gradients.
 
-    Returns (L_data, L_pde, grads) where grads has the shape of the parameters
-    and differentiates L_data + pde_weight * L_pde; for a stack of R networks
-    the losses are (R,). The bias b1 is the weight of a ones input column, so
-    one product gives the gradients of W1 and b1 together.
+    Returns (L_data, L_pde, grads) where grads has the shape and layout of the
+    parameters and differentiates L_data + pde_weight * L_pde; for a stack of R
+    networks the losses are (R,). The bias b1 is the weight of a ones input column,
+    so one product gives the gradients of W1 and b1 together.
     """
     C = _with_ones(colloc_inputs)
     WeT, a_vec, g, Hc2, hpp, R = _wave_terms(params, C, c_eff)
-    W2 = params.W2
+    _, _, W2, b2 = unpack(params)
 
     # data term: mean squared error at the measured points, in place over (..., B, N)
     U = _with_ones(mic_inputs)
     H = U @ WeT
     np.tanh(H, out=H)
-    pred = (H @ W2[..., None])[..., 0] + np.asarray(params.b2)[..., None]
+    pred = (H @ W2[..., None])[..., 0] + b2[..., None]
     resid = pred - mic_targets
     L_data = np.mean(resid**2, axis=-1)
     dLdp = 2.0 * resid / U.shape[-2]
     gW2 = (dLdp[..., None, :] @ H)[..., 0, :]
-    gb2 = dLdp.sum(axis=-1)
+    gb2 = dLdp.sum(axis=-1, keepdims=True)
     H *= H
     np.subtract(1.0, H, out=H)  # tanh' = 1 - tanh^2
     gWeT = W2[..., None, :] * ((np.ascontiguousarray(U.T) * dLdp[..., None, :]) @ H)  # (..., 5, N)
@@ -226,22 +202,22 @@ def loss_and_grads(
         + (W2 * T)[..., None, :] * 2.0 * a_vec[:, None] * WeT
     )
 
-    return L_data, L_pde, MlpParams(gWeT[..., :4, :].swapaxes(-1, -2), gWeT[..., 4, :], gW2, gb2)
+    gW1 = gWeT[..., :4, :].swapaxes(-1, -2).reshape(*gW2.shape[:-1], -1)  # row-major (N, 4)
+    return L_data, L_pde, np.concatenate([gW1, gWeT[..., 4, :], gW2, gb2], axis=-1)
 
 
 def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, lr: float
-) -> tuple[MlpParams, AdamState]:
+    params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
+) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update with step size ``lr``, elementwise on the whole
-    parameter vector (any leading restart axis); returns new parameters and state."""
+    parameter array (any leading restart axis); returns new parameters and state."""
     t = state.t + 1
     beta1, beta2 = ADAM_BETA1, ADAM_BETA2
-    g = grads.to_vector()
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * np.square(g)
+    m = beta1 * state.m + (1.0 - beta1) * grads
+    v = beta2 * state.v + (1.0 - beta2) * np.square(grads)
     step = lr * (m / (1.0 - beta1**t))  # lr * m_hat / (sqrt(v_hat) + eps), in that order
     step /= np.sqrt(v / (1.0 - beta2**t)) + ADAM_EPS
-    return MlpParams.from_vector(params.to_vector() - step, params.hidden), AdamState(m, v, t)
+    return params - step, AdamState(m, v, t)
 
 
 def make_collocation_positions(
@@ -272,7 +248,7 @@ def train_pinn(
     scenario: ScenarioConfig,
     mic_signals: np.ndarray,
     cfg: TrainConfig,
-) -> tuple[MlpParams, TrainReport]:
+) -> tuple[np.ndarray, TrainReport]:
     """Adam training on the data + PDE loss; deterministic per cfg.seed.
 
     Fits one fundamental period of the tonal field (the signals are periodic,
@@ -304,12 +280,12 @@ def train_pinn(
     targets_flat = targets.ravel() / rms
 
     seeds, A = range(cfg.seed, cfg.seed + cfg.restarts), COLLOCATION_COUNT
-    params = MlpParams.from_vector(np.stack([glorot_init(s).to_vector() for s in seeds]), HIDDEN)
-    params.W1[..., 0] *= TIME_SCALE  # resolve the tones' time oscillation at init
+    params = np.stack([glorot_init(s) for s in seeds])
+    unpack(params)[0][..., 0] *= TIME_SCALE  # resolve the tones' time oscillation at init
     colloc = np.ones((cfg.restarts, A, 5))  # tau (redrawn every epoch), x, y, z, 1
     colloc[..., 1:4] = [make_collocation_positions(scenario, A, s) for s in seeds]
     rngs = [default_rng(s) for s in seeds]
-    state = AdamState.zeros(params)
+    state = AdamState(np.zeros_like(params), np.zeros_like(params))
     history = []
     if cfg.epochs == 0:  # no epoch records the fit: the untrained network's data loss
         final = loss_and_grads(params, inputs, targets_flat, colloc, 0.0, c_eff)[0]
@@ -346,15 +322,14 @@ def train_pinn(
     scores = [None if r in diverged else float(s) for r, s in enumerate(scores)]
     best = min((s, r) for r, s in enumerate(scores) if s is not None)[1]
     history = [(e, float(d[best]), float(p[best])) for e, d, p in history]
-    report = TrainReport(history, float(final[best]), norm, scores, best)
-    report.diverged_restarts = sorted(diverged.items())
-    params = MlpParams.from_vector(params.to_vector()[best].copy(), HIDDEN)  # not a view
-    params.to_vector()[5 * HIDDEN :] *= rms  # undo the target normalization: (W2, b2) is linear
+    report = TrainReport(history, float(final[best]), norm, scores, best, sorted(diverged.items()))
+    params = params[best].copy()  # not a view
+    params[5 * HIDDEN :] *= rms  # undo the target normalization: (W2, b2) is linear
     return params, report
 
 
 def pinn_predict(
-    params: MlpParams,
+    params: np.ndarray,
     norm: NormSpec,
     points: np.ndarray,
     sample_rate: float,
@@ -378,16 +353,16 @@ def pinn_predict(
     return repeat_period(out.reshape(len(points), period), num_samples)
 
 
-def save_params(params: MlpParams, norm: NormSpec, path: str | Path):
+def save_params(params: np.ndarray, norm: NormSpec, path: str | Path):
     """Flat text format: N, row-major W1, b1, W2, b2, then the time-map constants."""
-    values = [*params.to_vector(), norm.duration, norm.half_range]
-    Path(path).write_text("\n".join([str(params.hidden), *(f"{v:.17g}" for v in values)]) + "\n")
+    values = [*params, norm.duration, norm.half_range]
+    hidden = str(len(unpack(params)[1]))
+    Path(path).write_text("\n".join([hidden, *(f"{v:.17g}" for v in values)]) + "\n")
 
 
-def load_params(path: str | Path) -> tuple[MlpParams, NormSpec]:
+def load_params(path: str | Path) -> tuple[np.ndarray, NormSpec]:
     lines = Path(path).read_text().split()
-    n = int(lines[0])
-    dim = 6 * n + 1
-    vec = np.array([float(v) for v in lines[1 : 1 + dim]])
+    dim = 6 * int(lines[0]) + 1
+    params = np.array([float(v) for v in lines[1 : 1 + dim]])
     duration, half_range = float(lines[1 + dim]), float(lines[2 + dim])
-    return MlpParams.from_vector(vec, n), NormSpec(duration, half_range)
+    return params, NormSpec(duration, half_range)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
-from .acoustics import TonalSource, ToneComponent, path_distances
+from .acoustics import TonalSource, ToneComponent, path_distances, require_finite
 from .geometry import ORIGIN, as_points, distances
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
@@ -19,8 +19,6 @@ def _number(d: dict, key: str) -> float:
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, got {type(value).__name__} {value!r}")
-    if isinstance(value, float) and not np.isfinite(value):  # json reads NaN and Infinity
-        raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 
 
@@ -36,6 +34,7 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, ("speed_of_sound", "sample_rate", "duration", "rng_seed"))
         for name in ("secondary_positions", "monitoring_positions", "virtual_positions"):
             setattr(self, name, as_points(getattr(self, name), name))
         if self.speed_of_sound <= 0:

@@ -28,12 +28,6 @@ class ShCoeffSeries:
     sample_rate: float
     coeffs: np.ndarray  # shape ((U+1)^2, num_samples)
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        expected = (self.max_order + 1) ** 2
-        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != expected:
-            raise ValueError(f"coeffs must have {expected} mode rows")
-
 
 def real_sh(U: int, theta, phi) -> np.ndarray:
     """Real orthonormal spherical harmonics of orders 0..U at the angles ``theta``, ``phi``
@@ -92,10 +86,7 @@ def max_order(f_m: float, r: float, c: float) -> int:
     """Soundfield truncation order ceil(2 pi f r / c)."""
     if f_m <= 0 or r <= 0 or c <= 0:
         raise ValueError("all arguments must be positive")
-    arg = 2.0 * np.pi * f_m * r / c
-    if arg < 1e-12:
-        return 0
-    return int(np.ceil(arg))
+    return int(np.ceil(2.0 * np.pi * f_m * r / c))
 
 
 def common_radius(positions: np.ndarray) -> float:

@@ -115,7 +115,7 @@ def test_criterion_5_wave_equation_residual_oracle():
     pts = rng.uniform(-1.5, 1.5, size=(400, 4))
     target = np.sin(pts[:, 1:] @ k - omega * pts[:, 0])
     params = glorot_init(1, 32)
-    st = AdamState.zeros(params)
+    st = AdamState(np.zeros_like(params), np.zeros_like(params))
     epochs = 25_000
     for e in range(epochs):
         lr = 1e-2 * (1e-3) ** (e / (epochs - 1))

@@ -14,13 +14,13 @@ from wavefield_anc.acoustics import (
 )
 from wavefield_anc.geometry import cart_to_sph, sphere_points
 from wavefield_anc.pinn import (
-    MlpParams,
     NormSpec,
     glorot_init,
     loss_and_grads,
     mlp_forward,
     pde_residual,
     pinn_predict,
+    unpack,
 )
 from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import _radial_ratio, sh_fit, sh_interpolate
@@ -100,10 +100,10 @@ def sh_interpolate_one(series, target):
 
 def loss_and_grads_unfused(params, U, tgt, C, lam, c_eff):
     """One network's data + PDE loss and gradients, term by term, the bias b1 added apart."""
-    W1, b1, W2 = params.W1, params.b1, params.W2
+    W1, b1, W2, b2 = unpack(params)
     B, A = len(U), len(C)
     H = np.tanh(U @ W1.T + b1)
-    resid = H @ W2 + params.b2 - tgt
+    resid = H @ W2 + b2 - tgt
     dLdp = 2.0 * resid / B
     delta = dLdp[:, None] * W2 * (1.0 - H * H)
     gW1, gb1, gW2, gb2 = delta.T @ U, delta.sum(axis=0), H.T @ dLdp, dLdp.sum()
@@ -122,19 +122,16 @@ def loss_and_grads_unfused(params, U, tgt, C, lam, c_eff):
     gW1 = gW1 + lam * (
         (W2 * g)[:, None] * ((dLdR[:, None] * hppp).T @ C) + (W2 * T)[:, None] * 2.0 * a_vec * W1
     )
-    return np.mean(resid**2), np.mean(R**2), MlpParams(gW1, gb1, gW2, gb2)
-
-
-def fields(params):
-    """The four weight arrays of an MlpParams, in its vector's order."""
-    return params.W1, params.b1, params.W2, params.b2
+    grads = np.concatenate([gW1.ravel(), gb1, gW2, [gb2]])
+    return np.mean(resid**2), np.mean(R**2), grads
 
 
 def random_network(rng, n):
     params = glorot_init(int(rng.integers(1000)), n)
-    params.W1[:, 0] *= rng.choice([1.0, 100.0])
-    params.b1[:] = rng.normal(size=n)
-    params.b2 = float(rng.normal())
+    W1, b1, _, b2 = unpack(params)
+    W1[:, 0] *= rng.choice([1.0, 100.0])
+    b1[:] = rng.normal(size=n)
+    b2[...] = rng.normal()
     return params
 
 
@@ -156,9 +153,9 @@ def test_fused_loss_and_grads_matches_unfused(seed, n):
     ref_data, ref_pde, ref = loss_and_grads_unfused(params, U, tgt, C, lam, c_eff)
     assert abs(L_data - ref_data) <= 1e-12 * ref_data
     assert abs(L_pde - ref_pde) <= 1e-12 * ref_pde
-    for got, want in zip(fields(grads), fields(ref)):
-        assert np.shape(got) == np.shape(want)
-        assert rel_err(np.asarray(got), np.asarray(want)) <= 1e-12
+    assert grads.shape == ref.shape
+    for got, want in zip(unpack(grads), unpack(ref)):
+        assert rel_err(got, want) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,15 +163,14 @@ def test_fused_loss_and_grads_matches_unfused(seed, n):
 def test_stacked_loss_and_grads_is_each_network_alone(seed, n, restarts):
     rng = np.random.default_rng(seed)
     nets = [random_network(rng, n) for _ in range(restarts)]
-    stack = MlpParams.from_vector(np.stack([p.to_vector() for p in nets]), n)
+    stack = np.stack(nets)
     U, tgt, C, lam, c_eff = kernel_case(rng, restarts)
     L_data, L_pde, grads = loss_and_grads(stack, U, tgt, C, lam, c_eff)
     residual = pde_residual(stack, U, c_eff)  # the restart score's term, at shared points
     for r, net in enumerate(nets):
         alone = loss_and_grads(net, U, tgt, C[r], lam, c_eff)
         assert L_data[r] == alone[0] and L_pde[r] == alone[1]
-        for got, want in zip(fields(grads), fields(alone[2])):
-            assert np.array_equal(got[r], want)
+        assert np.array_equal(grads[r], alone[2])
         assert np.array_equal(residual[r], pde_residual(net, U, c_eff))
 
 
@@ -241,8 +237,9 @@ def test_sh_interpolate_matches_per_point(seed, radii):
 def test_pinn_predict_matches_per_point(seed, count, n):
     rng = np.random.default_rng(seed)
     params = glorot_init(int(rng.integers(1000)), int(rng.integers(1, 20)))
-    params.W1[:, 0] *= 100.0
-    params.b1[:] = rng.normal(size=params.hidden)
+    W1, b1, _, _ = unpack(params)
+    W1[:, 0] *= 100.0
+    b1[:] = rng.normal(size=b1.size)
     norm = NormSpec(n / FS)
     points = random_points(rng, count, 0.0, 0.3)
     out = pinn_predict(params, norm, points, FS, n)

@@ -139,6 +139,44 @@ def test_non_finite_config_number_is_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("speed_of_sound", float("nan")),
+        ("sample_rate", float("inf")),
+        ("duration", float("inf")),
+        ("rng_seed", float("nan")),
+        ("frequency", float("nan")),
+        ("amplitude", float("nan")),
+        ("amplitude", float("inf")),
+        ("amplitude", float("-inf")),
+        ("phase", float("inf")),
+    ],
+)
+def test_non_finite_number_in_a_config_built_in_python_is_rejected(key, value):
+    """The dataclasses hold the finiteness rule, so a config that never passes the JSON
+    loader, built with dataclasses.replace, keeps to it too."""
+    sc = default_scenario(0)
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+        if key in ("frequency", "amplitude", "phase"):
+            dataclasses.replace(sc.primary_source.components[0], **{key: value})
+        else:
+            dataclasses.replace(sc, **{key: value})
+
+
+@pytest.mark.parametrize("with_config", [False, True], ids=["built-in", "config"])
+def test_negative_seed_is_exit_2_naming_it(tmp_path, capsys, with_config):
+    """--seed is checked when the spec is resolved, before any stage runs, with a scenario
+    file or without one."""
+    args = ["anc-convergence", "--seed", "-1", "--epochs", "5", "--out", str(tmp_path / "o")]
+    if with_config:
+        default_scenario(0).save(tmp_path / "scenario.json")
+        args += ["--config", str(tmp_path / "scenario.json")]
+    assert main(args) == 2
+    assert "config error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "freqs, duration, message",
     [
         ([333.0], 0.1, "repeat every 8000 samples"),  # 72.07 samples a cycle
@@ -269,7 +307,7 @@ def test_every_restart_diverging_fails_the_train_stage(tmp_path):
         real = pinn.glorot_init
         def init(seed, N=16):
             params = real(seed, N)
-            params.W2[:] = float("nan")
+            pinn.unpack(params)[2][:] = float("nan")
             return params
         pinn.glorot_init = init
         sys.exit(main(["anc-convergence", "--epochs", "5", "--out", sys.argv[1]]))

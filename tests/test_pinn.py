@@ -17,7 +17,6 @@ from wavefield_anc.oracles import adam_figures
 from wavefield_anc.pinn import (
     AdamState,
     DivergenceDetected,
-    MlpParams,
     NormSpec,
     TrainConfig,
     adam_step,
@@ -30,6 +29,7 @@ from wavefield_anc.pinn import (
     pinn_predict,
     save_params,
     train_pinn,
+    unpack,
 )
 from wavefield_anc.scenario import default_scenario
 
@@ -40,41 +40,48 @@ def random_params(seed, n=8):
     return glorot_init(seed, n)
 
 
+def pack(W1, b1, W2, b2):
+    """The (6N + 1,) parameters of the network with these weights."""
+    return np.concatenate([np.ravel(W1), b1, W2, [b2]])
+
+
 def test_glorot_biases_zero_and_deterministic():
     a = glorot_init(3, 16)
-    b = glorot_init(3, 16)
-    assert np.all(a.b1 == 0.0) and a.b2 == 0.0
-    assert np.array_equal(a.to_vector(), b.to_vector())
+    _, b1, _, b2 = unpack(a)
+    assert a.shape == (97,) and np.all(b1 == 0.0) and b2 == 0.0
+    assert np.array_equal(a, glorot_init(3, 16))
 
 
 def test_glorot_std():
-    draws = np.concatenate([glorot_init(s, 16).W1.ravel() for s in range(2000)])
+    draws = np.concatenate([unpack(glorot_init(s, 16))[0].ravel() for s in range(2000)])
     assert abs(draws.std() - np.sqrt(2.0 / 20.0)) < 0.01
 
 
-def test_vector_round_trip():
-    p = random_params(0)
-    q = MlpParams.from_vector(p.to_vector(), p.hidden)
-    assert np.array_equal(p.to_vector(), q.to_vector())
+def test_unpack_gives_views_in_model_file_order():
+    p = np.arange(49.0)  # N = 8
+    W1, b1, W2, b2 = unpack(p)
+    assert np.array_equal(W1, np.arange(32.0).reshape(8, 4))  # row-major
+    assert np.array_equal(b1, np.arange(32.0, 40.0)) and np.array_equal(W2, np.arange(40.0, 48.0))
+    W1[0, 1], b1[2], W2[1], b2[...] = -1.0, -2.0, -3.0, -4.0
+    assert (p[1], p[34], p[41], p[48]) == (-1.0, -2.0, -3.0, -4.0)  # writes reach the array
+    assert b2.shape == () and np.shares_memory(b2, p)  # one network's b2: a 0-d view
+    stack = np.stack([random_params(s) for s in range(3)])
+    W1, b1, W2, b2 = unpack(stack)
+    assert W1.shape == (3, 8, 4) and b1.shape == W2.shape == (3, 8) and b2.shape == (3,)
+    W1[1, 0, 0] = -7.0
+    assert stack[1, 0] == -7.0  # network r of a stack is its row
+    assert np.array_equal(unpack(stack[1])[0], W1[1])
 
 
-def test_fields_are_views_of_one_vector():
-    p = random_params(0)
-    p.W2[1] = 42.0
-    p.b2 = 3.5
-    vec = p.to_vector()
-    assert vec[5 * 8 + 1] == 42.0 and vec[-1] == 3.5 and p.b2 == 3.5
-    stack = MlpParams.from_vector(np.stack([random_params(s).to_vector() for s in range(3)]), 8)
-    assert stack.W1.shape == (3, 8, 4) and stack.b2.shape == (3,)
-    row = MlpParams.from_vector(stack.to_vector()[1], 8)
-    row.W1[0, 0] = -7.0
-    assert stack.W1[1, 0, 0] == -7.0  # network r of a stack is a view of its row
-    assert np.array_equal(row.to_vector(), stack.to_vector()[1])
+@pytest.mark.parametrize("size", [0, 1, 6, 48, 50])
+def test_unpack_rejects_a_length_not_6n_plus_1(size):
+    with pytest.raises(ValueError, match=f"{size} parameters are not 6N \\+ 1"):
+        unpack(np.zeros(size))
 
 
 def test_save_params_writes_the_documented_lines(tmp_path):
     W1 = np.arange(1.0, 9.0).reshape(2, 4)
-    p = MlpParams(W1, np.array([0.5, -0.5]), np.array([0.25, 1.0 / 3.0]), -2.0)
+    p = pack(W1, np.array([0.5, -0.5]), np.array([0.25, 1.0 / 3.0]), -2.0)
     save_params(p, NormSpec(0.01), tmp_path / "model.txt")
     w1_rows = ["1", "2", "3", "4", "5", "6", "7", "8"]  # row-major
     b1, w2, b2 = ["0.5", "-0.5"], ["0.25", "0.33333333333333331"], ["-2"]
@@ -85,37 +92,39 @@ def test_save_params_writes_the_documented_lines(tmp_path):
 
 def test_forward_independent_reimplementation():
     p = random_params(1)
+    W1, b1, W2, b2 = unpack(p)
     u = np.array([0.1, 0.05, -0.05, 0.0])
     expected = 0.0
-    for k in range(p.hidden):
-        z = p.b1[k]
+    for k in range(8):
+        z = b1[k]
         for i in range(4):
-            z += p.W1[k, i] * u[i]
-        expected += p.W2[k] * np.tanh(z)
-    expected += p.b2
+            z += W1[k, i] * u[i]
+        expected += W2[k] * np.tanh(z)
+    expected += b2
     assert mlp_forward(p, u[None]) == pytest.approx([expected], abs=1e-14)
 
 
 def test_forward_constant_network():
-    p = MlpParams(np.ones((4, 4)), np.zeros(4), np.zeros(4), 1.7)
+    p = pack(np.ones((4, 4)), np.zeros(4), np.zeros(4), 1.7)
     assert np.array_equal(mlp_forward(p, np.array([[1.0, 2.0, 3.0, 4.0]])), [1.7])
 
 
 def test_pde_residual_zero_at_hyperplane():
     # single unit, input on its hyperplane: tanh''(0) = 0
-    p = MlpParams(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros(1), np.ones(1), 0.0)
+    p = pack(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros(1), np.ones(1), 0.0)
     assert np.all(np.abs(pde_residual(p, np.array([[0.0, 0.3, 0.4, 0.5]]), 2.0)) < 1e-15)
 
 
 def test_pde_residual_linear_in_output_layer():
     p = random_params(2)
-    doubled = MlpParams(p.W1, p.b1, 2.0 * p.W2, p.b2)
+    doubled = p.copy()
+    unpack(doubled)[2][:] *= 2.0
     u = np.array([[0.1, -0.1, 0.05, 0.0], [0.02, 0.3, -0.2, 0.1]])
     assert np.allclose(pde_residual(doubled, u, 3.0), 2.0 * pde_residual(p, u, 3.0), atol=1e-15)
 
 
 def test_pde_residual_constant_network():
-    p = MlpParams(np.ones((3, 4)), np.ones(3), np.zeros(3), 5.0)
+    p = pack(np.ones((3, 4)), np.ones(3), np.zeros(3), 5.0)
     assert np.array_equal(pde_residual(p, np.array([[0.1, 0.2, 0.3, 0.4]]), 2.0), [0.0])
 
 
@@ -130,7 +139,7 @@ def test_grads_zero_at_fit_point():
     u = np.array([[0.1, 0.0, 0.0, 0.0]])
     target = mlp_forward(p, u)
     _, _, grads = loss_and_grads(p, u, target, u, 0.0, 1.0)
-    assert np.max(np.abs(grads.to_vector())) < 1e-14
+    assert np.max(np.abs(grads)) < 1e-14
 
 
 def test_loss_mean_semantics():
@@ -145,26 +154,24 @@ def test_loss_mean_semantics():
     )
     assert ld1 == pytest.approx(ld2, rel=1e-12)
     assert lp1 == pytest.approx(lp2, rel=1e-12)
-    assert np.allclose(g1.to_vector(), g2.to_vector(), atol=1e-14)
+    assert np.allclose(g1, g2, atol=1e-14)
 
 
 def test_adam_zero_grad_is_fixed_point():
     p = random_params(7)
-    zero = MlpParams(np.zeros_like(p.W1), np.zeros_like(p.b1), np.zeros_like(p.W2), 0.0)
-    st = AdamState.zeros(p)
-    q, _ = adam_step(p, zero, st, 1e-2)
-    assert np.array_equal(p.to_vector(), q.to_vector())
+    st = AdamState(np.zeros_like(p), np.zeros_like(p))
+    q, _ = adam_step(p, np.zeros_like(p), st, 1e-2)
+    assert np.array_equal(p, q)
 
 
 def test_adam_first_step_magnitude():
     p = random_params(8)
     rng = np.random.default_rng(8)
-    g = MlpParams.from_vector(rng.normal(size=p.to_vector().size), p.hidden)
-    st = AdamState.zeros(p)
+    gv = rng.normal(size=p.size)
+    st = AdamState(np.zeros_like(p), np.zeros_like(p))
     lr = 1e-3
-    q, _ = adam_step(p, g, st, lr)
-    step = q.to_vector() - p.to_vector()
-    gv = g.to_vector()
+    q, _ = adam_step(p, gv, st, lr)
+    step = q - p
     assert np.all(np.sign(step[gv != 0]) == -np.sign(gv[gv != 0]))
     assert np.all(np.abs(step) <= lr + 1e-15)
     assert np.all(np.abs(step[np.abs(gv) > 1e-3]) > 0.9 * lr)
@@ -178,25 +185,24 @@ def test_adam_scalar_convergence():
 def test_stacked_adam_step_is_each_network_alone(restarts):
     rng = np.random.default_rng(restarts)
     nets = [random_params(30 + r) for r in range(restarts)]
-    stack = MlpParams.from_vector(np.stack([p.to_vector() for p in nets]), 8)
-    state, alone = AdamState.zeros(stack), [(p, AdamState.zeros(p)) for p in nets]
+    stack = np.stack(nets)
+    state = AdamState(np.zeros_like(stack), np.zeros_like(stack))
+    alone = [(p, AdamState(np.zeros_like(p), np.zeros_like(p))) for p in nets]
     b1, b2, lr = pinn.ADAM_BETA1, pinn.ADAM_BETA2, 1e-2
     for t in range(1, 6):
-        g = rng.normal(size=stack.to_vector().shape) * rng.choice([1e-6, 1.0, 1e3])
+        g = rng.normal(size=stack.shape) * rng.choice([1e-6, 1.0, 1e3])
         # the update as its formula, on the whole vector
         m = b1 * state.m + (1.0 - b1) * g
         v = b2 * state.v + (1.0 - b2) * g**2
         m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
-        expected = stack.to_vector() - lr * m_hat / (np.sqrt(v_hat) + pinn.ADAM_EPS)
-        stack, state = adam_step(stack, MlpParams.from_vector(g, 8), state, lr)
+        expected = stack - lr * m_hat / (np.sqrt(v_hat) + pinn.ADAM_EPS)
+        stack, state = adam_step(stack, g, state, lr)
         assert state.t == t
-        assert np.array_equal(stack.to_vector(), expected)
+        assert np.array_equal(stack, expected)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-        alone = [
-            adam_step(p, MlpParams.from_vector(g[r], 8), st, lr) for r, (p, st) in enumerate(alone)
-        ]
+        alone = [adam_step(p, g[r], st, lr) for r, (p, st) in enumerate(alone)]
         for r, (p, st) in enumerate(alone):
-            assert np.array_equal(stack.to_vector()[r], p.to_vector())
+            assert np.array_equal(stack[r], p)
             assert np.array_equal(state.m[r], st.m) and np.array_equal(state.v[r], st.v)
 
 
@@ -255,7 +261,7 @@ def test_train_zero_epochs(scenario, mic_signals):
     cfg = dataclasses.replace(QUICK_TRAIN, epochs=0)
     params, report = train_pinn(scenario, mic_signals, cfg)
     assert report.history == []
-    assert params.hidden == pinn.HIDDEN
+    assert params.shape == (6 * pinn.HIDDEN + 1,)
 
 
 def test_train_zero_epochs_reports_the_untrained_fit(scenario, mic_signals):
@@ -279,13 +285,13 @@ def test_train_is_independent_of_the_signal_layout():
     cfg = TrainConfig(epochs=5, restarts=1)
     row_major, _ = train_pinn(sc, mics, cfg)
     column_major, _ = train_pinn(sc, np.asfortranarray(mics), cfg)
-    assert np.array_equal(row_major.to_vector(), column_major.to_vector())
+    assert np.array_equal(row_major, column_major)
 
 
 def test_train_deterministic(scenario, mic_signals):
     p1, _ = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     p2, _ = train_pinn(scenario, mic_signals, QUICK_TRAIN)
-    assert np.array_equal(p1.to_vector(), p2.to_vector())
+    assert np.array_equal(p1, p2)
 
 
 def bad_init_except(monkeypatch, keep, bad=np.nan):
@@ -295,7 +301,7 @@ def bad_init_except(monkeypatch, keep, bad=np.nan):
     def init(seed, N=16):
         params = real(seed, N)
         if seed not in keep:
-            params.W2[:] = bad
+            unpack(params)[2][:] = bad
         return params
 
     monkeypatch.setattr(pinn, "glorot_init", init)
@@ -307,14 +313,14 @@ def test_trained_params_do_not_alias_the_stack(scenario, mic_signals, monkeypatc
 
     def recording(*args):
         params, state = real(*args)
-        steps.append((params, params.to_vector().copy()))
+        steps.append((params, params.copy()))
         return params, state
 
     monkeypatch.setattr(pinn, "adam_step", recording)
     params, _ = train_pinn(scenario, 7.0 * mic_signals, TrainConfig(epochs=20, restarts=2))
     stack, snapshot = steps[-1]
-    assert np.array_equal(stack.to_vector(), snapshot)
-    assert not np.shares_memory(params.to_vector(), stack.to_vector())
+    assert np.array_equal(stack, snapshot)
+    assert not np.shares_memory(params, stack)
 
 
 def test_each_restart_trains_as_its_seed_alone(scenario, mic_signals, monkeypatch):
@@ -333,7 +339,7 @@ def test_each_restart_trains_as_its_seed_alone(scenario, mic_signals, monkeypatc
     for r, (params, report) in runs:
         ref_params, ref_report = alone[r]
         assert report.best_restart == r
-        assert np.array_equal(params.to_vector(), ref_params.to_vector())
+        assert np.array_equal(params, ref_params)
         assert report.final_data_loss == ref_report.final_data_loss
         assert report.history == ref_report.history and len(report.history) == 3
 
@@ -349,7 +355,7 @@ def test_diverged_restart_is_dropped(scenario, mic_signals, monkeypatch, bad):
     assert report.restart_scores[1] is None
     assert all(np.isfinite(report.restart_scores[r]) for r in (0, 2))
     assert report.best_restart in (0, 2)
-    assert np.all(np.isfinite(params.to_vector()))
+    assert np.all(np.isfinite(params))
 
 
 def test_all_restarts_diverged_raises(scenario, mic_signals, monkeypatch):
@@ -377,12 +383,12 @@ def test_train_is_amplitude_invariant(scenario, mic_signals):
     p1, r1 = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     p2, r2 = train_pinn(scenario, scaled, QUICK_TRAIN)
     # normalized training makes the fit scale-equivariant
-    assert np.allclose(7.0 * p1.W2, p2.W2, rtol=1e-9)
+    assert np.allclose(7.0 * unpack(p1)[2], unpack(p2)[2], rtol=1e-9)
     assert r1.final_data_loss == pytest.approx(r2.final_data_loss, rel=1e-9)
 
 
 def test_predict_shapes_and_constant_network():
-    p = MlpParams(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 3.3)
+    p = pack(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 3.3)
     out = pinn_predict(p, NormSpec(0.01), [[0, 0.1, 0], [0.2, 0, 0.1]], 24_000.0, 240)
     assert out.shape == (2, 240)
     assert np.all(out == 3.3)
@@ -424,8 +430,9 @@ def _predict_is_one_whole_grid_pass(seed, period, count_pick, samples_pick, extr
     """Called by test_predict_blocks_are_one_whole_grid_pass, on one BLAS thread."""
     rng = np.random.default_rng(seed)
     params = glorot_init(seed % 1000, pinn.HIDDEN)
-    params.W1[:, 0] *= pinn.TIME_SCALE
-    params.b1[...] = rng.normal(size=pinn.HIDDEN)
+    W1, b1, _, _ = unpack(params)
+    W1[:, 0] *= pinn.TIME_SCALE
+    b1[...] = rng.normal(size=pinn.HIDDEN)
     step = max(1, pinn.PREDICT_BLOCK_ROWS // period)  # whole points' grids that fit in a block
     counts = [c for c in (1, step - 1, step, step + 1, 400) if 1 <= c <= 240_000 // period]
     count = counts[count_pick % len(counts)]
@@ -484,12 +491,14 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_params(p, norm, path)
     q, norm2 = load_params(path)
-    assert np.array_equal(p.to_vector(), q.to_vector())
+    assert np.array_equal(p, q)
     assert norm2 == norm
 
 
 def test_bad_train_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs must be non-negative, got -1"):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
         TrainConfig(restarts=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        TrainConfig(seed=-1)

@@ -12,7 +12,6 @@ from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.geometry import cart_to_sph, sphere_points
 from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import (
-    ShCoeffSeries,
     _radial_ratio,
     common_radius,
     interpolation_error,
@@ -292,8 +291,3 @@ def test_ratio_to_db_on_arrays_is_the_scalar_result():
 @settings(max_examples=50)
 def test_ratio_to_db_monotone(r):
     assert ratio_to_db(r) <= ratio_to_db(r * 10.0) or ratio_to_db(r) == -300.0
-
-
-def test_coeff_series_shape_check():
-    with pytest.raises(ValueError):
-        ShCoeffSeries(2, 0.26, FS, np.zeros((4, 10)))
