@@ -62,6 +62,18 @@ def test_unpack_gives_views_in_model_file_order():
     W1, b1, W2, b2 = unpack(p)
     assert np.array_equal(W1, np.arange(32.0).reshape(8, 4))  # row-major
     assert np.array_equal(b1, np.arange(32.0, 40.0)) and np.array_equal(W2, np.arange(40.0, 48.0))
+    assert b2 == 48.0
+
+
+def test_vector_round_trip():
+    p = random_params(0)
+    q = pack(*unpack(p))
+    assert np.array_equal(p, q) and not np.shares_memory(p, q)
+
+
+def test_fields_are_views_of_one_vector():
+    p = np.arange(49.0)  # N = 8
+    W1, b1, W2, b2 = unpack(p)
     W1[0, 1], b1[2], W2[1], b2[...] = -1.0, -2.0, -3.0, -4.0
     assert (p[1], p[34], p[41], p[48]) == (-1.0, -2.0, -3.0, -4.0)  # writes reach the array
     assert b2.shape == () and np.shares_memory(b2, p)  # one network's b2: a 0-d view
