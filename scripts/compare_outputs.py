@@ -5,9 +5,10 @@
 
 Byte-compares every ``*.csv`` and ``model.txt`` under either tree, matched by their
 path below the tree's root, and lists the ``summary.json`` leaves whose values differ,
-ignoring ``timings`` and ``wall_clock_s``. Exit code 1 when a CSV or model file differs
-or exists on one side only, 2 when neither tree holds one; summary differences are
-listed but do not fail.
+ignoring ``timings`` and ``wall_clock_s``, each pair of numbers with its relative
+difference |b - a| / max(|a|, |b|), so that a roundoff move reads as 1e-15 or so. Exit
+code 1 when a CSV or model file differs or exists on one side only, 2 when neither tree
+holds one; summary differences are listed but do not fail.
 """
 
 import json
@@ -26,6 +27,16 @@ def leaves(obj, prefix=""):
     else:
         return {prefix: json.dumps(obj)}
     return {p: v for k, x in items for p, v in leaves(x, f"{prefix}.{k}".lstrip(".")).items()}
+
+
+def rel_change(a, b):
+    """' (rel X)' for two JSON texts of numbers, the relative difference of their values;
+    '' when either is absent or not a number."""
+    x, y = (None if t is None else json.loads(t) for t in (a, b))
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+        return ""
+    scale = max(abs(x), abs(y))
+    return f" (rel {abs(y - x) / scale if scale else 0.0:.1e})"
 
 
 def found(roots, *patterns):
@@ -47,7 +58,8 @@ def main(argv):
                 for r in roots)
         for key in sorted(set(a) | set(b)):
             if a.get(key) != b.get(key):
-                print(f"summary {rel} {key}: {a.get(key, '(absent)')} -> {b.get(key, '(absent)')}")
+                print(f"summary {rel} {key}: {a.get(key, '(absent)')} -> "
+                      f"{b.get(key, '(absent)')}{rel_change(a.get(key), b.get(key))}")
     print(f"{len(outputs) - len(differ)} of {len(outputs)} CSV and model files byte-identical")
     return 2 if not outputs else 1 if differ else 0
 

@@ -37,9 +37,17 @@ def _tap_major(firs: np.ndarray) -> np.ndarray:
 
 def _fir_sum(history: np.ndarray, firs: np.ndarray) -> np.ndarray:
     """out[k, ...] = sum_l sum_t firs[l, ..., t] history[k + t, l] for (L, ..., taps) ``firs``
-    and a (count + taps - 1, L) ``history``, out and history newest first. The input
-    windows of each FIR_BLOCK outputs are copied contiguous for one matrix product."""
-    rows = _tap_major(firs)
+    and a (count + taps - 1, L) ``history``, out and history newest first. Only the span
+    of taps that is non-zero in some FIR is multiplied: the rest are exact zeros (path
+    FIRs hold ~32 live taps of PATH_TAPS). The input windows of each FIR_BLOCK outputs are
+    copied contiguous for one matrix product."""
+    taps = firs.shape[-1]
+    live = np.flatnonzero(np.any(firs != 0, axis=tuple(range(firs.ndim - 1))))
+    if not live.size:
+        return np.zeros((len(history) - taps + 1, *firs.shape[1:-1]))
+    t0, t1 = live[0], live[-1] + 1
+    history = history[t0 : len(history) - taps + t1]
+    rows = _tap_major(firs[..., t0:t1])
     windows = sliding_window_view(history.ravel(), rows.shape[1])[:: len(firs)]
     out = np.empty((len(windows), len(rows)))
     for k in range(0, len(windows), FIR_BLOCK):
@@ -55,14 +63,17 @@ def filtered_reference(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
 
 
 def fxlms_step(
-    w: np.ndarray,  # (filter_len, L), newest lag first
-    filtered_refs: np.ndarray,  # (filter_len, L, M), newest lag first
+    w: np.ndarray,  # (filter_len * L,) flat, newest lag first
+    filtered_refs: np.ndarray,  # (filter_len * L, M), rows in the order of w
     errors: np.ndarray,  # (M,)
     mu: float,
+    update: np.ndarray,  # (filter_len * L,) preallocated work buffer
 ) -> np.ndarray:
     """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3),
-    in place: returns ``w``."""
-    w += mu * np.dot(filtered_refs.reshape(w.size, -1), errors).reshape(w.shape)
+    in place through ``update``, with no temporaries: returns ``w``."""
+    np.dot(filtered_refs, errors, out=update)
+    update *= mu
+    w += update
     return w
 
 
@@ -100,20 +111,26 @@ def run_anc(
     w = np.zeros((FILTER_LEN, len(paths)))
     paths = -_tap_major(paths)  # (M, taps L), matching y[k : k + taps].ravel()
     errors = primary.T.copy()  # (N, M); the loop adds the secondary part
-    L, y_flat, secondary = y.shape[1], y.reshape(-1), np.empty(len(sensors))
+    L, M = fx.shape[1:]
+    # per-step views, row k for step iterations - 1 - k: the FILTER_LEN latest inputs, the
+    # PATH_TAPS latest outputs raveled, and the filtered reference as (FILTER_LEN L, M)
+    x_win = sliding_window_view(x, FILTER_LEN)
+    y_win = sliding_window_view(y.reshape(-1), PATH_TAPS * L)[::L]
+    refs = sliding_window_view(fx.reshape(-1, M), FILTER_LEN * L, axis=0)[::L].swapaxes(1, 2)
+    w_flat, secondary, update = w.reshape(-1), np.empty(M), np.empty(w.size)
+    bound_sq = WEIGHT_BOUND**2 / 2
 
     # np.dot writes into its out= rows with no temporaries; per step, call overhead dominates
-    for n in range(iterations):
-        k = iterations - 1 - n
-        np.dot(x[k : k + FILTER_LEN], w, out=y[k])
-        e = errors[n]
-        e += np.dot(paths, y_flat[k * L : (k + PATH_TAPS) * L], out=secondary)
-        fxlms_step(w, fx[k : k + FILTER_LEN], e, mu)
+    steps = zip(x_win[::-1], y[iterations - 1 :: -1], y_win[::-1], refs[::-1], errors)
+    for n, (x_recent, y_n, y_recent, refs_n, e) in enumerate(steps):
+        np.dot(x_recent, w, out=y_n)
+        e += np.dot(paths, y_recent, out=secondary)
+        fxlms_step(w_flat, refs_n, e, mu, update)
         # below half the squared bound, the squared norm keeps every weight within it
-        if not np.vdot(w, w) <= WEIGHT_BOUND**2 / 2 and not np.all(np.abs(w) <= WEIGHT_BOUND):
+        if not np.vdot(w, w) <= bound_sq and not np.all(np.abs(w) <= WEIGHT_BOUND):
             break
     n_done = n + 1
-    del fx  # the largest array; the ear residual needs only y
+    del fx, refs, steps, refs_n  # the largest array and its views; the ears need only y
 
     # ears, for the reported reduction curve (known to the simulation, not the controller)
     ears = scenario.virtual_positions

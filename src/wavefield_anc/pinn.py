@@ -119,11 +119,12 @@ def glorot_init(seed: int, N: int = HIDDEN) -> np.ndarray:
 
 
 def mlp_forward(params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Network output (..., B) at the (..., B, 4) ``inputs``."""
+    """Network output (..., B) at the (..., B, 4) ``inputs``; a (R, 6N + 1) stack of networks
+    gives (R, B), from (B, 4) inputs or its own (R, B, 4)."""
     W1, b1, W2, b2 = unpack(params)
-    h = np.asarray(inputs, dtype=float) @ W1.T
-    h += b1  # in place: h is the largest array
-    return np.tanh(h, out=h) @ W2 + b2
+    h = np.asarray(inputs, dtype=float) @ W1.swapaxes(-1, -2)
+    h += b1[..., None, :]  # in place: h is the largest array
+    return (np.tanh(h, out=h) @ W2[..., None])[..., 0] + b2[..., None]
 
 
 def _with_ones(inputs: np.ndarray) -> np.ndarray:

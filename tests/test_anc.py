@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wavefield_anc.anc import (
     FILTER_LEN,
     PATH_TAPS,
     WEIGHT_BOUND,
+    _fir_sum,
     field_grid_power,
     filtered_reference,
     fxlms_step,
@@ -79,33 +81,73 @@ def test_filtered_reference_brute_force():
         assert out[31 - n, l, m] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def sparse_firs(draw):
+    """(L, M, taps) FIRs, each all zero, one live tap, or one live span at its own offset,
+    so that the set has leading and trailing zero taps of its own."""
+    L, M, taps = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    firs = np.zeros((L, M, taps))
+    for l, m in np.ndindex(L, M):
+        start = draw(st.integers(0, taps - 1))
+        stop = draw(st.integers(start, taps))
+        firs[l, m, start:stop] = rng.normal(size=stop - start)
+    return firs
+
+
+@settings(max_examples=60, deadline=None)
+@given(firs=sparse_firs(), samples=st.integers(1, 80))
+@example(firs=np.zeros((2, 3, 16)), samples=20)
+@example(firs=np.eye(8)[None, None, 5], samples=20)
+def test_fir_kernel_on_the_live_taps_is_the_convolution(firs, samples):
+    """filtered_reference and the multichannel _fir_sum multiply only over the taps live in
+    some FIR; each output is the sum of full-length convolutions, and exact zeros when
+    every FIR is zero."""
+    L, M, taps = firs.shape
+    rng = np.random.default_rng(samples)
+    x, history = rng.normal(size=samples), rng.normal(size=(samples + taps - 1, L))
+    mono, multi = filtered_reference(x, firs), _fir_sum(history, firs)
+    assert mono.shape == (samples, L, M) and multi.shape == (samples, M)
+    if not firs.any():
+        assert np.array_equal(mono, np.zeros_like(mono))
+        assert np.array_equal(multi, np.zeros_like(multi))
+    oldest_first = history[::-1]
+    for m in range(M):
+        total = sum(np.convolve(oldest_first[:, l], firs[l, m])[taps - 1 : len(history)]
+                    for l in range(L))
+        assert multi[::-1, m] == pytest.approx(total, rel=1e-12, abs=1e-12)
+        for l in range(L):
+            direct = np.convolve(x, firs[l, m])[:samples]
+            assert mono[::-1, l, m] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
 def test_fxlms_zero_error_fixed_point():
-    w = np.random.default_rng(0).normal(size=(16, 2))
+    w = np.random.default_rng(0).normal(size=32)
     before = w.copy()  # the update is in place
-    refs = np.random.default_rng(1).normal(size=(16, 2, 3))
-    out = fxlms_step(w, refs, np.zeros(3), 1e-3)
+    refs = np.random.default_rng(1).normal(size=(32, 3))
+    out = fxlms_step(w, refs, np.zeros(3), 1e-3, np.empty(32))
     assert np.array_equal(out, before)
 
 
 def test_fxlms_update_along_reference():
-    w = np.zeros((8, 1))
+    w = np.zeros(8)
     before = w.copy()  # the update is in place
     x = np.random.default_rng(2).normal(size=8)
-    refs = x[:, None, None]
+    refs = x[:, None]
     e = np.array([0.5])
-    out = fxlms_step(w, refs, e, 1e-2)
-    assert np.allclose(out[:, 0] - before[:, 0], 1e-2 * 0.5 * x, atol=1e-15)
+    out = fxlms_step(w, refs, e, 1e-2, np.empty(8))
+    assert np.allclose(out - before, 1e-2 * 0.5 * x, atol=1e-15)
 
 
 @pytest.mark.parametrize("F, L, M", [(96, 2, 8), (96, 1, 1), (5, 3, 1), (7, 1, 4)])
 @pytest.mark.parametrize("seed", range(5))
 def test_fxlms_step_in_place_is_the_out_of_place_update(F, L, M, seed):
     rng = np.random.default_rng(seed)
-    w, refs, e = rng.normal(size=(F, L)), rng.normal(size=(F, L, M)), rng.normal(size=M)
+    w, refs, e = rng.normal(size=F * L), rng.normal(size=(F * L, M)), rng.normal(size=M)
     mu = rng.uniform(1e-6, 1e-2)
-    expected = w + mu * (refs.reshape(w.size, -1) @ e).reshape(w.shape)
+    expected = w + mu * (refs @ e)
     given = w.copy()
-    out = fxlms_step(given, refs, e, mu)
+    out = fxlms_step(given, refs, e, mu, np.empty(F * L))
     assert out is given
     assert np.array_equal(out, expected)
 
@@ -208,7 +250,7 @@ def test_field_grid_zero_weights_is_primary():
     xs = np.unique(gx)
     assert xs.size == 21
     assert np.allclose(np.diff(xs), 0.02)
-    assert np.allclose(p_none, p_zero, rtol=1e-12)
+    assert np.array_equal(p_none, p_zero)
 
 
 def test_field_grid_single_tone_power_is_analytic():
@@ -217,6 +259,33 @@ def test_field_grid_single_tone_power_is_analytic():
     for i in (0, 17, 220, 301, 440):
         d = np.linalg.norm(sc.primary_source.position - [gx[i], gy[i], 0.0])
         assert power[i] == pytest.approx((40.0 / (4 * np.pi * d)) ** 2 / 2, rel=1e-9)
+
+
+def traced_peak(call):
+    """The peak of the memory tracemalloc traces, numpy's buffers included, during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_map_works_one_grid_row_at_a_time():
+    """0.8 MB: one row's path FIRs at a time; the whole grid's (2, 441, PATH_TAPS) FIRs and
+    their temporaries take 10 MB or more."""
+    sc = default_scenario(0)
+    w = 1e-3 * np.random.default_rng(0).normal(size=(2, FILTER_LEN))
+    assert traced_peak(lambda: field_grid_power(sc, [None, w, w])) < 2e6
+
+
+def test_run_anc_frees_the_filtered_reference_before_the_ears():
+    """2.2 MB on the 8 mics over 10 000 samples; 3.3 MB while a view of the 1.3 MB filtered
+    reference outlives the loop."""
+    sc = default_scenario(0)
+    mics = sc.monitoring_positions
+    primary = truth(sc, mics, 10_000)
+    assert traced_peak(lambda: run_anc(sc, mics, primary, 1e-5)) < 2.5e6
 
 
 @settings(max_examples=10, deadline=None)

@@ -55,8 +55,22 @@ def test_summary_leaves_that_differ_are_listed_without_failing(tmp_path):
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("summary")]
     assert lines == [
-        "summary interp-sweep/summary.json metrics.eps: -3.0 -> -3.5",
+        "summary interp-sweep/summary.json metrics.eps: -3.0 -> -3.5 (rel 1.4e-01)",
         "summary interp-sweep/summary.json metrics.fit_db: (absent) -> -20.0",
+    ]
+
+
+def test_a_roundoff_move_reads_as_its_relative_size(tmp_path):
+    write_tree(tmp_path / "a", metrics={"gap_db": -10.522689632078913, "ok": True, "who": "x"})
+    write_tree(tmp_path / "b", metrics={"gap_db": -10.522689632078924, "ok": False, "who": "y"})
+    code, out = compare(tmp_path / "a", tmp_path / "b")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("summary")]
+    assert lines == [
+        "summary interp-sweep/summary.json metrics.gap_db: "
+        "-10.522689632078913 -> -10.522689632078924 (rel 1.0e-15)",
+        "summary interp-sweep/summary.json metrics.ok: true -> false",
+        'summary interp-sweep/summary.json metrics.who: "x" -> "y"',
     ]
 
 

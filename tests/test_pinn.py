@@ -121,6 +121,17 @@ def test_forward_constant_network():
     assert np.array_equal(mlp_forward(p, np.array([[1.0, 2.0, 3.0, 4.0]])), [1.7])
 
 
+@pytest.mark.parametrize("batch", [1, 5, 300])
+def test_forward_on_a_stack_is_each_network_on_its_own(batch):
+    stack = np.stack([glorot_init(0), glorot_init(1), glorot_init(2)])
+    x = np.random.default_rng(batch).normal(scale=0.3, size=(len(stack), batch, 4))
+    shared, own = mlp_forward(stack, x[0]), mlp_forward(stack, x)
+    assert shared.shape == own.shape == (len(stack), batch)
+    for r, params in enumerate(stack):
+        assert np.array_equal(shared[r], mlp_forward(params, x[0]))
+        assert np.array_equal(own[r], mlp_forward(params, x[r]))
+
+
 def test_pde_residual_zero_at_hyperplane():
     # single unit, input on its hyperplane: tanh''(0) = 0
     p = pack(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros(1), np.ones(1), 0.0)
