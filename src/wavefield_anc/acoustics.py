@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,11 +14,15 @@ SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional 
 PATH_TAPS = 256  # secondary-path FIR length
 
 
-def require_finite(obj, names: tuple[str, ...]):
-    """ValueError naming the first of the fields ``names`` of ``obj`` that is NaN or infinite."""
+def require_numbers(obj, names: tuple[str, ...]):
+    """The one rule for config numbers, on the fields ``names`` of ``obj`` in turn: TypeError
+    naming one that is not a real number (a bool is not), ValueError one that is not finite."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, int) and not math.isfinite(value):  # ints: finite past float range
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
+        # an int is finite, past float range too
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -28,7 +33,7 @@ class ToneComponent:
     phase: float = 0.0  # rad
 
     def __post_init__(self):
-        require_finite(self, ("frequency", "amplitude", "phase"))
+        require_numbers(self, ("frequency", "amplitude", "phase"))
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
         if self.amplitude < 0:
@@ -92,58 +97,55 @@ def repeat_period(one_period: np.ndarray, num_samples: int) -> np.ndarray:
     return one_period if num_samples == period else one_period[..., np.arange(num_samples) % period]
 
 
-def propagate_tonal(
-    source: TonalSource,
-    receivers: np.ndarray,
-    sample_rate: float,
-    num_samples: int,
-    c: float,
-    start: int = 0,
-) -> np.ndarray:
+def propagate_tonal(source: TonalSource, receivers: np.ndarray, sample_rate: float,
+                    num_samples: int, c: float, start: int = 0) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
 
     p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of
     the (P, 3) ``receivers`` and t = n / sample_rate for the num_samples samples
     n = start, start + 1, ...; returns (P, num_samples).
     """
-    d = distances(receivers, source.position)
-    if np.any(d < 1e-9):
-        raise ValueError(f"a receiver is {d.min():.3g} m from the source")
+    d = separations(source.position[None], receivers)[0]
     if num_samples < 1:
         raise ValueError("signal must contain at least one sample")
     return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate, num_samples, start)
 
 
-def path_distances(
-    sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float,
-    num_taps: int = PATH_TAPS, kinds: tuple[str, str] = ("source", "receiver"),
-) -> np.ndarray:
-    """(S, P) distances from the (S, 3) sources to the (P, 3) receivers; ValueError unless
-    make_path_fir can model every path in num_taps taps, naming the worst path (a zero
-    distance, else the longest delay), its ends called ``kinds`` with index and position."""
+def _path(flat: int, d: np.ndarray, sources, receivers, kinds: tuple[str, str]) -> str:
+    """Path ``flat`` of the (S, P) distances ``d``: its ends called ``kinds``, index, position."""
+    ends = zip(kinds, np.unravel_index(flat, d.shape), (sources, receivers))
+    return " to ".join(f"{k} {i} at {np.round(x[i], 4).tolist()}" for k, i, x in ends)
+
+
+def separations(sources: np.ndarray, receivers: np.ndarray, kinds=("source", "receiver")):
+    """(S, P) distances from the (S, 3) sources to the (P, 3) receivers; ValueError naming
+    the shortest path, its ends called ``kinds``, when it is 0 m long."""
     d = np.stack([distances(receivers, s) for s in sources])
-    zero, delay = d.min() < 1e-9, d.max() / c * sample_rate
-    if zero or np.floor(delay) >= num_taps - SINC_WINDOW_HALF_WIDTH:
-        s, p = np.unravel_index(d.argmin() if zero else d.argmax(), d.shape)
-        ends = zip(kinds, (s, p), (sources[s], receivers[p]))
-        path = " to ".join(f"{k} {i} at {np.round(x, 4).tolist()}" for k, i, x in ends)
-        if zero:
-            raise ValueError(f"{path}: {d.min():.3g} m apart")
-        raise ValueError(f"{path}: {delay:.1f}-sample delay does not fit in {num_taps} taps")
+    if d.min() < 1e-9:
+        path = _path(d.argmin(), d, sources, receivers, kinds)
+        raise ValueError(f"{path}: {d.min():.3g} m apart")
+    return d
+
+
+def path_distances(sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float,
+                   kinds: tuple[str, str] = ("source", "receiver")) -> np.ndarray:
+    """separations(sources, receivers, kinds); ValueError too unless make_path_fir can model
+    every path in PATH_TAPS taps, naming the one of longest delay."""
+    d = separations(sources, receivers, kinds)
+    delay = d.max() / c * sample_rate
+    if np.floor(delay) >= PATH_TAPS - SINC_WINDOW_HALF_WIDTH:
+        path = _path(d.argmax(), d, sources, receivers, kinds)
+        raise ValueError(f"{path}: {delay:.1f}-sample delay does not fit in {PATH_TAPS} taps")
     return d
 
 
 def make_path_fir(
-    sources: np.ndarray,
-    receivers: np.ndarray,
-    sample_rate: float,
-    num_taps: int,
-    c: float,
+    sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float
 ) -> np.ndarray:
-    """(S, P, num_taps) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain, one per
+    """(S, P, PATH_TAPS) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain, one per
     path from the (S, 3) sources to the (P, 3) receivers."""
-    d = path_distances(sources, receivers, sample_rate, c, num_taps)[..., None]
-    offset = np.arange(num_taps) - d / c * sample_rate
+    d = path_distances(sources, receivers, sample_rate, c)[..., None]
+    offset = np.arange(PATH_TAPS) - d / c * sample_rate
     x = np.pi * offset / SINC_WINDOW_HALF_WIDTH  # Blackman window, zero past its half width
     window = 0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
     window[np.abs(offset) > SINC_WINDOW_HALF_WIDTH] = 0.0

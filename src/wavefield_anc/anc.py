@@ -99,7 +99,7 @@ def run_anc(
     fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
     iterations = primary.shape[1]
-    paths = make_path_fir(scenario.secondary_positions, sensors, fs, PATH_TAPS, c)  # (L, M, taps)
+    paths = make_path_fir(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
 
     # Histories run newest first along their first axis: row k holds step
     # iterations - 1 - k and zeros past the end stand for the samples before
@@ -135,7 +135,7 @@ def run_anc(
     # ears, for the reported reduction curve (known to the simulation, not the controller)
     ears = scenario.virtual_positions
     ear_primary = propagate_tonal(src, ears, fs, n_done, c)
-    ear_firs = -make_path_fir(scenario.secondary_positions, ears, fs, PATH_TAPS, c)
+    ear_firs = -make_path_fir(scenario.secondary_positions, ears, fs, c)
     ear_resid = ear_primary + _fir_sum(y[iterations - n_done :], ear_firs)[::-1].T
 
     # trailing-window power ratio at the ears
@@ -193,7 +193,7 @@ def field_grid_power(
     power = np.empty((len(weight_sets), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
         primary = propagate_tonal(src, grid[row], fs, period, c, start=n_total - period)
-        firs = make_path_fir(scenario.secondary_positions, grid[row], fs, PATH_TAPS, c)
+        firs = make_path_fir(scenario.secondary_positions, grid[row], fs, c)
         for k, out in enumerate(outputs):
             tail = primary if out is None else primary + _fir_sum(out, firs)[::-1].T
             power[k, row] = np.mean(tail**2, axis=1)

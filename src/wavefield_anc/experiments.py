@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import path_distances, propagate_tonal
+from .acoustics import path_distances, propagate_tonal, separations
 from .anc import AncRunReport, field_grid, field_grid_power, run_anc
 from .geometry import sphere_points
 from .oracles import adam_figures, check, derivative_figures, fxlms_figures, sh_figures
@@ -55,12 +55,15 @@ class ExperimentSpec:
         if not radii or not all(0 < r < np.inf for r in radii) or list(radii) != sorted(radii):
             raise ValueError("sweep radii must be at least one, finite, positive and ascending")
         self.radii = radii
+        sc = self.scenario
+        if not any(comp.amplitude for comp in sc.primary_source.components):
+            raise ValueError("the primary source is silent: every tone amplitude is 0")
         if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
-            common_radius(self.scenario.monitoring_positions)
+            common_radius(sc.monitoring_positions)
         if self.experiment == "field-map":  # the map models every path to its grid too
-            sc = self.scenario
-            fs, c, kinds = sc.sample_rate, sc.speed_of_sound, ("secondary source", "grid point")
-            path_distances(sc.secondary_positions, field_grid(), fs, c, kinds=kinds)
+            grid, fs, c = field_grid(), sc.sample_rate, sc.speed_of_sound
+            path_distances(sc.secondary_positions, grid, fs, c, ("secondary source", "grid point"))
+            separations(sc.primary_source.position[None], grid, ("primary source", "grid point"))
 
 
 class OutputBundle:

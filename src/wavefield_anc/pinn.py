@@ -19,7 +19,7 @@ from .scenario import ScenarioConfig
 
 TIME_HALF_RANGE = 0.15  # physical time maps onto [-0.15, 0.15], like the coordinates
 HIDDEN = 16
-COLLOCATION_COUNT = 100  # mic positions plus ball-sampled points
+COLLOCATION_COUNT = 100  # mic positions plus ball-sampled points; more mics: the mics alone
 TIME_SCALE = 100.0  # init multiplier on the time column of W1
 LEARNING_RATE = 1e-2  # decays geometrically to LEARNING_RATE_END over the epochs
 LEARNING_RATE_END = 1e-4
@@ -221,14 +221,11 @@ def adam_step(
     return params - step, AdamState(m, v, t)
 
 
-def make_collocation_positions(
-    scenario: ScenarioConfig, count: int, seed: int
-) -> np.ndarray:
-    """Mic positions plus seeded samples of the ball of radius scenario.mic_radius; (count, 3)."""
+def make_collocation_positions(scenario: ScenarioConfig, seed: int) -> np.ndarray:
+    """The Q mic positions, then COLLOCATION_COUNT - Q seeded samples of the ball of radius
+    scenario.mic_radius, none when the mics are that many; (max(COLLOCATION_COUNT, Q), 3)."""
     mics = scenario.monitoring_positions
-    extra = count - len(mics)
-    if extra < 0:
-        raise ValueError("collocation count smaller than the mic count")
+    extra = max(COLLOCATION_COUNT - len(mics), 0)
     return np.vstack([mics, ball_points(scenario.mic_radius, extra, seed=seed)])
 
 
@@ -280,11 +277,13 @@ def train_pinn(
     inputs = _with_ones(_grid_inputs(tau, scenario.monitoring_positions))  # (B, 5)
     targets_flat = targets.ravel() / rms
 
-    seeds, A = range(cfg.seed, cfg.seed + cfg.restarts), COLLOCATION_COUNT
+    seeds = range(cfg.seed, cfg.seed + cfg.restarts)
     params = np.stack([glorot_init(s) for s in seeds])
     unpack(params)[0][..., 0] *= TIME_SCALE  # resolve the tones' time oscillation at init
+    xyz = [make_collocation_positions(scenario, s) for s in seeds]
+    A = len(xyz[0])
     colloc = np.ones((cfg.restarts, A, 5))  # tau (redrawn every epoch), x, y, z, 1
-    colloc[..., 1:4] = [make_collocation_positions(scenario, A, s) for s in seeds]
+    colloc[..., 1:4] = xyz
     rngs = [default_rng(s) for s in seeds]
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
     history = []

@@ -9,17 +9,10 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
-from .acoustics import TonalSource, ToneComponent, path_distances, require_finite
+from .acoustics import TonalSource, ToneComponent, path_distances, require_numbers, separations
 from .geometry import ORIGIN, as_points, distances
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
-
-
-def _number(d: dict, key: str) -> float:
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {type(value).__name__} {value!r}")
-    return value
 
 
 @dataclass(eq=False)  # array fields: compared by identity, hashable
@@ -34,7 +27,7 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        require_finite(self, ("speed_of_sound", "sample_rate", "duration", "rng_seed"))
+        require_numbers(self, ("speed_of_sound", "sample_rate", "duration", "rng_seed"))
         for name in ("secondary_positions", "monitoring_positions", "virtual_positions"):
             setattr(self, name, as_points(getattr(self, name), name))
         if self.speed_of_sound <= 0:
@@ -46,10 +39,11 @@ class ScenarioConfig:
         if self.mic_radius == 0.0:
             raise ValueError("the monitoring mics span no ball: the only one is at the origin")
         self.period_samples  # validates the tone set
-        # every path the controller models must fit its FIR
+        # every path the controller models must fit its FIR, and no receiver is on the primary
         sources, fs, c = self.secondary_positions, self.sample_rate, self.speed_of_sound
         for kind, pts in (("mic", self.monitoring_positions), ("ear", self.virtual_positions)):
             path_distances(sources, pts, fs, c, kinds=("secondary source", kind))
+            separations(self.primary_source.position[None], pts, ("primary source", kind))
 
     @property
     def mic_radius(self) -> float:
@@ -99,7 +93,7 @@ class ScenarioConfig:
         source = TonalSource(
             position=src["position"],
             components=tuple(
-                ToneComponent(*(_number(c, k) for k in ("frequency", "amplitude", "phase")))
+                ToneComponent(*(c[k] for k in ("frequency", "amplitude", "phase")))
                 for c in src["components"]
             ),
         )
@@ -108,7 +102,7 @@ class ScenarioConfig:
             secondary_positions=d["secondary_positions"],
             monitoring_positions=d["monitoring_positions"],
             virtual_positions=d["virtual_positions"],
-            **{k: _number(d, k) for k in ("speed_of_sound", "sample_rate", "duration", "rng_seed")},
+            **{k: d[k] for k in ("speed_of_sound", "sample_rate", "duration", "rng_seed")},
         )
 
     def save(self, path: str | Path):

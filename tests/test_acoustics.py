@@ -26,8 +26,8 @@ def propagate_one(source, receiver, num_samples):
     return sig
 
 
-def fir_one(source_pos, receiver, taps):
-    return make_path_fir([source_pos], receiver[None], FS, taps, C)[0, 0]
+def fir_one(source_pos, receiver):
+    return make_path_fir([source_pos], receiver[None], FS, C)[0, 0]
 
 
 def tone_source(pos, freq=400.0, amp=1.0, phase=0.0):
@@ -78,9 +78,11 @@ def test_inverse_distance_law():
 
 
 def test_zero_distance_raises():
+    """The zero-distance rule of the path FIRs, naming the receiver and its position."""
     src = tone_source(P(0.1, 0.2, 0.3))
-    with pytest.raises(ValueError, match="from the source"):
-        propagate_one(src, P(0.1, 0.2, 0.3), 240)
+    at = r"^source 0 at \[0.1, 0.2, 0.3\] to receiver 1 at \[0.1, 0.2, 0.3\]: 0 m apart$"
+    with pytest.raises(ValueError, match=at):
+        propagate_tonal(src, np.array([P(1, 0, 0), P(0.1, 0.2, 0.3)]), FS, 240, C)
 
 
 def test_nyquist_guard():
@@ -118,7 +120,7 @@ def test_reciprocity():
 
 def test_fir_matches_analytic_propagation():
     src_pos, rx = P(0.0, 0.5, 0.0), P(0.0, 0.1, 0.0)
-    fir = fir_one(src_pos, rx, 256)
+    fir = fir_one(src_pos, rx)  # PATH_TAPS = 256
     src = tone_source(src_pos, freq=400.0, amp=4 * np.pi)
     approx = np.convolve(src.waveform(FS, 2400), fir)[:2400]
     exact = propagate_one(src, rx, 2400)
@@ -126,23 +128,11 @@ def test_fir_matches_analytic_propagation():
     assert err < 1e-2
 
 
-def test_fir_error_decreases_with_taps():
-    src_pos, rx = P(0.0, 0.2, 0.0), P(0.0, 0.0, 0.0)
-    src = tone_source(src_pos, freq=500.0)
-    exact = propagate_one(src, rx, 2400)
-    x = src.waveform(FS, 2400)
-    errs = []
-    for taps in (32, 64, 128, 256):
-        approx = np.convolve(x, fir_one(src_pos, rx, taps))[:2400]
-        errs.append(np.linalg.norm(approx[256:] - exact[256:]))
-    assert errs == sorted(errs, reverse=True) or errs[-1] < errs[0]
-
-
 def test_integer_delay_collapses_to_impulse():
     # place receiver so the delay is an integer number of samples
     k = 20
     d = k * C / FS
-    fir = fir_one(P(0, 0, 0), P(d, 0, 0), 64)
+    fir = fir_one(P(0, 0, 0), P(d, 0, 0))
     peak = np.argmax(np.abs(fir))
     assert peak == k
     assert fir[k] == pytest.approx(1.0 / (4 * np.pi * d), rel=1e-12)
@@ -151,8 +141,10 @@ def test_integer_delay_collapses_to_impulse():
 
 
 def test_delay_exceeds_filter():
-    with pytest.raises(ValueError, match="delay does not fit in 64 taps"):
-        fir_one(P(0, 0, 0), P(10.0, 0, 0), 64)
+    """PATH_TAPS = 256 taps model delays up to 240 samples, 3.43 m at 343 m/s."""
+    fir_one(P(0, 0, 0), P(3.4, 0, 0))  # 237.9 samples
+    with pytest.raises(ValueError, match="241.4-sample delay does not fit in 256 taps"):
+        fir_one(P(0, 0, 0), P(3.45, 0, 0))
 
 
 def test_path_error_names_the_worst_path():

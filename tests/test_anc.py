@@ -201,7 +201,7 @@ def test_weights_are_per_source_newest_lag_first():
     before, after = multipoint(sc, n - 1, mu), multipoint(sc, n, mu)
     assert after.weights.shape == (1, FILTER_LEN)
     fs, c = sc.sample_rate, sc.speed_of_sound
-    paths = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, PATH_TAPS, c)
+    paths = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, c)
     ref = filtered_reference(sc.primary_source.waveform(fs, n), paths)[:FILTER_LEN, 0, 0]
     step = after.weights[0] - before.weights[0]
     e = step @ ref / (ref @ ref) / mu  # the last error, fitted
@@ -237,10 +237,10 @@ def test_ideal_mode_bounds_pinn_mode(scenario, trained_quick):
 def test_make_path_fir_shapes():
     sc = default_scenario(0)
     fs, c = sc.sample_rate, sc.speed_of_sound
-    firs = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, PATH_TAPS, c)
+    firs = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, c)
     assert firs.shape == (2, 8, PATH_TAPS)  # (sources, receivers, taps)
-    one = make_path_fir(sc.secondary_positions[:1], sc.virtual_positions, fs, 64, c)
-    assert one.shape == (1, 2, 64)
+    one = make_path_fir(sc.secondary_positions[:1], sc.virtual_positions, fs, c)
+    assert one.shape == (1, 2, PATH_TAPS)
 
 
 def test_field_grid_zero_weights_is_primary():
@@ -310,7 +310,7 @@ def test_field_grid_matches_brute_force(seed, log_scale, points, far):
     x = sc.primary_source.waveform(fs, n_total)
     for i in points:
         point = np.array([[gx[i], gy[i], 0.0]])
-        firs = make_path_fir(sc.secondary_positions, point, fs, PATH_TAPS, c)[:, 0]
+        firs = make_path_fir(sc.secondary_positions, point, fs, c)[:, 0]
         p = truth(sc, point, n_total)[0]
         for w_l, fir_l in zip(w, firs):
             p = p + np.convolve(np.convolve(x, -w_l), fir_l)[:n_total]
@@ -329,8 +329,8 @@ def reference_run_anc(scenario, sensors, primary, mu):
     iterations = primary.shape[1]
     ear_primary = truth(scenario, scenario.virtual_positions, iterations)
     secondaries, ears = scenario.secondary_positions, scenario.virtual_positions
-    S = make_path_fir(secondaries, sensors, fs, PATH_TAPS, c)
-    S_ear = make_path_fir(secondaries, ears, fs, PATH_TAPS, c)
+    S = make_path_fir(secondaries, sensors, fs, c)
+    S_ear = make_path_fir(secondaries, ears, fs, c)
     L, M = S.shape[:2]
     x = src.waveform(fs, iterations)
 

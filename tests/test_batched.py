@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavefield_anc.acoustics import (
+    PATH_TAPS,
     SINC_WINDOW_HALF_WIDTH,
     TonalSource,
     ToneComponent,
@@ -200,19 +201,17 @@ def test_propagate_tonal_matches_per_point(seed, count, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=seeds, count=counts, sources=st.integers(1, 3), taps=st.sampled_from([64, 128, 256])
-)
-def test_make_path_fir_matches_per_point(seed, count, sources, taps):
+@given(seed=seeds, count=counts, sources=st.integers(1, 3))
+def test_make_path_fir_matches_per_point(seed, count, sources):
     rng = np.random.default_rng(seed)
-    # 0.1 to 0.6 m: the delay fits the shortest filter
+    # 0.1 to 0.6 m: the delay fits the filter
     source_pos = random_points(rng, sources, 0.3, 0.4)
     receivers = random_points(rng, count, 0.01, 0.2)
-    out = make_path_fir(source_pos, receivers, FS, taps, C)
-    assert out.shape == (sources, count, taps)
+    out = make_path_fir(source_pos, receivers, FS, C)
+    assert out.shape == (sources, count, PATH_TAPS)
     for s, row in zip(source_pos, out):  # each source's row is a one-source call
-        assert np.array_equal(row, make_path_fir([s], receivers, FS, taps, C)[0])
-        assert np.array_equal(row, [fir_one(s, r, taps) for r in receivers])
+        assert np.array_equal(row, make_path_fir([s], receivers, FS, C)[0])
+        assert np.array_equal(row, [fir_one(s, r, PATH_TAPS) for r in receivers])
 
 
 @settings(max_examples=25, deadline=None)

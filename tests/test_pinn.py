@@ -253,8 +253,8 @@ def test_fundamental_period():
 
 def test_collocation_positions():
     sc = default_scenario(0)
-    pts = make_collocation_positions(sc, 100, seed=0)
-    assert pts.shape == (100, 3)
+    pts = make_collocation_positions(sc, seed=0)
+    assert pts.shape == (100, 3)  # 8 mics, 92 ball points
     assert np.array_equal(pts[:8], sc.monitoring_positions)
     assert np.all(np.linalg.norm(pts, axis=1) <= sc.mic_radius + 1e-12)
 
@@ -265,7 +265,7 @@ def test_collocation_and_scoring_points_fill_the_mics_ball(monkeypatch):
     sc = default_scenario(0)
     sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / sc.mic_radius)
     assert sc.mic_radius == pytest.approx(0.4)
-    pts = make_collocation_positions(sc, 100, seed=0)
+    pts = make_collocation_positions(sc, seed=0)
     assert 0.3 < np.linalg.norm(pts, axis=1).max() <= sc.mic_radius
     radii, real = [], pinn.ball_points
 

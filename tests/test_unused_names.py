@@ -2,6 +2,8 @@
 itself, its scripts or the benchmark harness. Tests alone do not keep a name alive."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import wavefield_anc
@@ -47,3 +49,18 @@ def test_every_module_level_name_is_used():
         if name not in references | ALLOWED
     ]
     assert unused == []
+
+
+def test_every_traced_function_exists():
+    """perfbench/spans.py traces the functions in TRACED by name; one renamed or deleted
+    would otherwise show only when a traced benchmark run stops on it."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # the standard library only
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"wavefield_anc.{layer}"), name, None))
+    ]
+    assert spans.TRACED and missing == []
