@@ -63,103 +63,148 @@ def filtered_reference(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
 
 
 def fxlms_step(
-    w: np.ndarray,  # (filter_len * L,) flat, newest lag first
-    filtered_refs: np.ndarray,  # (filter_len * L, M), rows in the order of w
-    errors: np.ndarray,  # (M,)
+    w: np.ndarray,  # (C, filter_len * L) flat weights of C controllers, newest lag first
+    controllers,  # per controller: (M, PATH_TAPS * L) path rows, (M,) buffer, its update row
+    step,  # per controller: recent outputs, (filter_len * L, M) filtered reference, error
     mu: float,
-    update: np.ndarray,  # (filter_len * L,) preallocated work buffer
+    update: np.ndarray,  # (C, filter_len * L) preallocated work buffer
 ) -> np.ndarray:
-    """Multichannel FxLMS update w_l += mu * sum_m x'_{l,m} e_m (Kuo & Morgan 1996, ch. 3),
-    in place through ``update``, with no temporaries: returns ``w``."""
-    np.dot(filtered_refs, errors, out=update)
+    """One multichannel FxLMS iteration (Kuo & Morgan 1996, ch. 3) of each controller, in
+    place with no temporaries: returns ``w``. Each error, the primary part on entry, gains
+    the secondary part that the path rows give from the PATH_TAPS latest outputs, raveled
+    newest first; then w_l += mu * sum_m x'_{l,m} e_m, through ``update``, the rows of the
+    filtered reference in the order of w. Each controller's two products are its own, at
+    the shapes it has alone, so stacking leaves its weights bitwise as alone."""
+    for (paths, secondary, out), (recent, refs, e) in zip(controllers, step):
+        # the .dot method skips np.dot's dispatch, and out by position parses faster
+        np.add(e, paths.dot(recent, secondary), e)
+        refs.dot(e, out)
     update *= mu
     w += update
     return w
 
 
-def run_anc(
-    scenario: ScenarioConfig, sensors: np.ndarray, primary: np.ndarray, mu: float
-) -> AncRunReport:
-    """Sample-synchronous FxLMS loop; one iteration advances one sample.
+def run_controllers(
+    scenario: ScenarioConfig, sensings: list[tuple[np.ndarray, np.ndarray]], mu: float
+) -> list[AncRunReport]:
+    """Sample-synchronous FxLMS loop stepping several controllers; one iteration advances
+    one sample of each.
 
-    The reference is the source waveform itself. The error signal is ``primary`` (M, N),
-    the primary field as known at the (M, 3) ``sensors`` (measured at mics, or estimated
-    at virtual ones), plus the secondary sources' contribution there; the loop runs N
-    iterations. The reported reduction is that of the true field at the ears. A weight
-    beyond WEIGHT_BOUND, or not finite, stops the loop as diverged.
+    The reference is the source waveform itself. Each controller's error signal is one
+    ``(sensors (M, 3), primary (M, N))`` pair of ``sensings``: the primary field as known at
+    the sensors (measured at mics, or estimated at virtual ones), plus the secondary
+    sources' contribution there. Every sensing holds the same N, the iteration count. The
+    reported reduction is that of the true field at the ears. A weight beyond
+    WEIGHT_BOUND, or not finite, stops its controller as diverged at that step; the others
+    run on. The controllers share the reference window, one stacked product for their
+    outputs, the update's scale and add, the bound check and the ear truth; each keeps its
+    own error and update products, so its report is bitwise that of it running alone.
     """
-    sensors = as_points(sensors, "sensors")
-    primary = np.asarray(primary, dtype=float)
-    if primary.ndim != 2 or len(primary) != len(sensors):
-        raise ValueError(f"need one primary row per sensor: {primary.shape} at {len(sensors)}")
-    if primary.shape[1] < 1:
+    checked = []
+    for sensors, primary in sensings:
+        sensors = as_points(sensors, "sensors")
+        primary = np.asarray(primary, dtype=float)
+        if primary.ndim != 2 or len(primary) != len(sensors):
+            raise ValueError(f"need one primary row per sensor: {primary.shape} at {len(sensors)}")
+        checked.append((sensors, primary))
+    lengths = {primary.shape[1] for _, primary in checked}
+    if len(lengths) != 1:
+        raise ValueError(f"need one or more sensings of one length: {sorted(lengths)} samples")
+    iterations = lengths.pop()
+    if iterations < 1:
         raise ValueError("need at least one iteration")
     if mu < 0:
         raise ValueError("step size must be non-negative")
     fs, c = scenario.sample_rate, scenario.speed_of_sound
-    src = scenario.primary_source
-    iterations = primary.shape[1]
-    paths = make_path_fir(scenario.secondary_positions, sensors, fs, c)  # (L, M, taps)
+    src, secondaries = scenario.primary_source, scenario.secondary_positions
+    C, L = len(checked), len(secondaries)
 
     # Histories run newest first along their first axis: row k holds step
     # iterations - 1 - k and zeros past the end stand for the samples before
     # n = 0, so the latest samples at step n are the contiguous rows from k.
     x = np.concatenate([np.zeros(FILTER_LEN - 1), src.waveform(fs, iterations)])
-    fx = filtered_reference(x, paths)  # (N + FILTER_LEN - 1, L, M)
+    refs, paths, errors = [], [], []
+    for sensors, primary in checked:
+        firs = make_path_fir(secondaries, sensors, fs, c)  # (L, M, taps)
+        fx = filtered_reference(x, firs).reshape(-1, len(sensors))  # (N + FILTER_LEN - 1) L, M
+        # step n's filtered reference as (FILTER_LEN L, M) rows, in the order of w
+        refs.append(sliding_window_view(fx, FILTER_LEN * L, axis=0)[::L][::-1].swapaxes(1, 2))
+        paths.append(-_tap_major(firs))  # (M, taps L), matching y[c, k : k + taps].ravel()
+        errors.append(primary.T.copy())  # (N, M); the loop adds the secondary part
     x = x[::-1].copy()
-    y = np.zeros((iterations + PATH_TAPS - 1, len(paths)))  # sources emit -y: "+mu" descends
-    w = np.zeros((FILTER_LEN, len(paths)))
-    paths = -_tap_major(paths)  # (M, taps L), matching y[k : k + taps].ravel()
-    errors = primary.T.copy()  # (N, M); the loop adds the secondary part
-    L, M = fx.shape[1:]
-    # per-step views, row k for step iterations - 1 - k: the FILTER_LEN latest inputs, the
-    # PATH_TAPS latest outputs raveled, and the filtered reference as (FILTER_LEN L, M)
-    x_win = sliding_window_view(x, FILTER_LEN)
-    y_win = sliding_window_view(y.reshape(-1), PATH_TAPS * L)[::L]
-    refs = sliding_window_view(fx.reshape(-1, M), FILTER_LEN * L, axis=0)[::L].swapaxes(1, 2)
-    w_flat, secondary, update = w.reshape(-1), np.empty(M), np.empty(w.size)
+    y = np.zeros((C, iterations + PATH_TAPS - 1, L))  # sources emit -y: "+mu" descends
+    w = np.zeros((C, FILTER_LEN, L))
+    w_flat, w_all, update = w.reshape(C, -1), w.reshape(-1), np.empty((C, FILTER_LEN * L))
+    controllers = [(p, np.empty(len(p)), row) for p, row in zip(paths, update)]
+    mu = np.asarray(float(mu))  # a 0-d array scales faster than a Python float
     bound_sq = WEIGHT_BOUND**2 / 2
-
-    # np.dot writes into its out= rows with no temporaries; per step, call overhead dominates
-    steps = zip(x_win[::-1], y[iterations - 1 :: -1], y_win[::-1], refs[::-1], errors)
-    for n, (x_recent, y_n, y_recent, refs_n, e) in enumerate(steps):
-        np.dot(x_recent, w, out=y_n)
-        e += np.dot(paths, y_recent, out=secondary)
-        fxlms_step(w_flat, refs_n, e, mu, update)
-        # below half the squared bound, the squared norm keeps every weight within it
-        if not np.vdot(w, w) <= bound_sq and not np.all(np.abs(w) <= WEIGHT_BOUND):
-            break
-    n_done = n + 1
-    del fx, refs, steps, refs_n  # the largest array and its views; the ears need only y
-
-    # ears, for the reported reduction curve (known to the simulation, not the controller)
-    ears = scenario.virtual_positions
-    ear_primary = propagate_tonal(src, ears, fs, n_done, c)
-    ear_firs = -make_path_fir(scenario.secondary_positions, ears, fs, c)
-    ear_resid = ear_primary + _fir_sum(y[iterations - n_done :], ear_firs)[::-1].T
-
-    # trailing-window power ratio at the ears
-    win = min(EPS_WINDOW, n_done)
-    num = np.sum(ear_resid**2, axis=0)
-    den = np.sum(ear_primary**2, axis=0)
-    csum_n = np.concatenate([[0.0], np.cumsum(num)])
-    csum_d = np.concatenate([[0.0], np.cumsum(den)])
-    idx = np.arange(1, n_done + 1)
-    lo = np.maximum(idx - win, 0)
-    wn = csum_n[idx] - csum_n[lo]
-    wd = csum_d[idx] - csum_d[lo]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(wd > 0, wn / np.maximum(wd, 1e-300), 1.0)
-    eps_db = ratio_to_db(ratio)
-
-    return AncRunReport(
-        eps_db=eps_db,
-        sensor_mse=np.mean(np.square(errors[:n_done], out=errors[:n_done]), axis=1),
-        weights=w.T.copy(),
-        ear_residual=ear_resid,
-        converged=bool(np.all(np.abs(w) <= WEIGHT_BOUND)),
-        iterations=n_done,
+    done = [None] * C  # per controller, (steps, weights, outputs, converged) once stopped
+    # per-step views, by step: the FILTER_LEN latest inputs, the C controllers' outputs, and
+    # per controller its PATH_TAPS latest outputs raveled, filtered reference and error
+    y_wins = [sliding_window_view(y_c.reshape(-1), PATH_TAPS * L)[::L][::-1] for y_c in y]
+    steps = zip(
+        sliding_window_view(x, FILTER_LEN)[::-1],
+        y.transpose(1, 0, 2)[::-1][PATH_TAPS - 1 :],
+        zip(*map(zip, y_wins, refs, errors)),
     )
+
+    # every product writes into its output rows, with no temporaries; per step, call
+    # overhead dominates, so the controllers share every call that is not their own product
+    for n, (x_recent, y_n, step) in enumerate(steps):
+        np.matmul(x_recent, w, y_n)
+        fxlms_step(w_flat, controllers, step, mu, update)
+        # below half the squared bound, the squared norm keeps every weight within it
+        if not w_all.dot(w_all) <= bound_sq:
+            for s in np.flatnonzero(~np.all(np.abs(w) <= WEIGHT_BOUND, axis=(1, 2))):
+                done[s] = (n + 1, w[s].T.copy(), y[s].copy(), False)
+                # stopped: its weights, outputs and errors to come are exact zeros
+                w[s], y[s], errors[s][n + 1 :] = 0.0, 0.0, 0.0
+            if None not in done:
+                break
+    done = [d or (iterations, w_s.T.copy(), y_s, True) for d, w_s, y_s in zip(done, w, y)]
+    del fx, refs, steps, step  # the filtered references and their views; the ears need y
+
+    # ears, for the reported reduction curves (known to the simulation, not the controller)
+    ears = scenario.virtual_positions
+    ear_primary = propagate_tonal(src, ears, fs, max(d[0] for d in done), c)
+    ear_firs = -make_path_fir(secondaries, ears, fs, c)
+    reports = []
+    for (n_done, weights, y_s, converged), errors_s in zip(done, errors):
+        primary_s = ear_primary[:, :n_done]
+        ear_resid = primary_s + _fir_sum(y_s[iterations - n_done :], ear_firs)[::-1].T
+
+        # trailing-window power ratio at the ears
+        win = min(EPS_WINDOW, n_done)
+        num = np.sum(ear_resid**2, axis=0)
+        den = np.sum(primary_s**2, axis=0)
+        csum_n = np.concatenate([[0.0], np.cumsum(num)])
+        csum_d = np.concatenate([[0.0], np.cumsum(den)])
+        idx = np.arange(1, n_done + 1)
+        lo = np.maximum(idx - win, 0)
+        wn = csum_n[idx] - csum_n[lo]
+        wd = csum_d[idx] - csum_d[lo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(wd > 0, wn / np.maximum(wd, 1e-300), 1.0)
+
+        sensed = errors_s[:n_done]
+        reports.append(AncRunReport(
+            eps_db=ratio_to_db(ratio),
+            sensor_mse=np.mean(np.square(sensed, out=sensed), axis=1),
+            weights=weights,
+            ear_residual=ear_resid,
+            converged=converged,
+            iterations=n_done,
+        ))
+    return reports
+
+
+def run_anc(
+    scenario: ScenarioConfig, sensors: np.ndarray, primary: np.ndarray, mu: float
+) -> AncRunReport:
+    """run_controllers for one controller, sensing ``primary`` (M, N) at the (M, 3)
+    ``sensors``: N iterations, stopped as diverged by a weight beyond WEIGHT_BOUND or not
+    finite."""
+    return run_controllers(scenario, [(sensors, primary)], mu)[0]
 
 
 def field_grid() -> np.ndarray:

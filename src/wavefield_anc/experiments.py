@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import path_distances, propagate_tonal, separations
-from .anc import AncRunReport, field_grid, field_grid_power, run_anc
+from .anc import AncRunReport, field_grid, field_grid_power, run_controllers
 from .geometry import sphere_points
 from .oracles import adam_figures, check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import (
@@ -88,8 +88,10 @@ class OutputBundle:
 
     def csv(self, name: str, header: list[str], rows: np.ndarray):
         """Writes ``rows`` to ``<name>.csv`` in the output directory as ``csv_paths[name]``."""
-        lines = [",".join(header)]
-        lines += [",".join(CSV_FMT % v for v in row) for row in np.atleast_2d(rows)]
+        rows = np.atleast_2d(rows)
+        row_fmt = ",".join([CSV_FMT] * rows.shape[1])  # one % per row, not one per value
+        # each row as Python floats in turn: rows.tolist() whole holds ~150 bytes a row
+        lines = [",".join(header), *(row_fmt % tuple(row.tolist()) for row in rows)]
         path = self.csv_paths[name] = self.spec.out_dir / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
 
@@ -195,13 +197,13 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
 def run_controls(
     sc: ScenarioConfig, params: np.ndarray, norm: NormSpec
 ) -> tuple[AncRunReport, AncRunReport]:
-    """The two controllers the paper compares, ANC_ITERATIONS steps each:
+    """The two controllers the paper compares, stepped together for ANC_ITERATIONS steps:
     multiple-point control on the measured mic signals, and PINN-assisted
     control on the network's estimate at the ears."""
     fs, mics, ears = sc.sample_rate, sc.monitoring_positions, sc.virtual_positions
     measured = propagate_tonal(sc.primary_source, mics, fs, ANC_ITERATIONS, sc.speed_of_sound)
-    multipoint = run_anc(sc, mics, measured, ANC_MU)
-    pinn = run_anc(sc, ears, pinn_predict(params, norm, ears, fs, ANC_ITERATIONS), ANC_MU)
+    estimate = pinn_predict(params, norm, ears, fs, ANC_ITERATIONS)
+    multipoint, pinn = run_controllers(sc, [(mics, measured), (ears, estimate)], ANC_MU)
     return multipoint, pinn
 
 

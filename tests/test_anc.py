@@ -17,7 +17,9 @@ from wavefield_anc.anc import (
     filtered_reference,
     fxlms_step,
     run_anc,
+    run_controllers,
 )
+from wavefield_anc.experiments import run_controls
 from wavefield_anc.pinn import TrainConfig, pinn_predict, train_pinn
 from wavefield_anc.scenario import ScenarioConfig, default_scenario
 from wavefield_anc.sh import DB_FLOOR
@@ -122,34 +124,50 @@ def test_fir_kernel_on_the_live_taps_is_the_convolution(firs, samples):
 
 
 def test_fxlms_zero_error_fixed_point():
-    w = np.random.default_rng(0).normal(size=32)
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(1, 32))
     before = w.copy()  # the update is in place
-    refs = np.random.default_rng(1).normal(size=(32, 3))
-    out = fxlms_step(w, refs, np.zeros(3), 1e-3, np.empty(32))
+    update = np.empty((1, 32))
+    controllers = [(rng.normal(size=(3, 6)), np.empty(3), update[0])]
+    step = [(np.zeros(6), rng.normal(size=(32, 3)), np.zeros(3))]  # silent sources
+    out = fxlms_step(w, controllers, step, 1e-3, update)
     assert np.array_equal(out, before)
 
 
 def test_fxlms_update_along_reference():
-    w = np.zeros(8)
+    w = np.zeros((1, 8))
     before = w.copy()  # the update is in place
     x = np.random.default_rng(2).normal(size=8)
-    refs = x[:, None]
-    e = np.array([0.5])
-    out = fxlms_step(w, refs, e, 1e-2, np.empty(8))
-    assert np.allclose(out - before, 1e-2 * 0.5 * x, atol=1e-15)
+    update = np.empty((1, 8))
+    controllers = [(np.ones((1, 4)), np.empty(1), update[0])]
+    step = [(np.zeros(4), x[:, None], np.array([0.5]))]  # silent sources
+    out = fxlms_step(w, controllers, step, 1e-2, update)
+    assert np.allclose(out[0] - before[0], 1e-2 * 0.5 * x, atol=1e-15)
 
 
 @pytest.mark.parametrize("F, L, M", [(96, 2, 8), (96, 1, 1), (5, 3, 1), (7, 1, 4)])
 @pytest.mark.parametrize("seed", range(5))
 def test_fxlms_step_in_place_is_the_out_of_place_update(F, L, M, seed):
+    """In a stack of controllers of M, 1 and M + 2 sensors, each completes its own error
+    and takes its own update."""
     rng = np.random.default_rng(seed)
-    w, refs, e = rng.normal(size=F * L), rng.normal(size=(F * L, M)), rng.normal(size=M)
+    sensors, recent_len = (M, 1, M + 2), 3 * L
+    w = rng.normal(size=(len(sensors), F * L))
+    paths = [rng.normal(size=(m, recent_len)) for m in sensors]
+    recent = [rng.normal(size=recent_len) for _ in sensors]
+    refs = [rng.normal(size=(F * L, m)) for m in sensors]
+    e = [rng.normal(size=m) for m in sensors]
     mu = rng.uniform(1e-6, 1e-2)
-    expected = w + mu * (refs @ e)
-    given = w.copy()
-    out = fxlms_step(given, refs, e, mu, np.empty(F * L))
+    full = [e_c + p @ r for e_c, p, r in zip(e, paths, recent)]
+    expected = [w_c + mu * (refs_c @ e_c) for w_c, refs_c, e_c in zip(w, refs, full)]
+    given, update = w.copy(), np.empty_like(w)
+    controllers = [(p, np.empty(len(p)), row) for p, row in zip(paths, update)]
+    out = fxlms_step(given, controllers, list(zip(recent, refs, e)), mu, update)
     assert out is given
-    assert np.array_equal(out, expected)
+    for e_c, full_c in zip(e, full):  # the errors, completed in place
+        assert np.array_equal(e_c, full_c)
+    for row, expected_row in zip(out, expected):
+        assert np.array_equal(row, expected_row)
 
 
 def test_run_anc_zero_step_size():
@@ -286,6 +304,21 @@ def test_run_anc_frees_the_filtered_reference_before_the_ears():
     mics = sc.monitoring_positions
     primary = truth(sc, mics, 10_000)
     assert traced_peak(lambda: run_anc(sc, mics, primary, 1e-5)) < 2.5e6
+
+
+def test_run_controls_frees_each_filtered_reference_before_the_ears():
+    """3.7 MB for both controllers over 10 000 samples on the 250/350/450 Hz tones of
+    default_scenario(1) (2.9 MB when they ran one after the other); 5.6 MB while both
+    filtered references outlive the loop and the errors are squared out of place."""
+    sc = default_scenario(1)
+    tones = zip((250.0, 350.0, 450.0), sc.primary_source.components)
+    src = TonalSource(
+        sc.primary_source.position, tuple(ToneComponent(f, c.amplitude, c.phase) for f, c in tones)
+    )
+    sc = dataclasses.replace(sc, primary_source=src)
+    mics = truth(sc, sc.monitoring_positions, sc.period_samples)
+    params, report = train_pinn(sc, mics, TrainConfig(epochs=10, restarts=1))
+    assert traced_peak(lambda: run_controls(sc, params, report.norm)) < 4.0e6
 
 
 @settings(max_examples=10, deadline=None)
@@ -450,6 +483,72 @@ def test_run_anc_matches_shift_register_loop(
     assert rel_err(rep.weights, w) <= 1e-12
     assert rel_err(rep.sensor_mse, sensor_mse) <= 1e-12
     assert rel_err(rep.eps_db, eps_db) <= 1e-12
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_sources=st.integers(1, 2),
+    counts=st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True),
+    log_mu=st.floats(-6.0, 0.0),
+    iterations=st.integers(50, 300),
+    period=st.sampled_from(PERIODS),
+    nan_at=st.integers(0, 299),
+)
+@example(  # the NaN sensing stops at its sample, the others run to the end
+    seed=5, num_sources=2, counts=[3, 1, 2], log_mu=-4.0, iterations=300, period=80, nan_at=150
+)
+@example(  # every controller diverges, the NaN sensing first
+    seed=7, num_sources=2, counts=[2, 3], log_mu=0.0, iterations=300, period=240, nan_at=20
+)
+def test_stacked_controllers_each_run_as_alone(
+    seed, num_sources, counts, log_mu, iterations, period, nan_at
+):
+    """run_controllers on 2-3 sensings of different sensor counts, the last with a NaN in
+    its primary: each report is bitwise run_anc on its sensing alone, and within 1e-12 of
+    the shift-register loop."""
+    sc = random_scenario(seed, num_sources, 3, period)
+    pool = np.concatenate([sc.monitoring_positions, sc.virtual_positions])
+    sensings = [(pool[i : i + k], truth(sc, pool[i : i + k], iterations))
+                for i, k in enumerate(counts)]
+    sensings[-1][1][-1, nan_at % iterations] = np.nan
+    mu = 10.0**log_mu
+    reports = run_controllers(sc, sensings, mu)
+    assert len(reports) == len(sensings)
+    assert reports[-1].iterations <= nan_at % iterations + 1 and not reports[-1].converged
+    for (sensors, primary), rep in zip(sensings, reports):
+        alone = run_anc(sc, sensors, primary, mu)
+        for name in ("weights", "sensor_mse", "eps_db", "ear_residual"):
+            assert same_bits(getattr(rep, name), getattr(alone, name)), name
+        assert (rep.iterations, rep.converged) == (alone.iterations, alone.converged)
+        w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, primary, mu)
+        assert rep.converged == converged and rep.iterations == sensor_mse.size
+        assert rel_err(rep.weights, w) <= 1e-12
+        assert rel_err(rep.sensor_mse, sensor_mse) <= 1e-12
+        assert rel_err(rep.eps_db, eps_db) <= 1e-12
+
+
+def test_a_diverging_controller_stops_while_the_others_run_on():
+    sc = default_scenario(0)
+    mics, ears = sc.monitoring_positions, sc.virtual_positions
+    estimate = truth(sc, ears, 2000)
+    estimate[1, 700] = np.nan
+    mp, pn = run_controllers(sc, [(mics, truth(sc, mics, 2000)), (ears, estimate)], 1e-5)
+    assert (pn.iterations, pn.converged) == (701, False)
+    assert (mp.iterations, mp.converged) == (2000, True)
+    assert mp.ear_residual.shape == (2, 2000) and pn.ear_residual.shape == (2, 701)
+
+
+@pytest.mark.parametrize("lengths", [(), (100, 101)])
+def test_run_controllers_rejects_no_sensing_or_unequal_lengths(lengths):
+    sc = default_scenario(0)
+    mics = sc.monitoring_positions
+    with pytest.raises(ValueError):
+        run_controllers(sc, [(mics, np.zeros((8, n))) for n in lengths], 1e-5)
 
 
 @pytest.fixture(scope="module")

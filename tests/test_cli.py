@@ -590,6 +590,20 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
     np.testing.assert_allclose(written["interp_sweep"], full, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("rows", [
+    [[np.nan, np.inf, -np.inf], [-0.0, 1e-300, -1e-300], [12345678901.0, 0.1, -7.0]],
+    np.array([[0, -3, 2**40]]),
+    [2.5, -0.0, np.nan],
+    np.empty((0, 3)),
+], ids=["floats", "integers", "one-row", "no-rows"])
+def test_csv_bytes_are_the_per_value_join(tmp_path, rows):
+    bundle = experiments.OutputBundle(quick_spec("validate", tmp_path))
+    bundle.csv("t", ["a", "b", "c"], rows)
+    per_value = [",".join(experiments.CSV_FMT % v for v in row) for row in np.atleast_2d(rows)]
+    expected = "\n".join(["a,b,c", *per_value]) + "\n"
+    assert bundle.csv_paths["t"].read_bytes() == expected.encode()
+
+
 def test_anc_convergence_quick(tmp_path):
     """One run: criterion 8 in test_acceptance re-runs this spec and compares the bytes."""
     b1 = run_anc_convergence(quick_spec("anc-convergence", tmp_path / "a"))
