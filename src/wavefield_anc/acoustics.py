@@ -14,13 +14,15 @@ SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional 
 PATH_TAPS = 256  # secondary-path FIR length
 
 
-def require_numbers(obj, names: tuple[str, ...]):
+def require_numbers(obj, names: tuple[str, ...], kind: type[numbers.Real]):
     """The one rule for config numbers, on the fields ``names`` of ``obj`` in turn: TypeError
-    naming one that is not a real number (a bool is not), ValueError one that is not finite."""
+    naming one that is not of ``kind``, numbers.Real or numbers.Integral (a bool is neither),
+    ValueError one that is not finite."""
+    noun = "an integer" if kind is numbers.Integral else "a number"
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
         # an int is finite, past float range too
         if not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -33,7 +35,7 @@ class ToneComponent:
     phase: float = 0.0  # rad
 
     def __post_init__(self):
-        require_numbers(self, ("frequency", "amplitude", "phase"))
+        require_numbers(self, ("frequency", "amplitude", "phase"), numbers.Real)
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
         if self.amplitude < 0:
@@ -73,11 +75,11 @@ class TonalSource:
 
 
 def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray, sample_rate: float,
-              num_samples: int, start: int = 0) -> np.ndarray:
-    """(R, num_samples) sum_i A_i gains sin(2 pi f_i (t - delays) + phi_i) for n = start, ...,
+              num_samples: int) -> np.ndarray:
+    """(R, num_samples) sum_i A_i gains sin(2 pi f_i (t - delays) + phi_i) for n = 0, 1, ...,
     at t = (n mod P) / sample_rate, each residue once; P is the sample period."""
     period = source.period_samples(sample_rate)
-    t = np.arange(start, start + min(num_samples, period)) % period / sample_rate
+    t = np.arange(min(num_samples, period)) / sample_rate
     p = np.zeros((delays.size, len(t)))
     tone = np.empty_like(p)  # one tone at a time, built in place
     for comp in source.components:
@@ -98,17 +100,17 @@ def repeat_period(one_period: np.ndarray, num_samples: int) -> np.ndarray:
 
 
 def propagate_tonal(source: TonalSource, receivers: np.ndarray, sample_rate: float,
-                    num_samples: int, c: float, start: int = 0) -> np.ndarray:
+                    num_samples: int, c: float) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
 
     p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of
     the (P, 3) ``receivers`` and t = n / sample_rate for the num_samples samples
-    n = start, start + 1, ...; returns (P, num_samples).
+    n = 0, 1, ...; returns (P, num_samples).
     """
     d = separations(source.position[None], receivers)[0]
     if num_samples < 1:
         raise ValueError("signal must contain at least one sample")
-    return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate, num_samples, start)
+    return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate, num_samples)
 
 
 def _path(flat: int, d: np.ndarray, sources, receivers, kinds: tuple[str, str]) -> str:

@@ -237,7 +237,10 @@ def field_grid_power(
     grid = field_grid()
     power = np.empty((len(weight_sets), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
-        primary = propagate_tonal(src, grid[row], fs, period, c, start=n_total - period)
+        # samples n_total - period, ... are the first period rolled; np.roll keeps rows
+        # C-ordered, so np.mean sums them in the order of the whole signal's slice
+        first = propagate_tonal(src, grid[row], fs, period, c)
+        primary = np.roll(first, period - n_total, axis=1)
         firs = make_path_fir(scenario.secondary_positions, grid[row], fs, c)
         for k, out in enumerate(outputs):
             tail = primary if out is None else primary + _fir_sum(out, firs)[::-1].T

@@ -22,14 +22,7 @@ from .acoustics import path_distances, propagate_tonal, separations
 from .anc import AncRunReport, field_grid, field_grid_power, run_controllers
 from .geometry import sphere_points
 from .oracles import adam_figures, check, derivative_figures, fxlms_figures, sh_figures
-from .pinn import (
-    NormSpec,
-    TrainConfig,
-    TrainReport,
-    pinn_predict,
-    save_params,
-    train_pinn,
-)
+from .pinn import TrainConfig, TrainReport, pinn_predict, save_params, train_pinn
 from .scenario import ScenarioConfig
 from .sh import common_radius, interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
@@ -95,7 +88,7 @@ class OutputBundle:
         path = self.csv_paths[name] = self.spec.out_dir / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
 
-    def train(self) -> tuple[np.ndarray, NormSpec, np.ndarray]:
+    def train(self) -> tuple[np.ndarray, np.ndarray]:
         """The PINN fit to one period of the mic signals (the "train" stage), saved as model.txt,
         with the winning restart's loss curve, every 100 epochs, as train_history.csv."""
         sc = self.spec.scenario
@@ -103,11 +96,11 @@ class OutputBundle:
         mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, P, c)
         with self.stage("train"):
             params, self.report = train_pinn(sc, mics, self.spec.train)
-        save_params(params, self.report.norm, self.spec.out_dir / "model.txt")
+        save_params(params, P, fs, self.spec.out_dir / "model.txt")
         self.model_path = self.spec.out_dir / "model.txt"  # once written: the summary reads it
         history = np.reshape(self.report.history, (-1, 3))  # no rows at 0 epochs
         self.csv("train_history", ["epoch", "L_data", "L_pde"], history)
-        return params, self.report.norm, mics
+        return params, mics
 
 
 def _experiment(body):
@@ -167,7 +160,7 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     """Interpolation error vs evaluation-sphere radius, SH against the PINN."""
     sc = spec.scenario
     fs, c = sc.sample_rate, sc.speed_of_sound
-    params, norm, mics = run.train()
+    params, mics = run.train()
 
     f_max = max(comp.frequency for comp in sc.primary_source.components)
     U = max_order(f_max, common_radius(sc.monitoring_positions), c)
@@ -178,7 +171,7 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
         for r_s in spec.radii:
             pts = sphere_points(r_s, SWEEP_POINTS)
             truth = propagate_tonal(sc.primary_source, pts, fs, P, c)
-            eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, norm, pts, fs, P)))
+            eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, pts, P, fs, P)))
             eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
             rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
@@ -194,15 +187,13 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     return metrics, True
 
 
-def run_controls(
-    sc: ScenarioConfig, params: np.ndarray, norm: NormSpec
-) -> tuple[AncRunReport, AncRunReport]:
+def run_controls(sc: ScenarioConfig, params: np.ndarray) -> tuple[AncRunReport, AncRunReport]:
     """The two controllers the paper compares, stepped together for ANC_ITERATIONS steps:
     multiple-point control on the measured mic signals, and PINN-assisted
     control on the network's estimate at the ears."""
     fs, mics, ears = sc.sample_rate, sc.monitoring_positions, sc.virtual_positions
     measured = propagate_tonal(sc.primary_source, mics, fs, ANC_ITERATIONS, sc.speed_of_sound)
-    estimate = pinn_predict(params, norm, ears, fs, ANC_ITERATIONS)
+    estimate = pinn_predict(params, ears, sc.period_samples, fs, ANC_ITERATIONS)
     multipoint, pinn = run_controllers(sc, [(mics, measured), (ears, estimate)], ANC_MU)
     return multipoint, pinn
 
@@ -211,9 +202,9 @@ def run_controls(
 def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Ear noise-reduction curves for multiple-point and PINN-assisted control;
     ok=False when either controller diverged."""
-    params, norm, _ = run.train()
+    params, _ = run.train()
     with run.stage("anc"):
-        mp, pn = run_controls(spec.scenario, params, norm)
+        mp, pn = run_controls(spec.scenario, params)
     n = min(mp.iterations, pn.iterations)
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     run.csv("anc_convergence", ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
@@ -239,9 +230,9 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """xy-plane signal-power maps: primary, multipoint residual, PINN residual;
     ok=False when either controller diverged."""
     sc = spec.scenario
-    params, norm, _ = run.train()
+    params, _ = run.train()
     with run.stage("anc"):
-        mp, pn = run_controls(sc, params, norm)
+        mp, pn = run_controls(sc, params)
     with run.stage("field"):
         gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
 

@@ -7,13 +7,14 @@ data + PDE loss (third-order chain rule through tanh).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
 
-from .acoustics import repeat_period
+from .acoustics import repeat_period, require_numbers
 from .geometry import ball_points
 from .scenario import ScenarioConfig
 
@@ -47,24 +48,12 @@ def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return W1, params[..., 4 * n : 5 * n], params[..., 5 * n : 6 * n], params[..., -1]
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Affine map from physical time [0, duration] onto the network time axis."""
-
-    duration: float
-    half_range: float = TIME_HALF_RANGE
-
-    @property
-    def scale(self) -> float:
-        """d(tau)/dt."""
-        return 2.0 * self.half_range / self.duration
-
-    def to_tau(self, t) -> np.ndarray:
-        return np.asarray(t) * self.scale - self.half_range
-
-    def c_eff(self, c: float) -> float:
-        """Wave speed in (tau, meters) coordinates: c * dt/dtau."""
-        return c / self.scale
+def time_axis(period: int, sample_rate: float) -> tuple[np.ndarray, float]:
+    """The network's time inputs tau for the ``period`` samples of one period at
+    ``sample_rate``, its [0, period / sample_rate] mapped onto +-TIME_HALF_RANGE, and the
+    scale d(tau)/dt; the wave speed in (tau, meters) coordinates is c / scale."""
+    scale = 2.0 * TIME_HALF_RANGE / (period / sample_rate)
+    return np.arange(period) / sample_rate * scale - TIME_HALF_RANGE, scale
 
 
 @dataclass
@@ -83,6 +72,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_numbers(self, ("epochs", "restarts", "seed"), numbers.Integral)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.restarts < 1:
@@ -102,7 +92,6 @@ class AdamState:
 class TrainReport:
     history: list[tuple[int, float, float]]  # epoch, L_data, L_pde
     final_data_loss: float
-    norm: NormSpec  # time map the winning model was trained under
     restart_scores: list[float | None]  # None: diverged
     best_restart: int
     diverged_restarts: list[tuple[int, int]]  # restart, epoch
@@ -267,13 +256,12 @@ def train_pinn(
     if mic_signals.shape[1] < period:
         raise ValueError("mic signals shorter than one fundamental period")
     fs = scenario.sample_rate
-    norm = NormSpec(period / fs)
-    c_eff = norm.c_eff(scenario.speed_of_sound)
+    tau, scale = time_axis(period, fs)
+    c_eff = scenario.speed_of_sound / scale
 
     targets = mic_signals[:, :period]
     # summed in one fixed (column-major) order, whatever the layout of mic_signals
     rms = float(np.sqrt(np.mean(np.ascontiguousarray(targets.T) ** 2))) or 1.0
-    tau = norm.to_tau(np.arange(period) / fs)
     inputs = _with_ones(_grid_inputs(tau, scenario.monitoring_positions))  # (B, 5)
     targets_flat = targets.ravel() / rms
 
@@ -300,7 +288,7 @@ def train_pinn(
             lr = LEARNING_RATE * lr_ratio**frac
             lam = PDE_WEIGHT * lam_ratio**frac
             for r, rng in enumerate(rngs):
-                colloc[r, :, 0] = rng.uniform(-norm.half_range, norm.half_range, size=A)
+                colloc[r, :, 0] = rng.uniform(-TIME_HALF_RANGE, TIME_HALF_RANGE, size=A)
             L_data, L_pde, grads = loss_and_grads(params, inputs, targets_flat, colloc, lam, c_eff)
             for r in np.flatnonzero(~(np.isfinite(L_data) & np.isfinite(L_pde))):
                 diverged.setdefault(int(r), epoch)
@@ -315,14 +303,14 @@ def train_pinn(
         val_seed = cfg.seed + VALIDATION_SEED_OFFSET
         val_rng = default_rng(val_seed)
         val_xyz = ball_points(scenario.mic_radius, VALIDATION_POINTS, seed=val_seed)
-        val_tau = val_rng.uniform(-norm.half_range, norm.half_range, size=VALIDATION_POINTS)
+        val_tau = val_rng.uniform(-TIME_HALF_RANGE, TIME_HALF_RANGE, size=VALIDATION_POINTS)
         val_points = np.column_stack([val_tau, val_xyz])
         resid = pde_residual(params, val_points, c_eff)  # (restarts, VALIDATION_POINTS)
         scores = final + PDE_SCORE_WEIGHT * np.mean(resid**2, axis=-1)
     scores = [None if r in diverged else float(s) for r, s in enumerate(scores)]
     best = min((s, r) for r, s in enumerate(scores) if s is not None)[1]
     history = [(e, float(d[best]), float(p[best])) for e, d, p in history]
-    report = TrainReport(history, float(final[best]), norm, scores, best, sorted(diverged.items()))
+    report = TrainReport(history, float(final[best]), scores, best, sorted(diverged.items()))
     params = params[best].copy()  # not a view
     params[5 * HIDDEN :] *= rms  # undo the target normalization: (W2, b2) is linear
     return params, report
@@ -330,20 +318,19 @@ def train_pinn(
 
 def pinn_predict(
     params: np.ndarray,
-    norm: NormSpec,
     points: np.ndarray,
+    period: int,
     sample_rate: float,
     num_samples: int,
 ) -> np.ndarray:
     """The network's signal at each of the (P, 3) points; (P, num_samples).
 
-    The network models one period, ``norm.duration``, of a periodic field: it is
-    evaluated on that period's time grid, in blocks of PREDICT_BLOCK_ROWS inputs, and
-    repeated to ``num_samples``. Blocks start at multiples of it and none is one row (numpy
-    rounds a one-row product otherwise), so outputs are bitwise one single-threaded pass's.
+    The network models one period, ``period`` samples, of a periodic field: it is evaluated
+    on that period's time_axis, in blocks of PREDICT_BLOCK_ROWS inputs, and repeated to
+    ``num_samples``. Blocks start at multiples of it and none is one row (numpy rounds a
+    one-row product otherwise), so outputs are bitwise one single-threaded pass's.
     """
-    period = round(norm.duration * sample_rate)
-    tau = norm.to_tau(np.arange(period) / sample_rate)
+    tau, _ = time_axis(period, sample_rate)
     out = np.empty(len(points) * period)
     bounds = [0, *range(PREDICT_BLOCK_ROWS, out.size - 1, PREDICT_BLOCK_ROWS), out.size]
     for start, stop in zip(bounds, bounds[1:]):
@@ -353,16 +340,29 @@ def pinn_predict(
     return repeat_period(out.reshape(len(points), period), num_samples)
 
 
-def save_params(params: np.ndarray, norm: NormSpec, path: str | Path):
-    """Flat text format: N, row-major W1, b1, W2, b2, then the time-map constants."""
-    values = [*params, norm.duration, norm.half_range]
+def save_params(params: np.ndarray, period: int, sample_rate: float, path: str | Path):
+    """Flat text format: N, row-major W1, b1, W2, b2, then the time map's constants: the
+    duration of the ``period`` samples at ``sample_rate`` and TIME_HALF_RANGE."""
+    values = [*params, period / sample_rate, TIME_HALF_RANGE]
     hidden = str(len(unpack(params)[1]))
     Path(path).write_text("\n".join([hidden, *(f"{v:.17g}" for v in values)]) + "\n")
 
 
-def load_params(path: str | Path) -> tuple[np.ndarray, NormSpec]:
-    lines = Path(path).read_text().split()
-    dim = 6 * int(lines[0]) + 1
-    params = np.array([float(v) for v in lines[1 : 1 + dim]])
-    duration, half_range = float(lines[1 + dim]), float(lines[2 + dim])
-    return params, NormSpec(duration, half_range)
+def load_params(path: str | Path, period: int, sample_rate: float) -> np.ndarray:
+    """The parameters save_params wrote to ``path``; ValueError naming it unless it holds
+    6N + 4 lines, N >= 1 on the first, and a time map of ``period`` samples at
+    ``sample_rate`` and TIME_HALF_RANGE."""
+    lines = Path(path).read_text().splitlines()
+    try:
+        n = int(lines[0]) if lines else 0
+        values = np.array([float(v) for v in lines[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if n < 1 or len(lines) != 6 * n + 4:
+        raise ValueError(f"{path}: {len(lines)} lines for N = {n}; a model has 6N + 4, N >= 1")
+    duration, half_range = values[-2:].tolist()
+    if duration != period / sample_rate:
+        raise ValueError(f"{path}: a period of {duration!r} s, not {period} / {sample_rate} s")
+    if half_range != TIME_HALF_RANGE:
+        raise ValueError(f"{path}: time half-range {half_range!r}, not {TIME_HALF_RANGE}")
+    return values[:-2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,8 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        require_numbers(self, ("speed_of_sound", "sample_rate", "duration", "rng_seed"))
+        names = ("speed_of_sound", "sample_rate", "duration", "rng_seed")
+        require_numbers(self, names, numbers.Real)
         for name in ("secondary_positions", "monitoring_positions", "virtual_positions"):
             setattr(self, name, as_points(getattr(self, name), name))
         if self.speed_of_sound <= 0:

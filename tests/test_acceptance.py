@@ -49,7 +49,7 @@ def shipped(tmp_path_factory):
         assert cfg == TrainConfig()
         assert mic_signals.shape == mics.shape and mic_signals.tobytes() == mics.tobytes()
         served.append(cfg)
-        return load_params(sweep.model_path)[0], sweep.report  # model.txt round-trips bitwise
+        return load_params(sweep.model_path, P, fs), sweep.report  # model.txt round-trips bitwise
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "train_pinn", trained_by_the_sweep)

@@ -13,6 +13,7 @@ from wavefield_anc.anc import (
     PATH_TAPS,
     WEIGHT_BOUND,
     _fir_sum,
+    field_grid,
     field_grid_power,
     filtered_reference,
     fxlms_step,
@@ -243,10 +244,10 @@ def test_ear_truth_is_direct_propagation_for_a_period_not_dividing_the_scenario(
 
 
 def test_ideal_mode_bounds_pinn_mode(scenario, trained_quick):
-    params, report = trained_quick
+    params, _ = trained_quick
     ears = scenario.virtual_positions
     ideal = run_anc(scenario, ears, truth(scenario, ears, 4000), 1e-5)
-    estimate = pinn_predict(params, report.norm, ears, scenario.sample_rate, 4000)
+    estimate = pinn_predict(params, ears, scenario.period_samples, scenario.sample_rate, 4000)
     pinn = run_anc(scenario, ears, estimate, 1e-5)
     # a perfect interpolator lower-bounds the PINN-driven loop at steady state
     assert ideal.eps_db[-480:].mean() <= pinn.eps_db[-480:].mean() + 0.5
@@ -269,6 +270,21 @@ def test_field_grid_zero_weights_is_primary():
     assert xs.size == 21
     assert np.allclose(np.diff(xs), 0.02)
     assert np.array_equal(p_none, p_zero)
+
+
+@pytest.mark.parametrize("freqs", [(300.0, 400.0, 500.0), (375.0,), (250.0, 350.0, 450.0)])
+def test_field_map_primary_is_the_whole_signals_last_period(freqs):
+    """The uncontrolled map is, bit for bit, the mean square of the last period of the whole
+    PATH_TAPS + 4P-sample signal, which the map forms from the first period rolled by 16
+    samples (P = 240), 0 (P = 64) and 256 (P = 480)."""
+    sc = default_scenario(0)
+    comps = sc.primary_source.components
+    tones = tuple(ToneComponent(f, c.amplitude, c.phase) for f, c in zip(freqs, comps))
+    sc = dataclasses.replace(sc, primary_source=TonalSource(sc.primary_source.position, tones))
+    fs, c, P = sc.sample_rate, sc.speed_of_sound, sc.period_samples
+    _, _, (power,) = field_grid_power(sc, [None])
+    whole = propagate_tonal(sc.primary_source, field_grid(), fs, PATH_TAPS + 4 * P, c)
+    assert np.array_equal(power, np.mean(np.ascontiguousarray(whole[:, -P:]) ** 2, axis=1))
 
 
 def test_field_grid_single_tone_power_is_analytic():
@@ -317,8 +333,8 @@ def test_run_controls_frees_each_filtered_reference_before_the_ears():
     )
     sc = dataclasses.replace(sc, primary_source=src)
     mics = truth(sc, sc.monitoring_positions, sc.period_samples)
-    params, report = train_pinn(sc, mics, TrainConfig(epochs=10, restarts=1))
-    assert traced_peak(lambda: run_controls(sc, params, report.norm)) < 4.0e6
+    params, _ = train_pinn(sc, mics, TrainConfig(epochs=10, restarts=1))
+    assert traced_peak(lambda: run_controls(sc, params)) < 4.0e6
 
 
 @settings(max_examples=10, deadline=None)

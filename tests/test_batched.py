@@ -15,12 +15,12 @@ from wavefield_anc.acoustics import (
 )
 from wavefield_anc.geometry import cart_to_sph, sphere_points
 from wavefield_anc.pinn import (
-    NormSpec,
     glorot_init,
     loss_and_grads,
     mlp_forward,
     pde_residual,
     pinn_predict,
+    time_axis,
     unpack,
 )
 from wavefield_anc.scenario import default_scenario
@@ -239,10 +239,9 @@ def test_pinn_predict_matches_per_point(seed, count, n):
     W1, b1, _, _ = unpack(params)
     W1[:, 0] *= 100.0
     b1[:] = rng.normal(size=b1.size)
-    norm = NormSpec(n / FS)
     points = random_points(rng, count, 0.0, 0.3)
-    out = pinn_predict(params, norm, points, FS, n)
-    tau = norm.to_tau(np.arange(n) / FS)
+    out = pinn_predict(params, points, n, FS, n)
+    tau, _ = time_axis(n, FS)
     expected = [
         mlp_forward(params, np.column_stack([tau, np.broadcast_to(p, (n, 3))])) for p in points
     ]

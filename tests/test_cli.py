@@ -173,18 +173,32 @@ def test_non_finite_number_in_a_config_built_in_python_is_rejected(key, value):
         ("frequency", "300"),
         ("amplitude", True),
         ("phase", [0.0]),
+        ("epochs", 2.5),
+        ("restarts", 1.5),
+        ("seed", True),
+        ("epochs", "10"),
+        ("seed", np.float64(3.0)),
     ],
 )
 def test_mistyped_number_in_a_config_built_in_python_is_rejected(key, value):
     """The dataclasses hold the type half of the number rule too: a value that is not a real
-    number (a bool is not) is named with its key, not left to a comparison's TypeError."""
+    number (a bool is not), or for TrainConfig not an integer, is named with its key, not left
+    to a comparison's TypeError or to the train stage's range()."""
     sc = default_scenario(0)
-    message = f"^{key} must be a number, got {type(value).__name__} {re.escape(repr(value))}$"
+    noun = "an integer" if key in ("epochs", "restarts", "seed") else "a number"
+    message = f"^{key} must be {noun}, got {type(value).__name__} {re.escape(repr(value))}$"
     with pytest.raises(TypeError, match=message):
         if key in ("frequency", "amplitude", "phase"):
             dataclasses.replace(sc.primary_source.components[0], **{key: value})
+        elif noun == "an integer":
+            TrainConfig(**{key: value})
         else:
             dataclasses.replace(sc, **{key: value})
+
+
+def test_numpy_integers_are_integers_to_train_config():
+    cfg = TrainConfig(epochs=np.int64(10), restarts=np.int32(2), seed=np.uint8(3))
+    assert (cfg.epochs, cfg.restarts, cfg.seed) == (10, 2, 3)
 
 
 @pytest.mark.parametrize("with_config", [False, True], ids=["built-in", "config"])
@@ -577,7 +591,7 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
     assert window == sc.period_samples and sc.num_samples % window == 0
 
     fs, c, T = sc.sample_rate, sc.speed_of_sound, sc.num_samples
-    params, norm = load_params(bundle.model_path)
+    params = load_params(bundle.model_path, window, fs)
     mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, T, c)
     series = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), sc.mic_radius, c), fs)
     full = []
@@ -585,7 +599,7 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
         pts = sphere_points(r_s, experiments.SWEEP_POINTS)
         truth = propagate_tonal(sc.primary_source, pts, fs, T, c)
         eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
-        eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, norm, pts, fs, T)))
+        eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, pts, window, fs, T)))
         full.append((r_s, eps_sh, eps_nn))
     np.testing.assert_allclose(written["interp_sweep"], full, rtol=0.0, atol=1e-9)
 

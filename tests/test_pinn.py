@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,6 @@ from wavefield_anc.oracles import adam_figures
 from wavefield_anc.pinn import (
     AdamState,
     DivergenceDetected,
-    NormSpec,
     TrainConfig,
     adam_step,
     glorot_init,
@@ -28,6 +28,7 @@ from wavefield_anc.pinn import (
     pde_residual,
     pinn_predict,
     save_params,
+    time_axis,
     train_pinn,
     unpack,
 )
@@ -94,12 +95,12 @@ def test_unpack_rejects_a_length_not_6n_plus_1(size):
 def test_save_params_writes_the_documented_lines(tmp_path):
     W1 = np.arange(1.0, 9.0).reshape(2, 4)
     p = pack(W1, np.array([0.5, -0.5]), np.array([0.25, 1.0 / 3.0]), -2.0)
-    save_params(p, NormSpec(0.01), tmp_path / "model.txt")
+    save_params(p, 240, 24_000.0, tmp_path / "model.txt")
     w1_rows = ["1", "2", "3", "4", "5", "6", "7", "8"]  # row-major
     b1, w2, b2 = ["0.5", "-0.5"], ["0.25", "0.33333333333333331"], ["-2"]
-    norm = ["0.01", "0.14999999999999999"]  # duration, time half-range
+    time_map = ["0.01", "0.14999999999999999"]  # duration, time half-range
     lines = (tmp_path / "model.txt").read_text().splitlines()
-    assert lines == ["2", *w1_rows, *b1, *w2, *b2, *norm]
+    assert lines == ["2", *w1_rows, *b1, *w2, *b2, *time_map]
 
 
 def test_forward_independent_reimplementation():
@@ -229,11 +230,12 @@ def test_stacked_adam_step_is_each_network_alone(restarts):
             assert np.array_equal(state.m[r], st.m) and np.array_equal(state.v[r], st.v)
 
 
-def test_norm_spec_maps_duration_to_range():
-    norm = NormSpec(0.01)
-    assert norm.to_tau(0.0) == pytest.approx(-0.15)
-    assert norm.to_tau(0.01) == pytest.approx(0.15)
-    assert norm.c_eff(343.0) == pytest.approx(343.0 / 30.0)
+def test_time_axis_maps_one_period_onto_the_half_range():
+    tau, scale = time_axis(240, 24_000.0)  # 0.01 s
+    assert scale == pytest.approx(30.0)  # c_eff = c / 30 in (tau, meters) coordinates
+    assert tau[0] == -0.15 and tau[-1] == pytest.approx(0.15 - 0.3 / 240)
+    # the arithmetic every model file was trained and evaluated under, bit for bit
+    assert np.array_equal(tau, np.arange(240) / 24_000.0 * scale - pinn.TIME_HALF_RANGE)
 
 
 def test_fundamental_period():
@@ -390,7 +392,6 @@ def test_all_restarts_diverged_raises(scenario, mic_signals, monkeypatch):
 def test_train_reduces_loss(scenario, mic_signals):
     _, report = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     assert report.final_data_loss < report.history[0][1]
-    assert report.norm.duration == pytest.approx(0.01)
 
 
 def test_pde_constraint_removal_cannot_hurt_fit(scenario, mic_signals, monkeypatch):
@@ -412,7 +413,7 @@ def test_train_is_amplitude_invariant(scenario, mic_signals):
 
 def test_predict_shapes_and_constant_network():
     p = pack(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 3.3)
-    out = pinn_predict(p, NormSpec(0.01), [[0, 0.1, 0], [0.2, 0, 0.1]], 24_000.0, 240)
+    out = pinn_predict(p, [[0, 0.1, 0], [0.2, 0, 0.1]], 240, 24_000.0, 240)
     assert out.shape == (2, 240)
     assert np.all(out == 3.3)
 
@@ -421,7 +422,7 @@ def test_predict_consistent_with_report(scenario, mic_signals):
     params, report = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     period = scenario.period_samples
     preds = pinn_predict(
-        params, report.norm, scenario.monitoring_positions, scenario.sample_rate, period
+        params, scenario.monitoring_positions, period, scenario.sample_rate, period
     )
     num = np.sum((preds - mic_signals[:, :period]) ** 2)
     den = np.sum(mic_signals[:, :period] ** 2)
@@ -433,10 +434,9 @@ def test_predict_consistent_with_report(scenario, mic_signals):
 @pytest.mark.parametrize("num_samples", [1, 239, 240, 241, 1000])
 def test_predict_tiles_one_period(num_samples):
     p = random_params(13)
-    norm = NormSpec(0.01)  # 240 samples at 24 kHz
     points = np.array([[0.0, 0.1, 0.0], [0.2, 0.0, 0.1]])
-    one_period = pinn_predict(p, norm, points, 24_000.0, 240)
-    out = pinn_predict(p, norm, points, 24_000.0, num_samples)
+    one_period = pinn_predict(p, points, 240, 24_000.0, 240)
+    out = pinn_predict(p, points, 240, 24_000.0, num_samples)
     assert np.array_equal(out, np.tile(one_period, 5)[:, :num_samples])
 
 
@@ -466,11 +466,10 @@ def _predict_is_one_whole_grid_pass(seed, period, count_pick, samples_pick, extr
     else:  # above the period and not a multiple of it
         num_samples = period * (1 + extra % 3) + 1 + extra % (period - 1)
     points = rng.uniform(-0.5, 0.5, (count, 3))
-    norm = NormSpec(period / 24_000.0)
-    tau = norm.to_tau(np.arange(period) / 24_000.0)
+    tau, _ = time_axis(period, 24_000.0)
     grid = np.column_stack([np.tile(tau, count), np.repeat(points, period, axis=0)])
     whole = mlp_forward(params, grid).reshape(count, period)
-    out = pinn_predict(params, norm, points, 24_000.0, num_samples)
+    out = pinn_predict(params, points, period, 24_000.0, num_samples)
     assert np.array_equal(out, np.tile(whole, -(-num_samples // period))[:, :num_samples])
 
 
@@ -498,7 +497,7 @@ def test_predict_memory_is_one_block():
     points = np.random.default_rng(0).uniform(-0.4, 0.4, (400, 3))
     tracemalloc.start()
     try:
-        out = pinn_predict(params, NormSpec(0.01), points, 24_000.0, 240)
+        out = pinn_predict(params, points, 240, 24_000.0, 240)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,12 +509,34 @@ def test_predict_memory_is_one_block():
 
 def test_save_load_round_trip(tmp_path):
     p = random_params(12)
-    norm = NormSpec(0.01)
     path = tmp_path / "model.txt"
-    save_params(p, norm, path)
-    q, norm2 = load_params(path)
-    assert np.array_equal(p, q)
-    assert norm2 == norm
+    save_params(p, 240, 24_000.0, path)
+    assert np.array_equal(load_params(path, 240, 24_000.0), p)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:-1], "51 lines for N = 8; a model has 6N \\+ 4, N >= 1"),
+        (lambda lines: [*lines, "0"], "53 lines for N = 8; a model has 6N \\+ 4, N >= 1"),
+        (lambda lines: ["0", *lines[50:]], "3 lines for N = 0; a model has 6N \\+ 4, N >= 1"),
+        (lambda lines: [], "0 lines for N = 0"),
+        (lambda lines: ["8.0", *lines[1:]], "invalid literal for int"),
+        (lambda lines: [*lines[:-2], "0.02", lines[-1]], "a period of 0.02 s, not 240 / 24000.0 s"),
+        (lambda lines: [*lines[:-1], "0.5"], "time half-range 0.5, not 0.15"),
+    ],
+    ids=["truncated", "overlong", "no-units", "empty", "not-an-integer", "duration", "half-range"],
+)
+def test_load_params_rejects_a_malformed_file_naming_it(tmp_path, edit, message):
+    """A model file that is cut short, runs long, or holds another time map than the
+    period it is loaded for raises ValueError naming the file, not IndexError or nothing."""
+    path = tmp_path / "model.txt"
+    save_params(random_params(12), 240, 24_000.0, path)
+    path.write_text("".join(f"{line}\n" for line in edit(path.read_text().splitlines())))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+        load_params(path, 240, 24_000.0)
+    if message.startswith("a period"):  # the file's own period still loads it
+        assert load_params(path, 480, 24_000.0).shape == (49,)
 
 
 def test_bad_train_config():
