@@ -15,17 +15,22 @@ PATH_TAPS = 256  # secondary-path FIR length
 
 
 def require_numbers(obj, names: tuple[str, ...], kind: type[numbers.Real]):
-    """The one rule for config numbers, on the fields ``names`` of ``obj`` in turn: TypeError
-    naming one that is not of ``kind``, numbers.Real or numbers.Integral (a bool is neither),
-    ValueError one that is not finite."""
-    noun = "an integer" if kind is numbers.Integral else "a number"
+    """The one rule for config numbers, on the fields ``names`` of ``obj`` in turn: ValueError
+    naming one that is a real number but not finite, TypeError one that is not of ``kind``,
+    numbers.Real or numbers.Integral (a bool is neither). A number that is not a Python int
+    or float (a numpy scalar, say) is stored as one, int for an integer field, so configs
+    write as JSON."""
+    noun, to_python = ("an integer", int) if kind is numbers.Integral else ("a number", float)
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         # an int is finite, past float range too
-        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        if real and not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+        if not real or not isinstance(value, kind):
+            raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
+        if type(value) not in (int, float):
+            object.__setattr__(obj, name, to_python(value))  # frozen dataclasses too
 
 
 @dataclass(frozen=True)
@@ -69,17 +74,16 @@ class TonalSource:
             )
         return round(sample_rate) // math.gcd(*map(round, rates))
 
-    def waveform(self, sample_rate: float, num_samples: int) -> np.ndarray:
-        """Source signal at zero distance and unit path gain (the reference x(n))."""
-        return _tone_sum(self, np.zeros(1), np.ones(1), sample_rate, num_samples)[0]
+    def waveform(self, sample_rate: float) -> np.ndarray:
+        """One period (P,) of the signal at zero distance and unit gain: the reference x(n)."""
+        return _tone_sum(self, np.zeros(1), np.ones(1), sample_rate)[0]
 
 
-def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray, sample_rate: float,
-              num_samples: int) -> np.ndarray:
-    """(R, num_samples) sum_i A_i gains sin(2 pi f_i (t - delays) + phi_i) for n = 0, 1, ...,
-    at t = (n mod P) / sample_rate, each residue once; P is the sample period."""
-    period = source.period_samples(sample_rate)
-    t = np.arange(min(num_samples, period)) / sample_rate
+def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray,
+              sample_rate: float) -> np.ndarray:
+    """(R, P) sum_i A_i gains sin(2 pi f_i (t - delays) + phi_i) at t = n / sample_rate for
+    the P samples n of the sample period."""
+    t = np.arange(source.period_samples(sample_rate)) / sample_rate
     p = np.zeros((delays.size, len(t)))
     tone = np.empty_like(p)  # one tone at a time, built in place
     for comp in source.components:
@@ -89,28 +93,18 @@ def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray, sample
         np.sin(tone, out=tone)
         tone *= (comp.amplitude * gains)[:, None]
         p += tone
-    del tone  # before the full-length output is allocated, so the heap can reuse its block
-    return repeat_period(p, num_samples)
-
-
-def repeat_period(one_period: np.ndarray, num_samples: int) -> np.ndarray:
-    """(..., num_samples) signals from one period's (..., P) samples: sample n is column n mod P."""
-    period = one_period.shape[-1]
-    return one_period if num_samples == period else one_period[..., np.arange(num_samples) % period]
+    return p
 
 
 def propagate_tonal(source: TonalSource, receivers: np.ndarray, sample_rate: float,
-                    num_samples: int, c: float) -> np.ndarray:
+                    c: float) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
 
-    p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of
-    the (P, 3) ``receivers`` and t = n / sample_rate for the num_samples samples
-    n = 0, 1, ...; returns (P, num_samples).
+    p(t) = sum_i A_i / (4 pi d) * sin(2 pi f_i (t - d/c) + phi_i) at each of the (R, 3)
+    ``receivers`` and t = n / sample_rate for the P samples n of one period; returns (R, P).
     """
     d = separations(source.position[None], receivers)[0]
-    if num_samples < 1:
-        raise ValueError("signal must contain at least one sample")
-    return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate, num_samples)
+    return _tone_sum(source, d / c, 1.0 / (4.0 * np.pi * d), sample_rate)
 
 
 def _path(flat: int, d: np.ndarray, sources, receivers, kinds: tuple[str, str]) -> str:

@@ -84,33 +84,38 @@ def fxlms_step(
     return w
 
 
+def repeat_period(one_period: np.ndarray, count: int) -> np.ndarray:
+    """(..., count) signals from one period's (..., P) samples: sample n is column n mod P."""
+    return one_period[..., np.arange(count) % one_period.shape[-1]]
+
+
 def run_controllers(
-    scenario: ScenarioConfig, sensings: list[tuple[np.ndarray, np.ndarray]], mu: float
+    scenario: ScenarioConfig, sensings: list[tuple[np.ndarray, np.ndarray]], mu: float,
+    iterations: int,
 ) -> list[AncRunReport]:
-    """Sample-synchronous FxLMS loop stepping several controllers; one iteration advances
-    one sample of each.
+    """Sample-synchronous FxLMS loop stepping several controllers for ``iterations`` steps;
+    one iteration advances one sample of each.
 
     The reference is the source waveform itself. Each controller's error signal is one
-    ``(sensors (M, 3), primary (M, N))`` pair of ``sensings``: the primary field as known at
-    the sensors (measured at mics, or estimated at virtual ones), plus the secondary
-    sources' contribution there. Every sensing holds the same N, the iteration count. The
-    reported reduction is that of the true field at the ears. A weight beyond
-    WEIGHT_BOUND, or not finite, stops its controller as diverged at that step; the others
-    run on. The controllers share the reference window, one stacked product for their
-    outputs, the update's scale and add, the bound check and the ear truth; each keeps its
-    own error and update products, so its report is bitwise that of it running alone.
+    ``(sensors (M, 3), primary (M, P))`` pair of ``sensings``: one period of the primary
+    field as known at the sensors (measured at mics, or estimated at virtual ones),
+    repeated, plus the secondary sources' contribution there. The reported reduction is
+    that of the true field at the ears. A weight beyond WEIGHT_BOUND, or not finite, stops
+    its controller as diverged at that step; the others run on. The controllers share the
+    reference window, one stacked product for their outputs, the update's scale and add,
+    the bound check and the ear truth; each keeps its own error and update products, so its
+    report is bitwise that of it running alone.
     """
-    checked = []
+    period, checked = scenario.period_samples, []
     for sensors, primary in sensings:
         sensors = as_points(sensors, "sensors")
         primary = np.asarray(primary, dtype=float)
-        if primary.ndim != 2 or len(primary) != len(sensors):
-            raise ValueError(f"need one primary row per sensor: {primary.shape} at {len(sensors)}")
+        if primary.shape != (len(sensors), period):
+            raise ValueError(f"need one {period}-sample period per sensor: {primary.shape} "
+                             f"at {len(sensors)} sensors")
         checked.append((sensors, primary))
-    lengths = {primary.shape[1] for _, primary in checked}
-    if len(lengths) != 1:
-        raise ValueError(f"need one or more sensings of one length: {sorted(lengths)} samples")
-    iterations = lengths.pop()
+    if not checked:
+        raise ValueError("need one or more sensings")
     if iterations < 1:
         raise ValueError("need at least one iteration")
     if mu < 0:
@@ -122,7 +127,7 @@ def run_controllers(
     # Histories run newest first along their first axis: row k holds step
     # iterations - 1 - k and zeros past the end stand for the samples before
     # n = 0, so the latest samples at step n are the contiguous rows from k.
-    x = np.concatenate([np.zeros(FILTER_LEN - 1), src.waveform(fs, iterations)])
+    x = np.concatenate([np.zeros(FILTER_LEN - 1), repeat_period(src.waveform(fs), iterations)])
     refs, paths, errors = [], [], []
     for sensors, primary in checked:
         firs = make_path_fir(secondaries, sensors, fs, c)  # (L, M, taps)
@@ -130,7 +135,8 @@ def run_controllers(
         # step n's filtered reference as (FILTER_LEN L, M) rows, in the order of w
         refs.append(sliding_window_view(fx, FILTER_LEN * L, axis=0)[::L][::-1].swapaxes(1, 2))
         paths.append(-_tap_major(firs))  # (M, taps L), matching y[c, k : k + taps].ravel()
-        errors.append(primary.T.copy())  # (N, M); the loop adds the secondary part
+        # (N, M), C-ordered, in one allocation; the loop adds the secondary part
+        errors.append(primary.T[np.arange(iterations) % period])
     x = x[::-1].copy()
     y = np.zeros((C, iterations + PATH_TAPS - 1, L))  # sources emit -y: "+mu" descends
     w = np.zeros((C, FILTER_LEN, L))
@@ -166,7 +172,7 @@ def run_controllers(
 
     # ears, for the reported reduction curves (known to the simulation, not the controller)
     ears = scenario.virtual_positions
-    ear_primary = propagate_tonal(src, ears, fs, max(d[0] for d in done), c)
+    ear_primary = repeat_period(propagate_tonal(src, ears, fs, c), max(d[0] for d in done))
     ear_firs = -make_path_fir(secondaries, ears, fs, c)
     reports = []
     for (n_done, weights, y_s, converged), errors_s in zip(done, errors):
@@ -199,12 +205,13 @@ def run_controllers(
 
 
 def run_anc(
-    scenario: ScenarioConfig, sensors: np.ndarray, primary: np.ndarray, mu: float
+    scenario: ScenarioConfig, sensors: np.ndarray, primary: np.ndarray, mu: float,
+    iterations: int,
 ) -> AncRunReport:
-    """run_controllers for one controller, sensing ``primary`` (M, N) at the (M, 3)
-    ``sensors``: N iterations, stopped as diverged by a weight beyond WEIGHT_BOUND or not
-    finite."""
-    return run_controllers(scenario, [(sensors, primary)], mu)[0]
+    """run_controllers for one controller, sensing one period ``primary`` (M, P) at the
+    (M, 3) ``sensors``: ``iterations`` steps, stopped as diverged by a weight beyond
+    WEIGHT_BOUND or not finite."""
+    return run_controllers(scenario, [(sensors, primary)], mu, iterations)[0]
 
 
 def field_grid() -> np.ndarray:
@@ -232,14 +239,14 @@ def field_grid_power(
     # newest-first secondary outputs that reach the last period: it and PATH_TAPS - 1 before,
     # from the reference samples that reach those through the controller's FILTER_LEN taps
     used = period + PATH_TAPS - 1
-    x = src.waveform(fs, n_total)[-(used + FILTER_LEN - 1) :]
+    x = repeat_period(src.waveform(fs), n_total)[-(used + FILTER_LEN - 1) :]
     outputs = [None if w is None else -filtered_reference(x, w)[:used] for w in weight_sets]
     grid = field_grid()
     power = np.empty((len(weight_sets), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
         # samples n_total - period, ... are the first period rolled; np.roll keeps rows
         # C-ordered, so np.mean sums them in the order of the whole signal's slice
-        first = propagate_tonal(src, grid[row], fs, period, c)
+        first = propagate_tonal(src, grid[row], fs, c)
         primary = np.roll(first, period - n_total, axis=1)
         firs = make_path_fir(scenario.secondary_positions, grid[row], fs, c)
         for k, out in enumerate(outputs):

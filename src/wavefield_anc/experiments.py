@@ -57,6 +57,10 @@ class ExperimentSpec:
             grid, fs, c = field_grid(), sc.sample_rate, sc.speed_of_sound
             path_distances(sc.secondary_positions, grid, fs, c, ("secondary source", "grid point"))
             separations(sc.primary_source.position[None], grid, ("primary source", "grid point"))
+            for i, ear in enumerate(sc.virtual_positions):  # the ear-disk metric needs points
+                if not ear_disk_mask(grid[:, 0], grid[:, 1], ear[None]).any():
+                    raise ValueError(f"ear {i} at {np.round(ear, 4).tolist()}: no field-map "
+                                     f"grid point within {EAR_DISK_RADIUS} m in the xy-plane")
 
 
 class OutputBundle:
@@ -93,7 +97,7 @@ class OutputBundle:
         with the winning restart's loss curve, every 100 epochs, as train_history.csv."""
         sc = self.spec.scenario
         fs, c, P = sc.sample_rate, sc.speed_of_sound, sc.period_samples
-        mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, P, c)
+        mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, c)
         with self.stage("train"):
             params, self.report = train_pinn(sc, mics, self.spec.train)
         save_params(params, P, fs, self.spec.out_dir / "model.txt")
@@ -170,8 +174,8 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
         series = sh_fit(sc.monitoring_positions, mics, U, fs)
         for r_s in spec.radii:
             pts = sphere_points(r_s, SWEEP_POINTS)
-            truth = propagate_tonal(sc.primary_source, pts, fs, P, c)
-            eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, pts, P, fs, P)))
+            truth = propagate_tonal(sc.primary_source, pts, fs, c)
+            eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, pts, P, fs)))
             eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
             rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
@@ -192,9 +196,10 @@ def run_controls(sc: ScenarioConfig, params: np.ndarray) -> tuple[AncRunReport, 
     multiple-point control on the measured mic signals, and PINN-assisted
     control on the network's estimate at the ears."""
     fs, mics, ears = sc.sample_rate, sc.monitoring_positions, sc.virtual_positions
-    measured = propagate_tonal(sc.primary_source, mics, fs, ANC_ITERATIONS, sc.speed_of_sound)
-    estimate = pinn_predict(params, ears, sc.period_samples, fs, ANC_ITERATIONS)
-    multipoint, pinn = run_controllers(sc, [(mics, measured), (ears, estimate)], ANC_MU)
+    measured = propagate_tonal(sc.primary_source, mics, fs, sc.speed_of_sound)
+    estimate = pinn_predict(params, ears, sc.period_samples, fs)
+    multipoint, pinn = run_controllers(sc, [(mics, measured), (ears, estimate)], ANC_MU,
+                                       ANC_ITERATIONS)
     return multipoint, pinn
 
 

@@ -104,8 +104,8 @@ def fxlms_figures() -> dict:
             virtual_positions=[(0.0, 0.12, 0.0)],
         )
         mic = sc.monitoring_positions
-        measured = propagate_tonal(source, mic, sc.sample_rate, iterations, sc.speed_of_sound)
-        return run_anc(sc, mic, measured, 1e-5)
+        measured = propagate_tonal(source, mic, sc.sample_rate, sc.speed_of_sound)
+        return run_anc(sc, mic, measured, 1e-5, iterations)
 
     rep = control(40.0, 5000)
     fixed = control(0.0, 300)

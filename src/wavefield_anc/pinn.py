@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
-from .acoustics import repeat_period, require_numbers
+from .acoustics import require_numbers
 from .geometry import ball_points
 from .scenario import ScenarioConfig
 
@@ -238,9 +238,9 @@ def train_pinn(
 ) -> tuple[np.ndarray, TrainReport]:
     """Adam training on the data + PDE loss; deterministic per cfg.seed.
 
-    Fits one fundamental period of the tonal field (the signals are periodic,
-    so nothing is lost and the narrow time window keeps the oscillation count
-    within reach of the small network). Targets are RMS-normalized during
+    Fits ``mic_signals``, one fundamental period (Q, P) of the tonal field at the Q mics
+    (the signals are periodic, so nothing is lost and the narrow time window keeps the
+    oscillation count within reach of the small network). Targets are RMS-normalized during
     training and the output layer rescaled afterwards, so the fit is invariant
     to the source level. The cfg.restarts seeds train together as one stack,
     each with its own initial weights, collocation points and time draws, and
@@ -249,17 +249,14 @@ def train_pinn(
     but oscillate between them. A restart whose loss goes non-finite is left
     out of the selection; DivergenceDetected only when every restart does.
     """
-    mic_signals = np.asarray(mic_signals, dtype=float)
-    if mic_signals.ndim != 2 or len(mic_signals) != len(scenario.monitoring_positions):
-        raise ValueError("need one signal row per monitoring microphone")
+    targets = np.asarray(mic_signals, dtype=float)
     period = scenario.period_samples
-    if mic_signals.shape[1] < period:
-        raise ValueError("mic signals shorter than one fundamental period")
+    if targets.shape != (len(scenario.monitoring_positions), period):
+        raise ValueError(f"need one period per monitoring microphone, got {targets.shape}")
     fs = scenario.sample_rate
     tau, scale = time_axis(period, fs)
     c_eff = scenario.speed_of_sound / scale
 
-    targets = mic_signals[:, :period]
     # summed in one fixed (column-major) order, whatever the layout of mic_signals
     rms = float(np.sqrt(np.mean(np.ascontiguousarray(targets.T) ** 2))) or 1.0
     inputs = _with_ones(_grid_inputs(tau, scenario.monitoring_positions))  # (B, 5)
@@ -321,14 +318,13 @@ def pinn_predict(
     points: np.ndarray,
     period: int,
     sample_rate: float,
-    num_samples: int,
 ) -> np.ndarray:
-    """The network's signal at each of the (P, 3) points; (P, num_samples).
+    """The network's signal over one period at each of the (R, 3) points; (R, period).
 
     The network models one period, ``period`` samples, of a periodic field: it is evaluated
-    on that period's time_axis, in blocks of PREDICT_BLOCK_ROWS inputs, and repeated to
-    ``num_samples``. Blocks start at multiples of it and none is one row (numpy rounds a
-    one-row product otherwise), so outputs are bitwise one single-threaded pass's.
+    on that period's time_axis, in blocks of PREDICT_BLOCK_ROWS inputs. Blocks start at
+    multiples of it and none is one row (numpy rounds a one-row product otherwise), so
+    outputs are bitwise one single-threaded pass's.
     """
     tau, _ = time_axis(period, sample_rate)
     out = np.empty(len(points) * period)
@@ -337,7 +333,7 @@ def pinn_predict(
         skip = start % period  # rows of its first point that the previous block evaluated
         grid = _grid_inputs(tau, points[start // period : -(-stop // period)])
         out[start:stop] = mlp_forward(params, grid[skip : skip + stop - start])
-    return repeat_period(out.reshape(len(points), period), num_samples)
+    return out.reshape(len(points), period)
 
 
 def save_params(params: np.ndarray, period: int, sample_rate: float, path: str | Path):

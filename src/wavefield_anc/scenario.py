@@ -28,8 +28,8 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        names = ("speed_of_sound", "sample_rate", "duration", "rng_seed")
-        require_numbers(self, names, numbers.Real)
+        require_numbers(self, ("speed_of_sound", "sample_rate", "duration"), numbers.Real)
+        require_numbers(self, ("rng_seed",), numbers.Integral)
         for name in ("secondary_positions", "monitoring_positions", "virtual_positions"):
             setattr(self, name, as_points(getattr(self, name), name))
         if self.speed_of_sound <= 0:
@@ -54,20 +54,16 @@ class ScenarioConfig:
         return float(distances(self.monitoring_positions, ORIGIN).max())
 
     @property
-    def num_samples(self) -> int:
-        return round(self.duration * self.sample_rate)
-
-    @property
     def period_samples(self) -> int:
         """Samples in one period of the primary source's tones (TonalSource.period_samples,
         which holds the tone-set rule); ValueError naming the tones unless it fits in the
-        scenario."""
+        scenario's duration, which only bounds it."""
         period = self.primary_source.period_samples(self.sample_rate)
-        if period > self.num_samples:
+        bound = round(self.duration * self.sample_rate)
+        if period > bound:
             freqs = [c.frequency for c in self.primary_source.components]
             raise ValueError(
-                f"tones {freqs} Hz repeat every {period} samples, "
-                f"more than the scenario's {self.num_samples}"
+                f"tones {freqs} Hz repeat every {period} samples, more than the scenario's {bound}"
             )
         return period
 

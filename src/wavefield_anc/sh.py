@@ -26,7 +26,7 @@ class ShCoeffSeries:
     max_order: int
     fit_radius: float
     sample_rate: float
-    coeffs: np.ndarray  # shape ((U+1)^2, num_samples)
+    coeffs: np.ndarray  # shape ((U+1)^2, T), the T samples of the fitted signals
 
 
 def real_sh(U: int, theta, phi) -> np.ndarray:

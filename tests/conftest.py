@@ -24,6 +24,7 @@ def scenario():
 
 @pytest.fixture(scope="session")
 def mic_signals(scenario):
+    """One period (Q, P) of the primary field at the scenario's mics, as training takes it."""
     sc = scenario
     fs, c = sc.sample_rate, sc.speed_of_sound
-    return propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.num_samples, c)
+    return propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, c)

@@ -41,7 +41,7 @@ def shipped(tmp_path_factory):
     sweep_spec, sweep = run("interp-sweep")
     sc = sweep_spec.scenario
     fs, c, P = sc.sample_rate, sc.speed_of_sound, sc.period_samples
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, P, c)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, c)
     served = []
 
     def trained_by_the_sweep(scenario, mic_signals, cfg):

@@ -17,6 +17,7 @@ from wavefield_anc.anc import (
     field_grid_power,
     filtered_reference,
     fxlms_step,
+    repeat_period,
     run_anc,
     run_controllers,
 )
@@ -26,16 +27,16 @@ from wavefield_anc.scenario import ScenarioConfig, default_scenario
 from wavefield_anc.sh import DB_FLOOR
 
 
-def truth(scenario, points, iterations):
-    """The primary field at the (P, 3) points, propagated directly over ``iterations`` samples."""
+def truth(scenario, points):
+    """One period of the primary field at the (R, 3) points, propagated directly."""
     sc = scenario
-    return propagate_tonal(sc.primary_source, points, sc.sample_rate, iterations, sc.speed_of_sound)
+    return propagate_tonal(sc.primary_source, points, sc.sample_rate, sc.speed_of_sound)
 
 
 def multipoint(scenario, iterations, mu):
     """Control on the measured signals at the monitoring mics."""
     mics = scenario.monitoring_positions
-    return run_anc(scenario, mics, truth(scenario, mics, iterations), mu)
+    return run_anc(scenario, mics, truth(scenario, mics), mu, iterations)
 
 
 def scaled_scenario(mult, seed=0):
@@ -204,11 +205,11 @@ def test_divergence_guard():
 def test_nan_in_error_signal_is_divergence():
     sc = default_scenario(0)
     ears = sc.virtual_positions
-    primary = truth(sc, ears, 2000)
-    primary[1, 700] = np.nan
-    rep = run_anc(sc, ears, primary, 1e-5)
+    primary = truth(sc, ears)
+    primary[1, 220] = np.nan  # column 220 of the 240-sample period
+    rep = run_anc(sc, ears, primary, 1e-5, 2000)
     assert not rep.converged
-    assert rep.iterations == 701  # stops at the NaN sample
+    assert rep.iterations == 221  # stops at the NaN sample's first step
     assert np.isnan(rep.sensor_mse[-1]) and np.all(np.isfinite(rep.sensor_mse[:-1]))
     assert np.all(np.isfinite(rep.eps_db))  # the NaN never reached the secondary outputs
 
@@ -221,7 +222,8 @@ def test_weights_are_per_source_newest_lag_first():
     assert after.weights.shape == (1, FILTER_LEN)
     fs, c = sc.sample_rate, sc.speed_of_sound
     paths = make_path_fir(sc.secondary_positions, sc.monitoring_positions, fs, c)
-    ref = filtered_reference(sc.primary_source.waveform(fs, n), paths)[:FILTER_LEN, 0, 0]
+    x = repeat_period(sc.primary_source.waveform(fs), n)
+    ref = filtered_reference(x, paths)[:FILTER_LEN, 0, 0]
     step = after.weights[0] - before.weights[0]
     e = step @ ref / (ref @ ref) / mu  # the last error, fitted
     assert np.allclose(step, mu * e * ref, rtol=1e-9, atol=0.0)
@@ -230,25 +232,34 @@ def test_weights_are_per_source_newest_lag_first():
 
 @pytest.mark.parametrize("rows, samples", [(7, 100), (9, 100), (8, 0)])
 def test_run_anc_rejects_primary_not_matching_sensors(rows, samples):
+    """A primary that is not one 240-sample period at each of the 8 mics: its rows, its
+    samples, or both off."""
     sc = default_scenario(0)
-    with pytest.raises(ValueError):
-        run_anc(sc, sc.monitoring_positions, np.zeros((rows, samples)), 1e-5)
+    for shape in {(rows, samples), (rows, 240), (8, samples)} - {(8, 240)}:
+        with pytest.raises(ValueError, match="period per sensor"):
+            run_anc(sc, sc.monitoring_positions, np.zeros(shape), 1e-5, 100)
 
 
 def test_ear_truth_is_direct_propagation_for_a_period_not_dividing_the_scenario():
-    sc = single_channel_scenario(freq=375.0)  # 64-sample period; 2 400 / 64 = 37.5
-    assert sc.period_samples == 64 and sc.num_samples % 64 != 0
+    """The ear truth, unrolled from one 64-sample period over 5 000 steps (78.125 periods),
+    is the tone formula at t = n / fs for every step n."""
+    sc = single_channel_scenario(freq=375.0)
+    assert sc.period_samples == 64 and 5000 % 64 != 0
     rep = multipoint(sc, 5000, 0.0)  # no control: the ear residual is the ear primary
-    direct = truth(sc, sc.virtual_positions, 5000)
+    (tone,) = sc.primary_source.components
+    d = np.linalg.norm(sc.virtual_positions - sc.primary_source.position, axis=1)[:, None]
+    t = np.arange(5000) / sc.sample_rate
+    phase = 2 * np.pi * tone.frequency * (t - d / sc.speed_of_sound) + tone.phase
+    direct = tone.amplitude / (4 * np.pi * d) * np.sin(phase)
     assert np.max(np.abs(rep.ear_residual - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_ideal_mode_bounds_pinn_mode(scenario, trained_quick):
     params, _ = trained_quick
     ears = scenario.virtual_positions
-    ideal = run_anc(scenario, ears, truth(scenario, ears, 4000), 1e-5)
-    estimate = pinn_predict(params, ears, scenario.period_samples, scenario.sample_rate, 4000)
-    pinn = run_anc(scenario, ears, estimate, 1e-5)
+    ideal = run_anc(scenario, ears, truth(scenario, ears), 1e-5, 4000)
+    estimate = pinn_predict(params, ears, scenario.period_samples, scenario.sample_rate)
+    pinn = run_anc(scenario, ears, estimate, 1e-5, 4000)
     # a perfect interpolator lower-bounds the PINN-driven loop at steady state
     assert ideal.eps_db[-480:].mean() <= pinn.eps_db[-480:].mean() + 0.5
 
@@ -283,7 +294,8 @@ def test_field_map_primary_is_the_whole_signals_last_period(freqs):
     sc = dataclasses.replace(sc, primary_source=TonalSource(sc.primary_source.position, tones))
     fs, c, P = sc.sample_rate, sc.speed_of_sound, sc.period_samples
     _, _, (power,) = field_grid_power(sc, [None])
-    whole = propagate_tonal(sc.primary_source, field_grid(), fs, PATH_TAPS + 4 * P, c)
+    first = propagate_tonal(sc.primary_source, field_grid(), fs, c)
+    whole = repeat_period(first, PATH_TAPS + 4 * P)
     assert np.array_equal(power, np.mean(np.ascontiguousarray(whole[:, -P:]) ** 2, axis=1))
 
 
@@ -318,23 +330,24 @@ def test_run_anc_frees_the_filtered_reference_before_the_ears():
     reference outlives the loop."""
     sc = default_scenario(0)
     mics = sc.monitoring_positions
-    primary = truth(sc, mics, 10_000)
-    assert traced_peak(lambda: run_anc(sc, mics, primary, 1e-5)) < 2.5e6
+    primary = truth(sc, mics)
+    assert traced_peak(lambda: run_anc(sc, mics, primary, 1e-5, 10_000)) < 2.5e6
 
 
 def test_run_controls_frees_each_filtered_reference_before_the_ears():
-    """3.7 MB for both controllers over 10 000 samples on the 250/350/450 Hz tones of
-    default_scenario(1) (2.9 MB when they ran one after the other); 5.6 MB while both
-    filtered references outlive the loop and the errors are squared out of place."""
+    """2.94 MB for both controllers over 10 000 steps on the 250/350/450 Hz tones of
+    default_scenario(1), each sensing one period; 3.70 MB while each sensing held its
+    primary over every step beside the error buffer, and 5.6 MB while both filtered
+    references outlive the loop and the errors are squared out of place."""
     sc = default_scenario(1)
     tones = zip((250.0, 350.0, 450.0), sc.primary_source.components)
     src = TonalSource(
         sc.primary_source.position, tuple(ToneComponent(f, c.amplitude, c.phase) for f, c in tones)
     )
     sc = dataclasses.replace(sc, primary_source=src)
-    mics = truth(sc, sc.monitoring_positions, sc.period_samples)
+    mics = truth(sc, sc.monitoring_positions)
     params, _ = train_pinn(sc, mics, TrainConfig(epochs=10, restarts=1))
-    assert traced_peak(lambda: run_controls(sc, params)) < 4.0e6
+    assert traced_peak(lambda: run_controls(sc, params)) < 3.3e6
 
 
 @settings(max_examples=10, deadline=None)
@@ -356,32 +369,33 @@ def test_field_grid_matches_brute_force(seed, log_scale, points, far):
     n_total = PATH_TAPS + 4 * period
     w = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, FILTER_LEN))
     gx, gy, (power,) = field_grid_power(sc, [w])
-    x = sc.primary_source.waveform(fs, n_total)
+    x = repeat_period(sc.primary_source.waveform(fs), n_total)
     for i in points:
         point = np.array([[gx[i], gy[i], 0.0]])
         firs = make_path_fir(sc.secondary_positions, point, fs, c)[:, 0]
-        p = truth(sc, point, n_total)[0]
+        p = repeat_period(truth(sc, point)[0], n_total)
         for w_l, fir_l in zip(w, firs):
             p = p + np.convolve(np.convolve(x, -w_l), fir_l)[:n_total]
         assert power[i] == pytest.approx(np.mean(p[-period:] ** 2), rel=1e-12)
 
 
-def reference_run_anc(scenario, sensors, primary, mu):
+def reference_run_anc(scenario, sensors, primary, mu, iterations):
     """The FxLMS loop in shift-register form: every buffer newest first, the
     filtered reference and the ear residuals formed sample by sample in the loop,
-    ``primary`` (M, iterations) as the error signal's primary part.
+    step n reading column n mod P of each one-period signal, ``primary`` (M, P) the
+    error signal's primary part.
 
     Returns (weights, sensor_mse, eps_db, converged).
     """
     fs, c = scenario.sample_rate, scenario.speed_of_sound
-    src = scenario.primary_source
-    iterations = primary.shape[1]
-    ear_primary = truth(scenario, scenario.virtual_positions, iterations)
+    src, period = scenario.primary_source, scenario.period_samples
+    cycle = np.arange(iterations) % period
+    ear_primary = truth(scenario, scenario.virtual_positions)[:, cycle]
     secondaries, ears = scenario.secondary_positions, scenario.virtual_positions
     S = make_path_fir(secondaries, sensors, fs, c)
     S_ear = make_path_fir(secondaries, ears, fs, c)
     L, M = S.shape[:2]
-    x = src.waveform(fs, iterations)
+    x = src.waveform(fs)[cycle]
 
     w = np.zeros((L, FILTER_LEN))
     xbuf = np.zeros(max(FILTER_LEN, PATH_TAPS))
@@ -397,7 +411,7 @@ def reference_run_anc(scenario, sensors, primary, mu):
         dbuf[:, 0] = d
         fx[:, :, 1:] = fx[:, :, :-1]
         fx[:, :, 0] = np.einsum("lmt,t->lm", S, xbuf[:PATH_TAPS])
-        e = primary[:, n] + np.einsum("lmt,lt->m", S, dbuf)
+        e = primary[:, n % period] + np.einsum("lmt,lt->m", S, dbuf)
         ear_resid.append(ear_primary[:, n] + np.einsum("lvt,lt->v", S_ear, dbuf))
         sensor_mse.append(np.mean(e**2))
         w = w + mu * np.einsum("lmn,m->ln", fx, e)
@@ -453,11 +467,13 @@ def random_scenario(seed, num_sources, num_sensors, period):
     )
 
 
-def rel_err(a, b):
-    """Largest difference over the largest magnitude; NaNs must sit at the same places."""
+def rel_err(a, b, floor=1e-300):
+    """Largest difference over the largest magnitude, or over ``floor`` when that is larger
+    (1 dB for eps_db, which near 0 dB holds its ratio's roundoff, ~1e-15 dB, unscaled);
+    NaNs must sit at the same places."""
     assert a.shape == b.shape and np.array_equal(np.isnan(a), np.isnan(b))
     a, b = a[~np.isnan(b)], b[~np.isnan(b)]
-    return np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b), initial=0.0), 1e-300)
+    return np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b), initial=0.0), floor)
 
 
 @settings(max_examples=20, deadline=None)
@@ -479,9 +495,13 @@ def rel_err(a, b):
     seed=3, num_sources=1, num_sensors=2, log_mu=-2.0, iterations=400, ideal=True, period=64,
     nan_at=None,
 )
-@example(  # a NaN in the error signal diverges at its sample
+@example(  # a NaN in the error signal diverges at its sample, column 70 of the period
     seed=5, num_sources=2, num_sensors=2, log_mu=-3.0, iterations=300, ideal=False, period=80,
     nan_at=150,
+)
+@example(  # stops at step 74 with eps_db below 4e-4 dB, 1e-15 dB from the reference's
+    seed=299, num_sources=1, num_sensors=1, log_mu=0.0, iterations=100, ideal=False,
+    period=100, nan_at=373,
 )
 def test_run_anc_matches_shift_register_loop(
     seed, num_sources, num_sensors, log_mu, iterations, ideal, period, nan_at
@@ -489,16 +509,19 @@ def test_run_anc_matches_shift_register_loop(
     sc = random_scenario(seed, num_sources, num_sensors, period)
     sensors = sc.virtual_positions if ideal else sc.monitoring_positions
     mu = 10.0**log_mu
-    primary = truth(sc, sensors, iterations)
-    if nan_at is not None and nan_at < iterations:
-        primary[-1, nan_at] = np.nan
-    w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, primary, mu)
-    rep = run_anc(sc, sensors, primary, mu)
+    primary = truth(sc, sensors)
+    if nan_at is not None:
+        k = nan_at % min(sc.period_samples, iterations)  # reached within the run
+        primary[-1, k] = np.nan
+    w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, primary, mu, iterations)
+    rep = run_anc(sc, sensors, primary, mu, iterations)
+    if nan_at is not None:  # stopped at step k + 1, or sooner by a weight beyond the bound
+        assert not rep.converged and rep.iterations <= k + 1
     assert rep.converged == converged
     assert rep.iterations == sensor_mse.size
     assert rel_err(rep.weights, w) <= 1e-12
     assert rel_err(rep.sensor_mse, sensor_mse) <= 1e-12
-    assert rel_err(rep.eps_db, eps_db) <= 1e-12
+    assert rel_err(rep.eps_db, eps_db, floor=1.0) <= 1e-12
 
 
 def same_bits(a, b):
@@ -529,42 +552,47 @@ def test_stacked_controllers_each_run_as_alone(
     the shift-register loop."""
     sc = random_scenario(seed, num_sources, 3, period)
     pool = np.concatenate([sc.monitoring_positions, sc.virtual_positions])
-    sensings = [(pool[i : i + k], truth(sc, pool[i : i + k], iterations))
-                for i, k in enumerate(counts)]
-    sensings[-1][1][-1, nan_at % iterations] = np.nan
+    sensings = [(pool[i : i + k], truth(sc, pool[i : i + k])) for i, k in enumerate(counts)]
+    k = nan_at % min(sc.period_samples, iterations)  # the NaN's column, reached in the run
+    sensings[-1][1][-1, k] = np.nan
     mu = 10.0**log_mu
-    reports = run_controllers(sc, sensings, mu)
+    reports = run_controllers(sc, sensings, mu, iterations)
     assert len(reports) == len(sensings)
-    assert reports[-1].iterations <= nan_at % iterations + 1 and not reports[-1].converged
+    assert reports[-1].iterations <= k + 1 and not reports[-1].converged
     for (sensors, primary), rep in zip(sensings, reports):
-        alone = run_anc(sc, sensors, primary, mu)
+        alone = run_anc(sc, sensors, primary, mu, iterations)
         for name in ("weights", "sensor_mse", "eps_db", "ear_residual"):
             assert same_bits(getattr(rep, name), getattr(alone, name)), name
         assert (rep.iterations, rep.converged) == (alone.iterations, alone.converged)
-        w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, primary, mu)
+        w, sensor_mse, eps_db, converged = reference_run_anc(sc, sensors, primary, mu, iterations)
         assert rep.converged == converged and rep.iterations == sensor_mse.size
         assert rel_err(rep.weights, w) <= 1e-12
         assert rel_err(rep.sensor_mse, sensor_mse) <= 1e-12
-        assert rel_err(rep.eps_db, eps_db) <= 1e-12
+        assert rel_err(rep.eps_db, eps_db, floor=1.0) <= 1e-12
 
 
 def test_a_diverging_controller_stops_while_the_others_run_on():
     sc = default_scenario(0)
     mics, ears = sc.monitoring_positions, sc.virtual_positions
-    estimate = truth(sc, ears, 2000)
-    estimate[1, 700] = np.nan
-    mp, pn = run_controllers(sc, [(mics, truth(sc, mics, 2000)), (ears, estimate)], 1e-5)
-    assert (pn.iterations, pn.converged) == (701, False)
+    estimate = truth(sc, ears)
+    estimate[1, 220] = np.nan  # column 220 of the 240-sample period
+    mp, pn = run_controllers(sc, [(mics, truth(sc, mics)), (ears, estimate)], 1e-5, 2000)
+    assert (pn.iterations, pn.converged) == (221, False)
     assert (mp.iterations, mp.converged) == (2000, True)
-    assert mp.ear_residual.shape == (2, 2000) and pn.ear_residual.shape == (2, 701)
+    assert mp.ear_residual.shape == (2, 2000) and pn.ear_residual.shape == (2, 221)
 
 
 @pytest.mark.parametrize("lengths", [(), (100, 101)])
 def test_run_controllers_rejects_no_sensing_or_unequal_lengths(lengths):
+    """No sensing, or sensings not of one 240-sample period; and, on one that is, a run of
+    fewer than one iteration."""
     sc = default_scenario(0)
     mics = sc.monitoring_positions
-    with pytest.raises(ValueError):
-        run_controllers(sc, [(mics, np.zeros((8, n))) for n in lengths], 1e-5)
+    with pytest.raises(ValueError, match="sensing" if not lengths else "period per sensor"):
+        run_controllers(sc, [(mics, np.zeros((8, n))) for n in lengths], 1e-5, 100)
+    for iterations in (0, -1):
+        with pytest.raises(ValueError, match="at least one iteration"):
+            run_controllers(sc, [(mics, np.zeros((8, 240)))], 1e-5, iterations)
 
 
 @pytest.fixture(scope="module")

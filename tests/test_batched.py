@@ -61,12 +61,12 @@ def sph_one(x, y, z):
     return r, theta, 0.0 if phi >= 2.0 * np.pi else phi
 
 
-def propagate_one(source, receiver, n):
-    """Sample k at t = (k mod P) / FS, P = FS / gcd(FS, tones) the sample period."""
+def propagate_one(source, receiver):
+    """Samples k = 0 .. P - 1 at t = k / FS, P = FS / gcd(FS, tones) the sample period."""
     d = float(np.linalg.norm(source.position - receiver))
     period = int(FS) // np.gcd.reduce([int(FS), *(int(c.frequency) for c in source.components)])
-    t = np.arange(n) % period / FS
-    p = np.zeros(n)
+    t = np.arange(period) / FS
+    p = np.zeros(period)
     for comp in source.components:
         p += comp.amplitude * (1.0 / (4.0 * np.pi * d)) * np.sin(
             2.0 * np.pi * comp.frequency * (t - d / C) + comp.phase
@@ -189,15 +189,15 @@ def test_cart_to_sph_matches_per_point(seed, count):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, count=counts, n=st.integers(1, 300))
-def test_propagate_tonal_matches_per_point(seed, count, n):
+@given(seed=seeds, count=counts)
+def test_propagate_tonal_matches_per_point(seed, count):
     rng = np.random.default_rng(seed)
     src = random_source(rng)
     receivers = random_points(rng, count, 0.01, 0.5)
-    out = propagate_tonal(src, receivers, FS, n, C)
-    assert out.shape == (count, n)
+    out = propagate_tonal(src, receivers, FS, C)
+    assert out.shape == (count, src.period_samples(FS))
     # same arithmetic per sample, so bitwise equal
-    assert np.array_equal(out, [propagate_one(src, r, n) for r in receivers])
+    assert np.array_equal(out, [propagate_one(src, r) for r in receivers])
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,7 +221,7 @@ def test_sh_interpolate_matches_per_point(seed, radii):
     sc = default_scenario(0)
     src = random_source(rng)
     series = sh_fit(
-        sc.monitoring_positions, propagate_tonal(src, sc.monitoring_positions, FS, 240, C), 2, FS
+        sc.monitoring_positions, propagate_tonal(src, sc.monitoring_positions, FS, C), 2, FS
     )
     for r in radii:  # one call per sphere
         targets = sphere_points(r, int(rng.integers(1, 8)))
@@ -240,7 +240,7 @@ def test_pinn_predict_matches_per_point(seed, count, n):
     W1[:, 0] *= 100.0
     b1[:] = rng.normal(size=b1.size)
     points = random_points(rng, count, 0.0, 0.3)
-    out = pinn_predict(params, points, n, FS, n)
+    out = pinn_predict(params, points, n, FS)
     tau, _ = time_axis(n, FS)
     expected = [
         mlp_forward(params, np.column_stack([tau, np.broadcast_to(p, (n, 3))])) for p in points

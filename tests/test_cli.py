@@ -15,6 +15,7 @@ import pytest
 import wavefield_anc
 from wavefield_anc import experiments
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
+from wavefield_anc.anc import repeat_period
 from wavefield_anc.cli import build_parser, main, resolve_spec
 from wavefield_anc.experiments import (
     DEFAULT_RADII,
@@ -103,8 +104,8 @@ def test_two_coordinate_position_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("speed_of_sound", "343"), ("frequency", None), ("duration", [0.1])],
-    ids=["string-speed", "null-frequency", "list-duration"],
+    [("speed_of_sound", "343"), ("frequency", None), ("duration", [0.1]), ("rng_seed", 1.5)],
+    ids=["string-speed", "null-frequency", "list-duration", "fractional-seed"],
 )
 def test_mistyped_config_value_is_exit_2(tmp_path, capsys, key, value):
     d = default_scenario(0).to_dict()
@@ -114,7 +115,8 @@ def test_mistyped_config_value_is_exit_2(tmp_path, capsys, key, value):
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    assert f"{key} must be a number, got {type(value).__name__}" in err
+    noun = "an integer" if key == "rng_seed" else "a number"
+    assert f"{key} must be {noun}, got {type(value).__name__}" in err
     assert not (tmp_path / "v").exists()
 
 
@@ -178,6 +180,8 @@ def test_non_finite_number_in_a_config_built_in_python_is_rejected(key, value):
         ("seed", True),
         ("epochs", "10"),
         ("seed", np.float64(3.0)),
+        ("rng_seed", 1.5),
+        ("rng_seed", np.float64(2.0)),
     ],
 )
 def test_mistyped_number_in_a_config_built_in_python_is_rejected(key, value):
@@ -185,20 +189,34 @@ def test_mistyped_number_in_a_config_built_in_python_is_rejected(key, value):
     number (a bool is not), or for TrainConfig not an integer, is named with its key, not left
     to a comparison's TypeError or to the train stage's range()."""
     sc = default_scenario(0)
-    noun = "an integer" if key in ("epochs", "restarts", "seed") else "a number"
+    noun = "an integer" if key in ("epochs", "restarts", "seed", "rng_seed") else "a number"
     message = f"^{key} must be {noun}, got {type(value).__name__} {re.escape(repr(value))}$"
     with pytest.raises(TypeError, match=message):
         if key in ("frequency", "amplitude", "phase"):
             dataclasses.replace(sc.primary_source.components[0], **{key: value})
-        elif noun == "an integer":
+        elif key in ("epochs", "restarts", "seed"):
             TrainConfig(**{key: value})
         else:
             dataclasses.replace(sc, **{key: value})
 
 
-def test_numpy_integers_are_integers_to_train_config():
+def test_numpy_integers_are_integers_to_train_config(tmp_path):
+    """numpy numbers are stored as Python ints, in integer fields, and floats, so a run
+    configured with them writes its summary.json, and the same one as with Python numbers."""
     cfg = TrainConfig(epochs=np.int64(10), restarts=np.int32(2), seed=np.uint8(3))
     assert (cfg.epochs, cfg.restarts, cfg.seed) == (10, 2, 3)
+    assert {type(v) for v in (cfg.epochs, cfg.restarts, cfg.seed)} == {int}
+    tone = ToneComponent(np.float32(300.0), np.int64(10), np.float64(0.5))
+    assert [type(v) for v in (tone.frequency, tone.amplitude, tone.phase)] == [float] * 3
+    sc = default_scenario(0)
+    numpy_sc = dataclasses.replace(sc, rng_seed=np.int64(2), speed_of_sound=np.float32(343.0))
+    assert (type(numpy_sc.rng_seed), type(numpy_sc.speed_of_sound)) == (int, float)
+    summaries = []
+    for scenario, train in ((numpy_sc, TrainConfig(seed=np.int64(1))),
+                            (dataclasses.replace(sc, rng_seed=2), TrainConfig(seed=1))):
+        bundle = run_validate(ExperimentSpec("validate", scenario, train, out_dir=tmp_path / "v"))
+        summaries.append({k: read_summary(bundle.json_path)[k] for k in ("config", "seeds")})
+    assert summaries[0] == summaries[1]
 
 
 @pytest.mark.parametrize("with_config", [False, True], ids=["built-in", "config"])
@@ -338,6 +356,26 @@ def test_mics_off_one_sphere_are_exit_2_for_the_sweep_only(tmp_path, capsys):
         ExperimentSpec(experiment, ScenarioConfig.load(path), out_dir=tmp_path / "o")
     assert main(["interp-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "sensor radii span 0.0317 m" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ears, named", [
+    ([[0.0, 0.3, 0.0], [0.0, -0.3, 0.0]], "ear 0 at [0.0, 0.3, 0.0]"),
+    ([[0.0, 0.1, 0.0], [0.1, -0.235, 0.05]], "ear 1 at [0.1, -0.235, 0.05]"),
+], ids=["both-off", "one-off"])
+def test_ears_off_the_field_map_grid_are_exit_2_for_the_map_only(tmp_path, capsys, ears, named):
+    """The map's ear-disk metric averages the grid points within EAR_DISK_RADIUS of each ear
+    in the xy-plane: an ear whose disk holds none would make it NaN."""
+    d = default_scenario(0).to_dict()
+    d["virtual_positions"] = ears
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    for experiment in ("anc-convergence", "interp-sweep"):  # these run with any ears
+        ExperimentSpec(experiment, ScenarioConfig.load(path), out_dir=tmp_path / "o")
+    args = ["field-map", "--config", str(path), "--epochs", "5", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {named}: no field-map grid point within 0.03 m in the xy-plane" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -560,7 +598,7 @@ def test_sweep_sh_baseline_free_of_window_leakage(tmp_path):
     whole window the SH fit's DFT leaks and its error read +28.7 dB at 0.10 m. Over one
     period it stays below 0 dB at every radius (the SH column does not depend on training)."""
     sc = with_tones(default_scenario(0), [375.0])
-    assert sc.num_samples % sc.period_samples != 0
+    assert round(sc.duration * sc.sample_rate) % sc.period_samples != 0
     spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=5, restarts=1),
                           out_dir=tmp_path / "o")
     bundle = run_interp_sweep(spec)
@@ -588,18 +626,19 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
                           radii=(0.1, 0.2, 0.3), out_dir=tmp_path / "o")
     bundle = run_interp_sweep(spec)
     window = bundle.summary["metrics"]["window_samples"]
-    assert window == sc.period_samples and sc.num_samples % window == 0
+    fs, c, T = sc.sample_rate, sc.speed_of_sound, round(sc.duration * sc.sample_rate)
+    assert window == sc.period_samples and T % window == 0
 
-    fs, c, T = sc.sample_rate, sc.speed_of_sound, sc.num_samples
     params = load_params(bundle.model_path, window, fs)
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, T, c)
+    mics = repeat_period(propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, c), T)
     series = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), sc.mic_radius, c), fs)
     full = []
     for r_s in spec.radii:
         pts = sphere_points(r_s, experiments.SWEEP_POINTS)
-        truth = propagate_tonal(sc.primary_source, pts, fs, T, c)
+        truth = repeat_period(propagate_tonal(sc.primary_source, pts, fs, c), T)
         eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
-        eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, pts, window, fs, T)))
+        estimate = repeat_period(pinn_predict(params, pts, window, fs), T)
+        eps_nn = ratio_to_db(interpolation_error(truth, estimate))
         full.append((r_s, eps_sh, eps_nn))
     np.testing.assert_allclose(written["interp_sweep"], full, rtol=0.0, atol=1e-9)
 
@@ -648,7 +687,7 @@ def test_train_history_csv_is_the_winners_curve(tmp_path):
     assert rows[:, 0].tolist() == [0.0, 100.0, 200.0]
     sc = spec.scenario
     mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, sc.sample_rate,
-                           sc.period_samples, sc.speed_of_sound)
+                           sc.speed_of_sound)
     winner = dataclasses.replace(cfg, restarts=1, seed=cfg.seed + bundle.report.best_restart)
     _, alone = experiments.train_pinn(sc, mics, winner)  # the winning seed trained by itself
     np.testing.assert_allclose(rows, alone.history, rtol=1e-8, atol=0.0)  # %.9g in the CSV

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from wavefield_anc import pinn
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
+from wavefield_anc.anc import repeat_period
 from wavefield_anc.oracles import adam_figures
 from wavefield_anc.pinn import (
     AdamState,
@@ -276,8 +277,8 @@ def test_collocation_and_scoring_points_fill_the_mics_ball(monkeypatch):
         return real(radius, *args, **kwargs)
 
     monkeypatch.setattr(pinn, "ball_points", recording)
-    fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, period, c)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, sc.sample_rate,
+                           sc.speed_of_sound)
     train_pinn(sc, mics, TrainConfig(epochs=1, restarts=2))
     assert radii == [sc.mic_radius] * 3  # two restarts' collocation points, the scoring points
 
@@ -305,7 +306,7 @@ def test_train_is_independent_of_the_signal_layout():
                   zip((250.0, 350.0, 450.0), sc.primary_source.components))
     sc = dataclasses.replace(sc, primary_source=TonalSource(sc.primary_source.position, tones))
     fs, c = sc.sample_rate, sc.speed_of_sound
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, sc.period_samples, c)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, c)
     assert mics.flags.c_contiguous
     cfg = TrainConfig(epochs=5, restarts=1)
     row_major, _ = train_pinn(sc, mics, cfg)
@@ -413,7 +414,7 @@ def test_train_is_amplitude_invariant(scenario, mic_signals):
 
 def test_predict_shapes_and_constant_network():
     p = pack(np.zeros((2, 4)), np.zeros(2), np.zeros(2), 3.3)
-    out = pinn_predict(p, [[0, 0.1, 0], [0.2, 0, 0.1]], 240, 24_000.0, 240)
+    out = pinn_predict(p, [[0, 0.1, 0], [0.2, 0, 0.1]], 240, 24_000.0)
     assert out.shape == (2, 240)
     assert np.all(out == 3.3)
 
@@ -421,23 +422,36 @@ def test_predict_shapes_and_constant_network():
 def test_predict_consistent_with_report(scenario, mic_signals):
     params, report = train_pinn(scenario, mic_signals, QUICK_TRAIN)
     period = scenario.period_samples
-    preds = pinn_predict(
-        params, scenario.monitoring_positions, period, scenario.sample_rate, period
-    )
-    num = np.sum((preds - mic_signals[:, :period]) ** 2)
-    den = np.sum(mic_signals[:, :period] ** 2)
+    preds = pinn_predict(params, scenario.monitoring_positions, period, scenario.sample_rate)
+    num = np.sum((preds - mic_signals) ** 2)
+    den = np.sum(mic_signals**2)
     # the normalized final data loss equals the physical NMSE by construction
     # (up to the one optimizer step taken after the last loss evaluation)
     assert num / den == pytest.approx(report.final_data_loss, rel=1e-3)
 
 
-@pytest.mark.parametrize("num_samples", [1, 239, 240, 241, 1000])
-def test_predict_tiles_one_period(num_samples):
-    p = random_params(13)
-    points = np.array([[0.0, 0.1, 0.0], [0.2, 0.0, 0.1]])
-    one_period = pinn_predict(p, points, 240, 24_000.0, 240)
-    out = pinn_predict(p, points, 240, 24_000.0, num_samples)
-    assert np.array_equal(out, np.tile(one_period, 5)[:, :num_samples])
+@pytest.mark.parametrize("count", [1, 239, 240, 241, 1000])
+def test_predict_tiles_one_period(count):
+    """anc.repeat_period unrolls one period as the FxLMS loop unrolls the PINN's estimate
+    and the reference: sample n is column n mod P, for (R, P) and (P,) signals alike. The
+    reference waveform's period is the tone formula, bit for bit."""
+    tones = (ToneComponent(300.0, 2.0, 0.5), ToneComponent(400.0, 1.0, 1.5))
+    fs, points = 24_000.0, np.array([[0.0, 0.1, 0.0], [0.2, 0.0, 0.1]])
+    x = TonalSource((1.0, 2.0, 3.0), tones).waveform(fs)
+    t = np.arange(240) / fs
+    assert np.array_equal(x, 2.0 * np.sin(2 * np.pi * 300.0 * t + 0.5)
+                          + 1.0 * np.sin(2 * np.pi * 400.0 * t + 1.5))  # bitwise
+    estimate = pinn_predict(random_params(13), points, 240, fs)
+    for one_period in (x, estimate):
+        out = repeat_period(one_period, count)
+        assert out.shape == (*one_period.shape[:-1], count)
+        assert np.array_equal(out, np.tile(one_period, 5)[..., :count])
+
+
+@pytest.mark.parametrize("shape", [(7, 240), (8, 239), (8, 241), (8, 2400), (8 * 240,)])
+def test_train_rejects_signals_not_one_period_per_mic(scenario, shape):
+    with pytest.raises(ValueError, match=r"need one period per monitoring microphone, got \("):
+        train_pinn(scenario, np.zeros(shape), TrainConfig(epochs=1, restarts=1))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -445,11 +459,9 @@ def test_predict_tiles_one_period(num_samples):
     seed=st.integers(0, 2**32 - 1),
     period=st.one_of(st.integers(1, 600), st.integers(pinn.PREDICT_BLOCK_ROWS + 1, 9_000)),
     count_pick=st.integers(0, 4),
-    samples_pick=st.sampled_from(["below", "equal", "above"]),
-    extra=st.integers(0, 10**6),
 )
-@example(seed=2, period=3, count_pick=3, samples_pick="equal", extra=0)  # 8 193 inputs: 8 192 + 1
-def _predict_is_one_whole_grid_pass(seed, period, count_pick, samples_pick, extra):
+@example(seed=2, period=3, count_pick=3)  # 8 193 inputs: 8 192 + 1
+def _predict_is_one_whole_grid_pass(seed, period, count_pick):
     """Called by test_predict_blocks_are_one_whole_grid_pass, on one BLAS thread."""
     rng = np.random.default_rng(seed)
     params = glorot_init(seed % 1000, pinn.HIDDEN)
@@ -459,28 +471,20 @@ def _predict_is_one_whole_grid_pass(seed, period, count_pick, samples_pick, extr
     step = max(1, pinn.PREDICT_BLOCK_ROWS // period)  # whole points' grids that fit in a block
     counts = [c for c in (1, step - 1, step, step + 1, 400) if 1 <= c <= 240_000 // period]
     count = counts[count_pick % len(counts)]
-    if period == 1 or samples_pick == "equal":
-        num_samples = period
-    elif samples_pick == "below":
-        num_samples = 1 + extra % (period - 1)
-    else:  # above the period and not a multiple of it
-        num_samples = period * (1 + extra % 3) + 1 + extra % (period - 1)
     points = rng.uniform(-0.5, 0.5, (count, 3))
     tau, _ = time_axis(period, 24_000.0)
     grid = np.column_stack([np.tile(tau, count), np.repeat(points, period, axis=0)])
     whole = mlp_forward(params, grid).reshape(count, period)
-    out = pinn_predict(params, points, period, 24_000.0, num_samples)
-    assert np.array_equal(out, np.tile(whole, -(-num_samples // period))[:, :num_samples])
+    assert np.array_equal(pinn_predict(params, points, period, 24_000.0), whole)
 
 
 def test_predict_blocks_are_one_whole_grid_pass(tmp_path):
-    """pinn_predict gives, bit for bit, one mlp_forward over the whole (point, time) grid,
-    repeated to num_samples: point counts around a block's worth and 400, a period longer
-    than a block, and num_samples below, at and above the period. The check runs in a child
-    process on one BLAS thread, because there the whole-grid reference is one fixed sum per
-    row: on two, OpenBLAS 0.3.31 splits the output product of a pass of about 29 000 rows or
-    more between the threads, and a split at a row that is not a multiple of 4 moves the
-    reference's own last bits. pinn_predict's blocks are smaller than that."""
+    """pinn_predict gives, bit for bit, one mlp_forward over the whole (point, time) grid:
+    point counts around a block's worth and 400, and a period longer than a block. The check
+    runs in a child process on one BLAS thread, because there the whole-grid reference is one
+    fixed sum per row: on two, OpenBLAS 0.3.31 splits the output product of a pass of about
+    29 000 rows or more between the threads, and a split at a row that is not a multiple of 4
+    moves the reference's own last bits. pinn_predict's blocks are smaller than that."""
     paths = [str(Path(pinn.__file__).parents[1]), str(Path(__file__).parent)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
     env.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1"))
@@ -497,7 +501,7 @@ def test_predict_memory_is_one_block():
     points = np.random.default_rng(0).uniform(-0.4, 0.4, (400, 3))
     tracemalloc.start()
     try:
-        out = pinn_predict(params, points, 240, 24_000.0, 240)
+        out = pinn_predict(params, points, 240, 24_000.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

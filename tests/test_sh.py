@@ -9,6 +9,7 @@ from scipy.special import spherical_jn
 
 from wavefield_anc import sh
 from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
+from wavefield_anc.anc import repeat_period
 from wavefield_anc.geometry import cart_to_sph, sphere_points
 from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import (
@@ -185,7 +186,7 @@ def test_fit_shape_mismatch():
 
 def test_interpolate_identity_radius():
     sc = default_scenario(0)
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 1200, C)
+    mics = repeat_period(propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, C), 1200)
     series = sh_fit(sc.monitoring_positions, mics, 2, FS)
     theta, phi = 1.0, 2.0
     target = sc.mic_radius * np.array(
@@ -215,7 +216,7 @@ def test_sh_interpolate_translates_once_per_sphere(monkeypatch):
     """The sweep's 400 points on one sphere hold several radii one ulp apart: one radial
     translation serves them all. Targets on two spheres are rejected."""
     sc = default_scenario(0)
-    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, 240, C)
+    mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, C)
     series = sh_fit(sc.monitoring_positions, mics, 3, FS)
     calls = []
 
@@ -242,10 +243,10 @@ def test_dc_bessel_ratio_limit():
 def test_single_tone_baseline_quality():
     sc = default_scenario(0)
     src = TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, 1.0, 0.2),))
-    mics = propagate_tonal(src, sc.monitoring_positions, FS, 2400, C)
+    mics = repeat_period(propagate_tonal(src, sc.monitoring_positions, FS, C), 2400)
     series = sh_fit(sc.monitoring_positions, mics, 2, FS)
     pts = sphere_points(0.1, 400)
-    truth = propagate_tonal(src, pts, FS, 2400, C)
+    truth = repeat_period(propagate_tonal(src, pts, FS, C), 2400)
     est = sh_interpolate(series, pts, C)
     assert interpolation_error(truth, est) < 0.5
 
