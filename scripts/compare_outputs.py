@@ -3,12 +3,13 @@
 
     python3 scripts/compare_outputs.py PARENT_OUT CHANGE_OUT
 
-Byte-compares every ``*.csv`` and ``model.txt`` under either tree, matched by their
-path below the tree's root, and lists the ``summary.json`` leaves whose values differ,
-ignoring ``timings`` and ``wall_clock_s``, each pair of numbers with its relative
-difference |b - a| / max(|a|, |b|), so that a roundoff move reads as 1e-15 or so. Exit
-code 1 when a CSV or model file differs or exists on one side only, 2 when neither tree
-holds one; summary differences are listed but do not fail.
+Byte-compares every ``*.csv``, ``model.txt`` and ``*.json`` other than ``summary.json``
+(the saved configs) under either tree, matched by their path below the tree's root, and
+lists the ``summary.json`` leaves whose values differ, ignoring ``timings`` and
+``wall_clock_s``, each pair of numbers with its relative difference
+|b - a| / max(|a|, |b|), so that a roundoff move reads as 1e-15 or so. Exit code 1 when
+a compared file differs or exists on one side only, 2 when neither tree holds one;
+summary differences are listed but do not fail.
 """
 
 import json
@@ -48,7 +49,7 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     roots = [Path(a) for a in argv]
-    outputs = found(roots, "*.csv", "model.txt")
+    outputs = [p for p in found(roots, "*.csv", "model.txt", "*.json") if p.name != "summary.json"]
     differ = [rel for rel in outputs if len({(r / rel).read_bytes() if (r / rel).is_file()
                                              else None for r in roots}) != 1]
     for rel in outputs:
@@ -60,7 +61,8 @@ def main(argv):
             if a.get(key) != b.get(key):
                 print(f"summary {rel} {key}: {a.get(key, '(absent)')} -> "
                       f"{b.get(key, '(absent)')}{rel_change(a.get(key), b.get(key))}")
-    print(f"{len(outputs) - len(differ)} of {len(outputs)} CSV and model files byte-identical")
+    print(f"{len(outputs) - len(differ)} of {len(outputs)} CSV, model and config files "
+          "byte-identical")
     return 2 if not outputs else 1 if differ else 0
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,23 +14,23 @@ SINC_WINDOW_HALF_WIDTH = 16  # Blackman window of 33 taps around the fractional 
 PATH_TAPS = 256  # secondary-path FIR length
 
 
-def require_numbers(obj, names: tuple[str, ...], kind: type[numbers.Real]):
-    """The one rule for config numbers, on the fields ``names`` of ``obj`` in turn: ValueError
-    naming one that is a real number but not finite, TypeError one that is not of ``kind``,
-    numbers.Real or numbers.Integral (a bool is neither). A number that is not a Python int
-    or float (a numpy scalar, say) is stored as one, int for an integer field, so configs
-    write as JSON."""
-    noun, to_python = ("an integer", int) if kind is numbers.Integral else ("a number", float)
-    for name in names:
-        value = getattr(obj, name)
+def require_numbers(obj):
+    """The one rule for config numbers, on the fields of the dataclass ``obj`` annotated
+    ``float`` or ``int``: ValueError naming one that is a real number but not finite, TypeError
+    one that is not a real number, or for ``int`` not an integer (a bool is neither). Other
+    number types (numpy's, say) are stored as Python int or float, so configs write as JSON."""
+    # under `from __future__ import annotations` each field's type is the annotation's text
+    for field in (f for f in fields(obj) if f.type in ("float", "int")):
+        name, value, integer = field.name, getattr(obj, field.name), field.type == "int"
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         # an int is finite, past float range too
         if real and not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-        if not real or not isinstance(value, kind):
+        if not real or integer and not isinstance(value, numbers.Integral):
+            noun = "an integer" if integer else "a number"
             raise TypeError(f"{name} must be {noun}, got {type(value).__name__} {value!r}")
-        if type(value) not in (int, float):
-            object.__setattr__(obj, name, to_python(value))  # frozen dataclasses too
+        if type(value) not in (int, float):  # frozen dataclasses too
+            object.__setattr__(obj, name, (int if integer else float)(value))
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ToneComponent:
     phase: float = 0.0  # rad
 
     def __post_init__(self):
-        require_numbers(self, ("frequency", "amplitude", "phase"), numbers.Real)
+        require_numbers(self)
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
         if self.amplitude < 0:

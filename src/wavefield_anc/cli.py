@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = resolve_spec(args)
-    except (FileNotFoundError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # what loading can raise
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     bundle = RUNNERS[spec.experiment](spec)

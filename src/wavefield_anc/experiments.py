@@ -58,9 +58,9 @@ class ExperimentSpec:
             path_distances(sc.secondary_positions, grid, fs, c, ("secondary source", "grid point"))
             separations(sc.primary_source.position[None], grid, ("primary source", "grid point"))
             for i, ear in enumerate(sc.virtual_positions):  # the ear-disk metric needs points
-                if not ear_disk_mask(grid[:, 0], grid[:, 1], ear[None]).any():
+                if not ear_disk_mask(grid, ear[None]).any():
                     raise ValueError(f"ear {i} at {np.round(ear, 4).tolist()}: no field-map "
-                                     f"grid point within {EAR_DISK_RADIUS} m in the xy-plane")
+                                     f"grid point within {EAR_DISK_RADIUS} m")
 
 
 class OutputBundle:
@@ -135,7 +135,6 @@ def _experiment(body):
                     "train": asdict(spec.train),
                     "radii": list(spec.radii),
                 },
-                "seeds": {"scenario": spec.scenario.rng_seed, "train": spec.train.seed},
                 "environment": {  # a figure at the float64 roundoff floor follows the BLAS
                     "python": platform.python_version(),
                     "numpy": np.__version__,
@@ -224,9 +223,9 @@ def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, 
     return metrics, mp.converged and pn.converged
 
 
-def ear_disk_mask(x: np.ndarray, y: np.ndarray, ears: np.ndarray) -> np.ndarray:
-    """Grid points within EAR_DISK_RADIUS of any of the (E, 3) ears, in the xy-plane."""
-    d2 = (x[:, None] - ears[:, 0]) ** 2 + (y[:, None] - ears[:, 1]) ** 2
+def ear_disk_mask(points: np.ndarray, ears: np.ndarray) -> np.ndarray:
+    """Which of the (n, 3) points lie within EAR_DISK_RADIUS of any of the (E, 3) ears."""
+    d2 = np.sum((points[:, None, :] - ears[None, :, :]) ** 2, axis=-1)
     return np.any(d2 <= EAR_DISK_RADIUS**2 + 1e-12, axis=1)
 
 
@@ -243,7 +242,7 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
 
     ref = p_primary.max()
     disk_means = {}
-    mask = ear_disk_mask(gx, gy, sc.virtual_positions)
+    mask = ear_disk_mask(field_grid(), sc.virtual_positions)
     for name, power in (("primary", p_primary), ("multipoint", p_mp), ("pinn", p_pn)):
         power_db = ratio_to_db(power / ref)
         run.csv(f"field_{name}", ["x", "y", "power_dB"], np.column_stack([gx, gy, power_db]))

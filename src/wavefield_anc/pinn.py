@@ -7,7 +7,6 @@ data + PDE loss (third-order chain rule through tanh).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +71,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_numbers(self, ("epochs", "restarts", "seed"), numbers.Integral)
+        require_numbers(self)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.restarts < 1:

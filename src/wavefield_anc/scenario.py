@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,7 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        require_numbers(self, ("speed_of_sound", "sample_rate", "duration"), numbers.Real)
-        require_numbers(self, ("rng_seed",), numbers.Integral)
+        require_numbers(self)
         for name in ("secondary_positions", "monitoring_positions", "virtual_positions"):
             setattr(self, name, as_points(getattr(self, name), name))
         if self.speed_of_sound <= 0:
@@ -68,40 +66,16 @@ class ScenarioConfig:
         return period
 
     def to_dict(self) -> dict:
-        return {
-            "primary_source": {
-                "position": self.primary_source.position.tolist(),
-                "components": [
-                    {"frequency": c.frequency, "amplitude": c.amplitude, "phase": c.phase}
-                    for c in self.primary_source.components
-                ],
-            },
-            "secondary_positions": self.secondary_positions.tolist(),
-            "monitoring_positions": self.monitoring_positions.tolist(),
-            "virtual_positions": self.virtual_positions.tolist(),
-            "speed_of_sound": self.speed_of_sound,
-            "sample_rate": self.sample_rate,
-            "duration": self.duration,
-            "rng_seed": self.rng_seed,
-        }
+        return _as_json(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
-        src = d["primary_source"]
-        source = TonalSource(
-            position=src["position"],
-            components=tuple(
-                ToneComponent(*(c[k] for k in ("frequency", "amplitude", "phase")))
-                for c in src["components"]
-            ),
-        )
-        return ScenarioConfig(
-            primary_source=source,
-            secondary_positions=d["secondary_positions"],
-            monitoring_positions=d["monitoring_positions"],
-            virtual_positions=d["virtual_positions"],
-            **{k: d[k] for k in ("speed_of_sound", "sample_rate", "duration", "rng_seed")},
-        )
+        d = _keys_of(ScenarioConfig, d, "scenario")
+        src = _keys_of(TonalSource, d["primary_source"], "primary_source")
+        tones = [ToneComponent(**_keys_of(ToneComponent, c, f"primary_source.components[{i}]"))
+                 for i, c in enumerate(src["components"])]
+        source = TonalSource(**{**src, "components": tuple(tones)})
+        return ScenarioConfig(**{**d, "primary_source": source})
 
     def save(self, path: str | Path):
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -109,6 +83,27 @@ class ScenarioConfig:
     @staticmethod
     def load(path: str | Path) -> "ScenarioConfig":
         return ScenarioConfig.from_dict(json.loads(Path(path).read_text()))
+
+
+def _as_json(value):
+    """``value`` as JSON data: dataclasses as dicts in field order, tuples and arrays as lists."""
+    if is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _keys_of(cls, d: dict, level: str) -> dict:
+    """``d``, once it is a dict keyed by the fields of ``cls``; else an error naming ``level``."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{level} must be a JSON object, got {type(d).__name__}")
+    names = [f.name for f in fields(cls)]
+    problems = [f"missing key {k!r}" for k in names if k not in d]
+    problems += [f"unknown key {k!r}" for k in d if k not in names]
+    if problems:
+        raise ValueError(f"{level}: {', '.join(problems)}")
+    return d
 
 
 SOURCE_AMPLITUDE = 10.0  # Pa·m per tone; sets the loop gain seen by the fixed-mu controller

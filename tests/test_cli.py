@@ -80,6 +80,14 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_a_directory_as_config_is_exit_2(tmp_path, capsys):
+    """Any OSError of reading the file is a config error, not a traceback."""
+    assert main(["validate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [Errno") and str(tmp_path) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_config_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -215,7 +223,7 @@ def test_numpy_integers_are_integers_to_train_config(tmp_path):
     for scenario, train in ((numpy_sc, TrainConfig(seed=np.int64(1))),
                             (dataclasses.replace(sc, rng_seed=2), TrainConfig(seed=1))):
         bundle = run_validate(ExperimentSpec("validate", scenario, train, out_dir=tmp_path / "v"))
-        summaries.append({k: read_summary(bundle.json_path)[k] for k in ("config", "seeds")})
+        summaries.append(read_summary(bundle.json_path)["config"])
     assert summaries[0] == summaries[1]
 
 
@@ -362,10 +370,12 @@ def test_mics_off_one_sphere_are_exit_2_for_the_sweep_only(tmp_path, capsys):
 @pytest.mark.parametrize("ears, named", [
     ([[0.0, 0.3, 0.0], [0.0, -0.3, 0.0]], "ear 0 at [0.0, 0.3, 0.0]"),
     ([[0.0, 0.1, 0.0], [0.1, -0.235, 0.05]], "ear 1 at [0.1, -0.235, 0.05]"),
-], ids=["both-off", "one-off"])
+    ([[0.0, 0.1, 0.3], [0.0, -0.1, -0.3]], "ear 0 at [0.0, 0.1, 0.3]"),
+], ids=["both-off", "one-off", "off-the-plane"])
 def test_ears_off_the_field_map_grid_are_exit_2_for_the_map_only(tmp_path, capsys, ears, named):
-    """The map's ear-disk metric averages the grid points within EAR_DISK_RADIUS of each ear
-    in the xy-plane: an ear whose disk holds none would make it NaN."""
+    """The map's ear-disk metric averages the grid points within EAR_DISK_RADIUS of each ear,
+    in 3-D: an ear whose disk holds none would make it NaN, and one above the map's plane,
+    over grid points, would be reported from points it is not near."""
     d = default_scenario(0).to_dict()
     d["virtual_positions"] = ears
     path = tmp_path / "scenario.json"
@@ -375,7 +385,7 @@ def test_ears_off_the_field_map_grid_are_exit_2_for_the_map_only(tmp_path, capsy
     args = ["field-map", "--config", str(path), "--epochs", "5", "--out", str(tmp_path / "o")]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert f"config error: {named}: no field-map grid point within 0.03 m in the xy-plane" in err
+    assert f"config error: {named}: no field-map grid point within 0.03 m\n" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -34,7 +34,7 @@ def test_identical_outputs_pass_whatever_the_timings(tmp_path):
     write_tree(tmp_path / "b", timings={"train": 9.0})
     code, out = compare(tmp_path / "a", tmp_path / "b")
     assert code == 0
-    assert "2 of 2 CSV and model files byte-identical" in out
+    assert "2 of 2 CSV, model and config files byte-identical" in out
     assert "summary" not in out.replace("summary.json", "")
 
 
@@ -46,6 +46,18 @@ def test_a_differing_csv_or_missing_model_fails(tmp_path):
     assert code == 1 and "DIFFERS interp-sweep/interp_sweep.csv" in out
     code, out = compare(tmp_path / "a", tmp_path / "c")
     assert code == 1 and "DIFFERS interp-sweep/model.txt" in out
+
+
+def test_a_saved_config_is_compared_byte_for_byte(tmp_path):
+    """A config that loads to the same values but is written with other bytes differs."""
+    for name, text in (("a", '{"duration": 0.1}\n'), ("b", '{"duration": 0.10}\n')):
+        write_tree(tmp_path / name)
+        (tmp_path / name / "variant.json").write_text(text)
+    code, out = compare(tmp_path / "a", tmp_path / "a")
+    assert code == 0 and "3 of 3 CSV, model and config files byte-identical" in out
+    code, out = compare(tmp_path / "a", tmp_path / "b")
+    assert code == 1 and "DIFFERS variant.json" in out
+    assert "summary.json" not in out.replace("interp-sweep/summary.json", "")
 
 
 def test_summary_leaves_that_differ_are_listed_without_failing(tmp_path):
