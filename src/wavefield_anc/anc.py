@@ -106,30 +106,26 @@ def run_controllers(
     the bound check and the ear truth; each keeps its own error and update products, so its
     report is bitwise that of it running alone.
     """
-    period, checked = scenario.period_samples, []
-    for sensors, primary in sensings:
-        sensors = as_points(sensors, "sensors")
-        primary = np.asarray(primary, dtype=float)
-        if primary.shape != (len(sensors), period):
-            raise ValueError(f"need one {period}-sample period per sensor: {primary.shape} "
-                             f"at {len(sensors)} sensors")
-        checked.append((sensors, primary))
-    if not checked:
+    if not sensings:
         raise ValueError("need one or more sensings")
     if iterations < 1:
         raise ValueError("need at least one iteration")
     if mu < 0:
         raise ValueError("step size must be non-negative")
-    fs, c = scenario.sample_rate, scenario.speed_of_sound
+    fs, c, period = scenario.sample_rate, scenario.speed_of_sound, scenario.period_samples
     src, secondaries = scenario.primary_source, scenario.secondary_positions
-    C, L = len(checked), len(secondaries)
+    C, L = len(sensings), len(secondaries)
 
     # Histories run newest first along their first axis: row k holds step
     # iterations - 1 - k and zeros past the end stand for the samples before
     # n = 0, so the latest samples at step n are the contiguous rows from k.
     x = np.concatenate([np.zeros(FILTER_LEN - 1), repeat_period(src.waveform(fs), iterations)])
     refs, paths, errors = [], [], []
-    for sensors, primary in checked:
+    for sensors, primary in sensings:
+        sensors, primary = as_points(sensors, "sensors"), np.asarray(primary, dtype=float)
+        if primary.shape != (len(sensors), period):
+            raise ValueError(f"need one {period}-sample period per sensor: {primary.shape} "
+                             f"at {len(sensors)} sensors")
         firs = make_path_fir(secondaries, sensors, fs, c)  # (L, M, taps)
         fx = filtered_reference(x, firs).reshape(-1, len(sensors))  # (N + FILTER_LEN - 1) L, M
         # step n's filtered reference as (FILTER_LEN L, M) rows, in the order of w
@@ -179,16 +175,11 @@ def run_controllers(
         primary_s = ear_primary[:, :n_done]
         ear_resid = primary_s + _fir_sum(y_s[iterations - n_done :], ear_firs)[::-1].T
 
-        # trailing-window power ratio at the ears
-        win = min(EPS_WINDOW, n_done)
-        num = np.sum(ear_resid**2, axis=0)
-        den = np.sum(primary_s**2, axis=0)
-        csum_n = np.concatenate([[0.0], np.cumsum(num)])
-        csum_d = np.concatenate([[0.0], np.cumsum(den)])
-        idx = np.arange(1, n_done + 1)
-        lo = np.maximum(idx - win, 0)
-        wn = csum_n[idx] - csum_n[lo]
-        wd = csum_d[idx] - csum_d[lo]
+        # trailing-window power ratio at the ears: the residual and primary power of each
+        # step, summed over the EPS_WINDOW steps to it from one cumulative sum
+        power = np.column_stack([np.sum(ear_resid**2, axis=0), np.sum(primary_s**2, axis=0)])
+        csum = np.cumsum(np.vstack([np.zeros(2), power]), axis=0)  # row k: the steps before k
+        wn, wd = (csum[1:] - csum[np.maximum(np.arange(1, n_done + 1) - EPS_WINDOW, 0)]).T
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(wd > 0, wn / np.maximum(wd, 1e-300), 1.0)
 

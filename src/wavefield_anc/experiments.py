@@ -85,12 +85,8 @@ class OutputBundle:
 
     def csv(self, name: str, header: list[str], rows: np.ndarray):
         """Writes ``rows`` to ``<name>.csv`` in the output directory as ``csv_paths[name]``."""
-        rows = np.atleast_2d(rows)
-        row_fmt = ",".join([CSV_FMT] * rows.shape[1])  # one % per row, not one per value
-        # each row as Python floats in turn: rows.tolist() whole holds ~150 bytes a row
-        lines = [",".join(header), *(row_fmt % tuple(row.tolist()) for row in rows)]
         path = self.csv_paths[name] = self.spec.out_dir / f"{name}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        np.savetxt(path, np.atleast_2d(rows), CSV_FMT, ",", header=",".join(header), comments="")
 
     def train(self) -> tuple[np.ndarray, np.ndarray]:
         """The PINN fit to one period of the mic signals (the "train" stage), saved as model.txt,
@@ -190,13 +186,14 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     return metrics, True
 
 
-def run_controls(sc: ScenarioConfig, params: np.ndarray) -> tuple[AncRunReport, AncRunReport]:
+def run_controls(
+    sc: ScenarioConfig, params: np.ndarray, measured: np.ndarray
+) -> tuple[AncRunReport, AncRunReport]:
     """The two controllers the paper compares, stepped together for ANC_ITERATIONS steps:
-    multiple-point control on the measured mic signals, and PINN-assisted
-    control on the network's estimate at the ears."""
-    fs, mics, ears = sc.sample_rate, sc.monitoring_positions, sc.virtual_positions
-    measured = propagate_tonal(sc.primary_source, mics, fs, sc.speed_of_sound)
-    estimate = pinn_predict(params, ears, sc.period_samples, fs)
+    multiple-point control on the ``measured`` mic signals (M, P) that the network was fit
+    to, and PINN-assisted control on the network's estimate at the ears."""
+    mics, ears = sc.monitoring_positions, sc.virtual_positions
+    estimate = pinn_predict(params, ears, sc.period_samples, sc.sample_rate)
     multipoint, pinn = run_controllers(sc, [(mics, measured), (ears, estimate)], ANC_MU,
                                        ANC_ITERATIONS)
     return multipoint, pinn
@@ -206,9 +203,9 @@ def run_controls(sc: ScenarioConfig, params: np.ndarray) -> tuple[AncRunReport, 
 def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Ear noise-reduction curves for multiple-point and PINN-assisted control;
     ok=False when either controller diverged."""
-    params, _ = run.train()
+    params, mics = run.train()
     with run.stage("anc"):
-        mp, pn = run_controls(spec.scenario, params)
+        mp, pn = run_controls(spec.scenario, params, mics)
     n = min(mp.iterations, pn.iterations)
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     run.csv("anc_convergence", ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
@@ -234,9 +231,9 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """xy-plane signal-power maps: primary, multipoint residual, PINN residual;
     ok=False when either controller diverged."""
     sc = spec.scenario
-    params, _ = run.train()
+    params, mics = run.train()
     with run.stage("anc"):
-        mp, pn = run_controls(sc, params)
+        mp, pn = run_controls(sc, params, mics)
     with run.stage("field"):
         gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
 

@@ -33,7 +33,7 @@ def cart_to_sph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     The origin maps to (0, 0, 0), and points on the z-axis to phi = 0.
     """
     x, y, z = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
-    r = np.sqrt(x**2 + y**2 + z**2)
+    r = np.sqrt(x * x + y * y + z * z)  # on NumPy scalars, ** is libm pow, 1 ulp off at times
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(r == 0.0, 0.0, np.arccos(np.clip(z / r, -1.0, 1.0)))
     phi = np.arctan2(y, x) % (2.0 * np.pi)

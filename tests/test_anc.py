@@ -335,8 +335,8 @@ def test_run_anc_frees_the_filtered_reference_before_the_ears():
 
 
 def test_run_controls_frees_each_filtered_reference_before_the_ears():
-    """2.94 MB for both controllers over 10 000 steps on the 250/350/450 Hz tones of
-    default_scenario(1), each sensing one period; 3.70 MB while each sensing held its
+    """2.91 MB for both controllers over 10 000 steps on the 250/350/450 Hz tones of
+    default_scenario(1), each sensing one period, the mic signals given; 3.70 MB while each sensing held its
     primary over every step beside the error buffer, and 5.6 MB while both filtered
     references outlive the loop and the errors are squared out of place."""
     sc = default_scenario(1)
@@ -347,7 +347,7 @@ def test_run_controls_frees_each_filtered_reference_before_the_ears():
     sc = dataclasses.replace(sc, primary_source=src)
     mics = truth(sc, sc.monitoring_positions)
     params, _ = train_pinn(sc, mics, TrainConfig(epochs=10, restarts=1))
-    assert traced_peak(lambda: run_controls(sc, params)) < 3.3e6
+    assert traced_peak(lambda: run_controls(sc, params, mics)) < 3.3e6
 
 
 @settings(max_examples=10, deadline=None)
@@ -582,13 +582,16 @@ def test_a_diverging_controller_stops_while_the_others_run_on():
     assert mp.ear_residual.shape == (2, 2000) and pn.ear_residual.shape == (2, 221)
 
 
-@pytest.mark.parametrize("lengths", [(), (100, 101)])
+@pytest.mark.parametrize("lengths", [(), (100, 101), (240, 239)])
 def test_run_controllers_rejects_no_sensing_or_unequal_lengths(lengths):
-    """No sensing, or sensings not of one 240-sample period; and, on one that is, a run of
-    fewer than one iteration."""
+    """No sensing, or sensings not of one 240-sample period, the second such sensing
+    checked after the first's arrays are built; and, on one that is, a run of fewer than
+    one iteration."""
     sc = default_scenario(0)
     mics = sc.monitoring_positions
-    with pytest.raises(ValueError, match="sensing" if not lengths else "period per sensor"):
+    bad = [n for n in lengths if n != 240]  # the error names the first such shape
+    match = rf"period per sensor: \(8, {bad[0]}\)" if bad else "sensing"
+    with pytest.raises(ValueError, match=match):
         run_controllers(sc, [(mics, np.zeros((8, n))) for n in lengths], 1e-5, 100)
     for iterations in (0, -1):
         with pytest.raises(ValueError, match="at least one iteration"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavefield_anc.geometry import ball_points, cart_to_sph, sphere_points
@@ -66,6 +66,8 @@ def test_cart_sph_round_trip(x, y, z):
 
 @given(finite_coord, finite_coord, finite_coord)
 @settings(max_examples=100)
+@example(0.0, 1.0, 5.98036201714815)  # x**2 on NumPy scalars is libm pow, 1 ulp off at these
+@example(0.0, 2.0, 9.319059227339066)
 def test_radius_definition(x, y, z):
     r, _, _ = cart_to_sph([x, y, z])
     assert r == np.sqrt(x * x + y * y + z * z)
