@@ -212,15 +212,12 @@ def field_grid() -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
 
 
-def field_grid_power(
-    scenario: ScenarioConfig, weight_sets: list[np.ndarray | None]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal power on the field_grid under each set of frozen controller weights.
-
-    Returns (x, y, power): x and y of the grid points, power (len(weight_sets), grid
-    points), linear mean-square pressure over one fundamental period after the path
-    transient. A set of ``None`` gives the uncontrolled primary field. The grid is
-    evaluated one row at a time, and each row's path FIRs serve every weight set.
+def field_grid_power(scenario: ScenarioConfig, weight_sets: list[np.ndarray]) -> np.ndarray:
+    """Signal power on the field_grid, uncontrolled and under each set of frozen controller
+    weights: (1 + len(weight_sets), grid points), row 0 the primary field alone, then one
+    row per weight set. Each is the linear mean-square pressure over one fundamental period
+    after the path transient. The grid is evaluated one row at a time, and each row's path
+    FIRs serve every weight set.
     """
     fs, c = scenario.sample_rate, scenario.speed_of_sound
     src = scenario.primary_source
@@ -231,16 +228,16 @@ def field_grid_power(
     # from the reference samples that reach those through the controller's FILTER_LEN taps
     used = period + PATH_TAPS - 1
     x = repeat_period(src.waveform(fs), n_total)[-(used + FILTER_LEN - 1) :]
-    outputs = [None if w is None else -filtered_reference(x, w)[:used] for w in weight_sets]
+    outputs = [-filtered_reference(x, w)[:used] for w in weight_sets]
     grid = field_grid()
-    power = np.empty((len(weight_sets), len(grid)))
+    power = np.empty((1 + len(outputs), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
         # samples n_total - period, ... are the first period rolled; np.roll keeps rows
         # C-ordered, so np.mean sums them in the order of the whole signal's slice
         first = propagate_tonal(src, grid[row], fs, c)
         primary = np.roll(first, period - n_total, axis=1)
         firs = make_path_fir(scenario.secondary_positions, grid[row], fs, c)
-        for k, out in enumerate(outputs):
-            tail = primary if out is None else primary + _fir_sum(out, firs)[::-1].T
-            power[k, row] = np.mean(tail**2, axis=1)
-    return grid[:, 0], grid[:, 1], power
+        power[0, row] = np.mean(primary**2, axis=1)
+        for k, out in enumerate(outputs, 1):
+            power[k, row] = np.mean((primary + _fir_sum(out, firs)[::-1].T) ** 2, axis=1)
+    return power

@@ -44,6 +44,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        for path in (self.out_dir, *self.out_dir.parents):  # the runner creates the rest
+            if (path.exists() or path.is_symlink()) and not path.is_dir():
+                raise ValueError(f"output directory {self.out_dir}: {path} is not a directory")
         radii = tuple(float(r) for r in self.radii)
         if not radii or not all(0 < r < np.inf for r in radii) or list(radii) != sorted(radii):
             raise ValueError("sweep radii must be at least one, finite, positive and ascending")
@@ -235,14 +238,15 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     with run.stage("anc"):
         mp, pn = run_controls(sc, params, mics)
     with run.stage("field"):
-        gx, gy, (p_primary, p_mp, p_pn) = field_grid_power(sc, [None, mp.weights, pn.weights])
+        p_primary, p_mp, p_pn = field_grid_power(sc, [mp.weights, pn.weights])
 
     ref = p_primary.max()
     disk_means = {}
-    mask = ear_disk_mask(field_grid(), sc.virtual_positions)
+    grid = field_grid()
+    mask = ear_disk_mask(grid, sc.virtual_positions)
     for name, power in (("primary", p_primary), ("multipoint", p_mp), ("pinn", p_pn)):
         power_db = ratio_to_db(power / ref)
-        run.csv(f"field_{name}", ["x", "y", "power_dB"], np.column_stack([gx, gy, power_db]))
+        run.csv(f"field_{name}", ["x", "y", "power_dB"], np.column_stack([grid[:, :2], power_db]))
         disk_means[name] = ratio_to_db(np.mean(power[mask]) / ref)
 
     metrics = {

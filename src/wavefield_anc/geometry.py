@@ -58,7 +58,7 @@ def sphere_points(radius: float, count: int) -> np.ndarray:
     )
 
 
-def ball_points(radius: float, count: int, seed: int = 0) -> np.ndarray:
+def ball_points(radius: float, count: int, seed: int) -> np.ndarray:
     """Seeded uniform points inside the origin-centred closed ball, by rejection from
     the cube; (count, 3).
 

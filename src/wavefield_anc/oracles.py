@@ -14,14 +14,7 @@ import numpy as np
 from .acoustics import TonalSource, ToneComponent, propagate_tonal
 from .anc import run_anc
 from .geometry import cart_to_sph, sphere_points
-from .pinn import (
-    AdamState,
-    adam_step,
-    glorot_init,
-    loss_and_grads,
-    mlp_forward,
-    pde_residual,
-)
+from .pinn import adam_step, glorot_init, loss_and_grads, mlp_forward, pde_residual
 from .scenario import ScenarioConfig
 from .sh import real_sh, sh_fit, spherical_bessel_j
 
@@ -133,7 +126,7 @@ def sh_figures() -> dict[str, float]:
     _, theta, phi = cart_to_sph(positions)
     mode = 2  # (u, v) = (1, 0)
     signals = np.repeat(real_sh(1, theta, phi)[:, mode, None], 8, axis=1)
-    coeffs = sh_fit(positions, signals, 1, 24_000.0, reg=1e-9).coeffs[:, 0]
+    coeffs = sh_fit(positions, signals, 1, 24_000.0).coeffs[:, 0]
     return {
         "sh_gram_max_err": float(np.max(np.abs(gram - np.eye(len(gram))))),
         "sh_mode_coeff_err": float(abs(coeffs[mode] - 1.0)),
@@ -145,9 +138,8 @@ def sh_figures() -> dict[str, float]:
 def adam_figures() -> dict[str, float]:
     """Adam on (b2 - 3)^2 from b2 = 0 at step size 0.1: |b2 - 3| after 200 steps. The
     network has one hidden unit, 7 parameters, and the gradient is on b2 only."""
-    p, g = np.zeros(7), np.zeros(7)
-    st = AdamState(np.zeros(7), np.zeros(7))
-    for _ in range(200):
+    p, g, moments = np.zeros(7), np.zeros(7), np.zeros((2, 7))
+    for t in range(1, 201):
         g[-1] = 2.0 * (p[-1] - 3.0)
-        p, st = adam_step(p, g, st, 0.1)
+        adam_step(p, g, moments, t, 0.1)
     return {"adam_scalar_err": float(abs(p[-1] - 3.0))}

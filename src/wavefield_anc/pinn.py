@@ -81,13 +81,6 @@ class TrainConfig:
 
 
 @dataclass
-class AdamState:
-    m: np.ndarray  # first and second moments, shaped and ordered like the parameters
-    v: np.ndarray
-    t: int = 0
-
-
-@dataclass
 class TrainReport:
     history: list[tuple[int, float, float]]  # epoch, L_data, L_pde
     final_data_loss: float
@@ -196,17 +189,22 @@ def loss_and_grads(
 
 
 def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update with step size ``lr``, elementwise on the whole
-    parameter array (any leading restart axis); returns new parameters and state."""
-    t = state.t + 1
+    params: np.ndarray, grads: np.ndarray, moments: np.ndarray, t: int, lr: float
+) -> np.ndarray:
+    """Bias-corrected Adam update number ``t``, counting from 1, with step size ``lr``,
+    elementwise on the whole parameter array (any leading restart axis). Updates ``params``
+    and their first and second ``moments``, a (2, ...) stack shaped like them, in place:
+    returns ``params``."""
     beta1, beta2 = ADAM_BETA1, ADAM_BETA2
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * np.square(grads)
+    m, v = moments
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * np.square(grads)
     step = lr * (m / (1.0 - beta1**t))  # lr * m_hat / (sqrt(v_hat) + eps), in that order
     step /= np.sqrt(v / (1.0 - beta2**t)) + ADAM_EPS
-    return params - step, AdamState(m, v, t)
+    params -= step
+    return params
 
 
 def make_collocation_positions(scenario: ScenarioConfig, seed: int) -> np.ndarray:
@@ -269,7 +267,7 @@ def train_pinn(
     colloc = np.ones((cfg.restarts, A, 5))  # tau (redrawn every epoch), x, y, z, 1
     colloc[..., 1:4] = xyz
     rngs = [default_rng(s) for s in seeds]
-    state = AdamState(np.zeros_like(params), np.zeros_like(params))
+    moments = np.zeros((2, *params.shape))
     history = []
     if cfg.epochs == 0:  # no epoch records the fit: the untrained network's data loss
         final = loss_and_grads(params, inputs, targets_flat, colloc, 0.0, c_eff)[0]
@@ -290,7 +288,7 @@ def train_pinn(
                 diverged.setdefault(int(r), epoch)
             if len(diverged) == cfg.restarts:
                 raise DivergenceDetected(f"non-finite loss in every restart by epoch {epoch}")
-            params, state = adam_step(params, grads, state, lr)
+            adam_step(params, grads, moments, epoch + 1, lr)
             if epoch % 100 == 0:
                 history.append((epoch, L_data, L_pde))
             final = L_data
@@ -308,7 +306,9 @@ def train_pinn(
     history = [(e, float(d[best]), float(p[best])) for e, d, p in history]
     report = TrainReport(history, float(final[best]), scores, best, sorted(diverged.items()))
     params = params[best].copy()  # not a view
-    params[5 * HIDDEN :] *= rms  # undo the target normalization: (W2, b2) is linear
+    _, _, W2, b2 = unpack(params)
+    W2 *= rms  # undo the target normalization: the output layer is linear
+    b2 *= rms
     return params, report
 
 
@@ -345,7 +345,7 @@ def save_params(params: np.ndarray, period: int, sample_rate: float, path: str |
 
 def load_params(path: str | Path, period: int, sample_rate: float) -> np.ndarray:
     """The parameters save_params wrote to ``path``; ValueError naming it unless it holds
-    6N + 4 lines, N >= 1 on the first, and a time map of ``period`` samples at
+    6N + 4 lines, N >= 1 on the first, all finite, and a time map of ``period`` samples at
     ``sample_rate`` and TIME_HALF_RANGE."""
     lines = Path(path).read_text().splitlines()
     try:
@@ -355,6 +355,8 @@ def load_params(path: str | Path, period: int, sample_rate: float) -> np.ndarray
         raise ValueError(f"{path}: {exc}") from None
     if n < 1 or len(lines) != 6 * n + 4:
         raise ValueError(f"{path}: {len(lines)} lines for N = {n}; a model has 6N + 4, N >= 1")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: line {np.argmin(np.isfinite(values)) + 2} is not finite")
     duration, half_range = values[-2:].tolist()
     if duration != period / sample_rate:
         raise ValueError(f"{path}: a period of {duration!r} s, not {period} / {sample_rate} s")

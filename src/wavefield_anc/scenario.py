@@ -109,7 +109,7 @@ def _keys_of(cls, d: dict, level: str) -> dict:
 SOURCE_AMPLITUDE = 10.0  # Pa·m per tone; sets the loop gain seen by the fixed-mu controller
 
 
-def default_scenario(seed: int = 0) -> ScenarioConfig:
+def default_scenario(seed: int) -> ScenarioConfig:
     """The reference setup: one 3-tone source, 2 secondaries, 8 corner mics, 2 ears.
 
     Tone phases are drawn uniformly in [0, 2*pi) from the scenario seed.

@@ -17,6 +17,7 @@ from .geometry import cart_to_sph
 
 DB_FLOOR = -300.0
 BESSEL_DENOM_CLAMP = 1e-6
+RIDGE_WEIGHT = 1e-6  # the SH fit's ridge weight, relative to the basis's largest singular value
 
 
 @dataclass
@@ -98,18 +99,11 @@ def common_radius(positions: np.ndarray) -> float:
     return float(radii.mean())
 
 
-def sh_fit(
-    positions: np.ndarray,
-    signals: np.ndarray,
-    U: int,
-    sample_rate: float,
-    reg: float = 1e-6,
-) -> ShCoeffSeries:
-    """Ridge least-squares fit of SH mode coefficients, per time sample.
+def sh_fit(positions: np.ndarray, signals: np.ndarray, U: int, sample_rate: float) -> ShCoeffSeries:
+    """Ridge least-squares fit of SH mode coefficients, per time sample, with RIDGE_WEIGHT.
 
-    ``signals`` is (Q, T), one row per sensor of the (Q, 3) ``positions``.
-    ``reg`` is relative to the largest singular value of the basis matrix;
-    as reg -> 0 the solution tends to the minimum-norm pseudoinverse solution.
+    ``signals`` is (Q, T), one row per sensor of the (Q, 3) ``positions``. With so small a
+    weight the fit is close to the minimum-norm pseudoinverse solution.
     """
     P = np.asarray(signals, dtype=float)
     if P.size == 0:
@@ -121,7 +115,7 @@ def sh_fit(
     _, theta, phi = cart_to_sph(positions)
     Y = real_sh(U, theta, phi)  # (Q, (U+1)^2)
     u_svd, s_svd, vt = np.linalg.svd(Y, full_matrices=False)
-    lam = reg * s_svd[0]
+    lam = RIDGE_WEIGHT * s_svd[0]
     filt = s_svd / (s_svd**2 + lam**2)
     solver = vt.T @ (filt[:, None] * u_svd.T)  # ((U+1)^2, Q)
     coeffs = solver @ P

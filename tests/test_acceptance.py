@@ -13,7 +13,6 @@ from wavefield_anc.acoustics import propagate_tonal
 from wavefield_anc.experiments import ExperimentSpec, run_anc_convergence
 from wavefield_anc.oracles import derivative_figures, fxlms_figures, sh_figures
 from wavefield_anc.pinn import (
-    AdamState,
     TrainConfig,
     adam_step,
     glorot_init,
@@ -115,12 +114,12 @@ def test_criterion_5_wave_equation_residual_oracle():
     pts = rng.uniform(-1.5, 1.5, size=(400, 4))
     target = np.sin(pts[:, 1:] @ k - omega * pts[:, 0])
     params = glorot_init(1, 32)
-    st = AdamState(np.zeros_like(params), np.zeros_like(params))
+    moments = np.zeros((2, *params.shape))
     epochs = 25_000
     for e in range(epochs):
         lr = 1e-2 * (1e-3) ** (e / (epochs - 1))
         L, _, g = loss_and_grads(params, pts, target, pts[:1], 0.0, c_eff)
-        params, st = adam_step(params, g, st, lr)
+        adam_step(params, g, moments, e + 1, lr)
     assert L < 1e-6, f"plane-wave fit stalled at L_data={L:.3g}"
     held = rng.uniform(-1.5, 1.5, size=(50, 4))
     r_fit = np.mean(np.asarray(pde_residual(params, held, c_eff)) ** 2)

@@ -275,9 +275,10 @@ def test_make_path_fir_shapes():
 
 def test_field_grid_zero_weights_is_primary():
     sc = default_scenario(0)
-    gx, gy, (p_none, p_zero) = field_grid_power(sc, [None, np.zeros((2, FILTER_LEN))])
-    assert gx.size == 441 and gy.size == 441
-    xs = np.unique(gx)
+    p_none, p_zero = field_grid_power(sc, [np.zeros((2, FILTER_LEN))])
+    grid = field_grid()
+    assert grid.shape == (441, 3) and p_none.shape == (441,)
+    xs = np.unique(grid[:, 0])
     assert xs.size == 21
     assert np.allclose(np.diff(xs), 0.02)
     assert np.array_equal(p_none, p_zero)
@@ -293,7 +294,7 @@ def test_field_map_primary_is_the_whole_signals_last_period(freqs):
     tones = tuple(ToneComponent(f, c.amplitude, c.phase) for f, c in zip(freqs, comps))
     sc = dataclasses.replace(sc, primary_source=TonalSource(sc.primary_source.position, tones))
     fs, c, P = sc.sample_rate, sc.speed_of_sound, sc.period_samples
-    _, _, (power,) = field_grid_power(sc, [None])
+    (power,) = field_grid_power(sc, [])
     first = propagate_tonal(sc.primary_source, field_grid(), fs, c)
     whole = repeat_period(first, PATH_TAPS + 4 * P)
     assert np.array_equal(power, np.mean(np.ascontiguousarray(whole[:, -P:]) ** 2, axis=1))
@@ -301,9 +302,10 @@ def test_field_map_primary_is_the_whole_signals_last_period(freqs):
 
 def test_field_grid_single_tone_power_is_analytic():
     sc = single_channel_scenario(amp=40.0)  # one 400 Hz tone
-    gx, gy, (power,) = field_grid_power(sc, [None])
+    (power,) = field_grid_power(sc, [])
+    grid = field_grid()
     for i in (0, 17, 220, 301, 440):
-        d = np.linalg.norm(sc.primary_source.position - [gx[i], gy[i], 0.0])
+        d = np.linalg.norm(sc.primary_source.position - grid[i])
         assert power[i] == pytest.approx((40.0 / (4 * np.pi * d)) ** 2 / 2, rel=1e-9)
 
 
@@ -322,7 +324,7 @@ def test_field_map_works_one_grid_row_at_a_time():
     their temporaries take 10 MB or more."""
     sc = default_scenario(0)
     w = 1e-3 * np.random.default_rng(0).normal(size=(2, FILTER_LEN))
-    assert traced_peak(lambda: field_grid_power(sc, [None, w, w])) < 2e6
+    assert traced_peak(lambda: field_grid_power(sc, [w, w])) < 2e6
 
 
 def test_run_anc_frees_the_filtered_reference_before_the_ears():
@@ -368,10 +370,11 @@ def test_field_grid_matches_brute_force(seed, log_scale, points, far):
     fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
     n_total = PATH_TAPS + 4 * period
     w = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, FILTER_LEN))
-    gx, gy, (power,) = field_grid_power(sc, [w])
+    _, power = field_grid_power(sc, [w])
+    grid = field_grid()
     x = repeat_period(sc.primary_source.waveform(fs), n_total)
     for i in points:
-        point = np.array([[gx[i], gy[i], 0.0]])
+        point = grid[i : i + 1]
         firs = make_path_fir(sc.secondary_positions, point, fs, c)[:, 0]
         p = repeat_period(truth(sc, point)[0], n_total)
         for w_l, fir_l in zip(w, firs):

@@ -88,6 +88,20 @@ def test_a_directory_as_config_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/o", "link", "link/o"])
+def test_an_output_path_through_a_file_is_exit_2(tmp_path, out):
+    """A file or a dangling link where the output directory or one of its parents would go
+    is a config error naming it, not a FileExistsError or NotADirectoryError traceback."""
+    (tmp_path / "taken").write_text("a file")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    code = "import sys; from wavefield_anc.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = run_python(code, "validate", "--out", tmp_path / out)
+    assert run.returncode == 2
+    assert run.stderr.startswith("config error: ") and "Traceback" not in run.stderr
+    assert f"{tmp_path / out.split('/')[0]} is not a directory" in run.stderr
+    assert (tmp_path / "taken").read_text() == "a file" and not (tmp_path / "nowhere").exists()
+
+
 def test_malformed_config_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

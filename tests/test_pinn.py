@@ -17,7 +17,6 @@ from wavefield_anc.acoustics import TonalSource, ToneComponent, propagate_tonal
 from wavefield_anc.anc import repeat_period
 from wavefield_anc.oracles import adam_figures
 from wavefield_anc.pinn import (
-    AdamState,
     DivergenceDetected,
     TrainConfig,
     adam_step,
@@ -184,8 +183,7 @@ def test_loss_mean_semantics():
 
 def test_adam_zero_grad_is_fixed_point():
     p = random_params(7)
-    st = AdamState(np.zeros_like(p), np.zeros_like(p))
-    q, _ = adam_step(p, np.zeros_like(p), st, 1e-2)
+    q = adam_step(p.copy(), np.zeros_like(p), np.zeros((2, p.size)), 1, 1e-2)
     assert np.array_equal(p, q)
 
 
@@ -193,9 +191,8 @@ def test_adam_first_step_magnitude():
     p = random_params(8)
     rng = np.random.default_rng(8)
     gv = rng.normal(size=p.size)
-    st = AdamState(np.zeros_like(p), np.zeros_like(p))
     lr = 1e-3
-    q, _ = adam_step(p, gv, st, lr)
+    q = adam_step(p.copy(), gv, np.zeros((2, p.size)), 1, lr)
     step = q - p
     assert np.all(np.sign(step[gv != 0]) == -np.sign(gv[gv != 0]))
     assert np.all(np.abs(step) <= lr + 1e-15)
@@ -210,25 +207,24 @@ def test_adam_scalar_convergence():
 def test_stacked_adam_step_is_each_network_alone(restarts):
     rng = np.random.default_rng(restarts)
     nets = [random_params(30 + r) for r in range(restarts)]
-    stack = np.stack(nets)
-    state = AdamState(np.zeros_like(stack), np.zeros_like(stack))
-    alone = [(p, AdamState(np.zeros_like(p), np.zeros_like(p))) for p in nets]
+    stack = np.stack(nets)  # a copy: each of nets steps alone
+    moments = np.zeros((2, *stack.shape))
+    alone = [(p, np.zeros((2, p.size))) for p in nets]
     b1, b2, lr = pinn.ADAM_BETA1, pinn.ADAM_BETA2, 1e-2
     for t in range(1, 6):
         g = rng.normal(size=stack.shape) * rng.choice([1e-6, 1.0, 1e3])
         # the update as its formula, on the whole vector
-        m = b1 * state.m + (1.0 - b1) * g
-        v = b2 * state.v + (1.0 - b2) * g**2
+        m = b1 * moments[0] + (1.0 - b1) * g
+        v = b2 * moments[1] + (1.0 - b2) * g**2
         m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
         expected = stack - lr * m_hat / (np.sqrt(v_hat) + pinn.ADAM_EPS)
-        stack, state = adam_step(stack, g, state, lr)
-        assert state.t == t
+        assert adam_step(stack, g, moments, t, lr) is stack
         assert np.array_equal(stack, expected)
-        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-        alone = [adam_step(p, g[r], st, lr) for r, (p, st) in enumerate(alone)]
-        for r, (p, st) in enumerate(alone):
+        assert np.array_equal(moments[0], m) and np.array_equal(moments[1], v)
+        for r, (p, p_moments) in enumerate(alone):
+            adam_step(p, g[r], p_moments, t, lr)
             assert np.array_equal(stack[r], p)
-            assert np.array_equal(state.m[r], st.m) and np.array_equal(state.v[r], st.v)
+            assert np.array_equal(moments[:, r], p_moments)
 
 
 def test_time_axis_maps_one_period_onto_the_half_range():
@@ -338,9 +334,9 @@ def test_trained_params_do_not_alias_the_stack(scenario, mic_signals, monkeypatc
     steps, real = [], pinn.adam_step
 
     def recording(*args):
-        params, state = real(*args)
+        params = real(*args)
         steps.append((params, params.copy()))
-        return params, state
+        return params
 
     monkeypatch.setattr(pinn, "adam_step", recording)
     params, _ = train_pinn(scenario, 7.0 * mic_signals, TrainConfig(epochs=20, restarts=2))
@@ -528,12 +524,23 @@ def test_save_load_round_trip(tmp_path):
         (lambda lines: ["8.0", *lines[1:]], "invalid literal for int"),
         (lambda lines: [*lines[:-2], "0.02", lines[-1]], "a period of 0.02 s, not 240 / 24000.0 s"),
         (lambda lines: [*lines[:-1], "0.5"], "time half-range 0.5, not 0.15"),
+        (lambda lines: [*lines[:6], "nan", *lines[7:]], "line 7 is not finite"),
     ],
-    ids=["truncated", "overlong", "no-units", "empty", "not-an-integer", "duration", "half-range"],
+    ids=[
+        "truncated",
+        "overlong",
+        "no-units",
+        "empty",
+        "not-an-integer",
+        "duration",
+        "half-range",
+        "non-finite",
+    ],
 )
 def test_load_params_rejects_a_malformed_file_naming_it(tmp_path, edit, message):
-    """A model file that is cut short, runs long, or holds another time map than the
-    period it is loaded for raises ValueError naming the file, not IndexError or nothing."""
+    """A model file that is cut short, runs long, holds a non-finite weight, or holds
+    another time map than the period it is loaded for raises ValueError naming the file,
+    not IndexError or nothing."""
     path = tmp_path / "model.txt"
     save_params(random_params(12), 240, 24_000.0, path)
     path.write_text("".join(f"{line}\n" for line in edit(path.read_text().splitlines())))

@@ -140,7 +140,7 @@ def _constant_field_signals(positions, value, n=32):
 
 def test_fit_constant_field():
     positions = sphere_points(0.26, 12)
-    series = sh_fit(positions, _constant_field_signals(positions, 2.5), 2, FS, reg=1e-9)
+    series = sh_fit(positions, _constant_field_signals(positions, 2.5), 2, FS)
     assert series.coeffs[0, 0] == pytest.approx(2.5 * np.sqrt(4 * np.pi), rel=1e-6)
     assert np.max(np.abs(series.coeffs[1:])) < 1e-6
 
@@ -150,7 +150,7 @@ def test_underdetermined_fit_is_min_norm():
     positions = sc.monitoring_positions
     rng = np.random.default_rng(5)
     signals = rng.normal(size=(len(positions), 4))
-    series = sh_fit(positions, signals, 2, FS, reg=1e-9)
+    series = sh_fit(positions, signals, 2, FS)
     _, th, ph = cart_to_sph(positions)
     Y = real_sh(2, th, ph)
     expected = np.linalg.pinv(Y) @ signals

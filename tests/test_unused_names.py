@@ -1,6 +1,7 @@
 """Every module-level name the package defines, and every field of its dataclasses, is
-used by the program: by the package itself, its scripts or the benchmark harness. Tests
-alone do not keep a name alive."""
+used by the program: by the package itself, its scripts or the benchmark harness, and every
+parameter default is both relied on and overridden there. Tests alone do not keep a name
+or a default alive."""
 
 import ast
 import importlib
@@ -82,6 +83,62 @@ def test_every_dataclass_field_is_read():
         if name.split(".")[1] not in references
     ]
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` for each parameter with a default of the module's
+    top-level functions and class methods. ``position`` is the index of the positional
+    argument that sets it, counting none for a method's self or cls; None if keyword-only."""
+    found = []
+    for node in tree.body:
+        functions = [(node, 0)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            functions = [
+                (f, 0 if "staticmethod" in map(ast.unparse, f.decorator_list) else 1)
+                for f in node.body
+                if isinstance(f, ast.FunctionDef)
+            ]
+        for f, skip in functions:
+            a = f.args
+            positional = [*a.posonlyargs, *a.args]
+            first = len(positional) - len(a.defaults)
+            found += [(f.name, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+            found += [(f.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+    return found
+
+
+def calls(tree: ast.Module) -> list[tuple[str, int, set[str]]]:
+    """``(name, positional count, keyword names)`` of each call of a name or attribute;
+    calls that unpack ``*args`` or ``**kwargs`` are left out, as their arguments are unknown."""
+    return [
+        (
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr,
+            len(node.args),
+            {k.arg for k in node.keywords},
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and not any(isinstance(a, ast.Starred) for a in node.args)
+        and None not in {k.arg for k in node.keywords}
+    ]
+
+
+def test_every_default_is_both_set_and_left():
+    """A default that no program call leaves in place should go, and a parameter that no
+    program call sets should be a constant; calls are matched by the function's name."""
+    program_calls = [c for p in USERS for c in calls(ast.parse(p.read_text()))]
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, name, position in defaulted_parameters(ast.parse(path.read_text())):
+            sets = [
+                name in keywords or (position is not None and count > position)
+                for called, count, keywords in program_calls
+                if called == function
+            ]
+            if not (any(sets) and not all(sets)):
+                dead.append(f"{path.stem}.{function}.{name}")
+    assert dead == []
 
 
 def test_every_traced_function_exists():
