@@ -8,7 +8,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import PATH_TAPS, make_path_fir, propagate_tonal
-from .geometry import as_points
 from .scenario import ScenarioConfig
 from .sh import ratio_to_db
 
@@ -106,12 +105,6 @@ def run_controllers(
     the bound check and the ear truth; each keeps its own error and update products, so its
     report is bitwise that of it running alone.
     """
-    if not sensings:
-        raise ValueError("need one or more sensings")
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    if mu < 0:
-        raise ValueError("step size must be non-negative")
     fs, c, period = scenario.sample_rate, scenario.speed_of_sound, scenario.period_samples
     src, secondaries = scenario.primary_source, scenario.secondary_positions
     C, L = len(sensings), len(secondaries)
@@ -122,10 +115,6 @@ def run_controllers(
     x = np.concatenate([np.zeros(FILTER_LEN - 1), repeat_period(src.waveform(fs), iterations)])
     refs, paths, errors = [], [], []
     for sensors, primary in sensings:
-        sensors, primary = as_points(sensors, "sensors"), np.asarray(primary, dtype=float)
-        if primary.shape != (len(sensors), period):
-            raise ValueError(f"need one {period}-sample period per sensor: {primary.shape} "
-                             f"at {len(sensors)} sensors")
         firs = make_path_fir(secondaries, sensors, fs, c)  # (L, M, taps)
         fx = filtered_reference(x, firs).reshape(-1, len(sensors))  # (N + FILTER_LEN - 1) L, M
         # step n's filtered reference as (FILTER_LEN L, M) rows, in the order of w
@@ -225,9 +214,10 @@ def field_grid_power(scenario: ScenarioConfig, weight_sets: list[np.ndarray]) ->
     n_total = PATH_TAPS + 4 * period
 
     # newest-first secondary outputs that reach the last period: it and PATH_TAPS - 1 before,
-    # from the reference samples that reach those through the controller's FILTER_LEN taps
+    # from the reference samples that reach those through the controller's FILTER_LEN taps;
+    # for a short period these start before sample 0, where the periodic reference goes on
     used = period + PATH_TAPS - 1
-    x = repeat_period(src.waveform(fs), n_total)[-(used + FILTER_LEN - 1) :]
+    x = src.waveform(fs)[np.arange(n_total - used - FILTER_LEN + 1, n_total) % period]
     outputs = [-filtered_reference(x, w)[:used] for w in weight_sets]
     grid = field_grid()
     power = np.empty((1 + len(outputs), len(grid)))

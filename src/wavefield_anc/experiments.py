@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import path_distances, propagate_tonal, separations
-from .anc import AncRunReport, field_grid, field_grid_power, run_controllers
+from .anc import EPS_WINDOW, AncRunReport, field_grid, field_grid_power, run_controllers
 from .geometry import sphere_points
 from .oracles import adam_figures, check, derivative_figures, fxlms_figures, sh_figures
 from .pinn import TrainConfig, TrainReport, pinn_predict, save_params, train_pinn
@@ -28,6 +28,7 @@ from .sh import common_radius, interpolation_error, max_order, ratio_to_db, sh_f
 
 DEFAULT_RADII = tuple(np.round(np.arange(0.10, 0.401, 0.02), 10))
 SWEEP_POINTS = 400
+MARGIN_BAND = (0.2, 0.4)  # m: the radii that criterion 1's mean margin averages over
 ANC_ITERATIONS = 10_000
 ANC_MU = 1e-5
 EAR_DISK_RADIUS = 0.03
@@ -52,12 +53,20 @@ class ExperimentSpec:
             raise ValueError("sweep radii must be at least one, finite, positive and ascending")
         self.radii = radii
         sc = self.scenario
-        if not any(comp.amplitude for comp in sc.primary_source.components):
-            raise ValueError("the primary source is silent: every tone amplitude is 0")
+        fs, c = sc.sample_rate, sc.speed_of_sound
+        # the PINN fits the mics and each reduction is relative to the ears: a primary field
+        # that underflows at any of them leaves nothing to fit or to cancel there
+        for kind, pts in (("mic", sc.monitoring_positions), ("ear", sc.virtual_positions)):
+            power = np.mean(propagate_tonal(sc.primary_source, pts, fs, c) ** 2, axis=1)
+            if power.min() < np.finfo(float).tiny:
+                i = power.argmin()
+                raise ValueError(f"the primary source is silent at {kind} {i} at "
+                                 f"{np.round(pts[i], 4).tolist()}: its mean-square pressure "
+                                 f"over one period is {power[i]:.3g} Pa^2")
         if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
             common_radius(sc.monitoring_positions)
         if self.experiment == "field-map":  # the map models every path to its grid too
-            grid, fs, c = field_grid(), sc.sample_rate, sc.speed_of_sound
+            grid = field_grid()
             path_distances(sc.secondary_positions, grid, fs, c, ("secondary source", "grid point"))
             separations(sc.primary_source.position[None], grid, ("primary source", "grid point"))
             for i, ear in enumerate(sc.virtual_positions):  # the ear-disk metric needs points
@@ -67,14 +76,13 @@ class ExperimentSpec:
 
 
 class OutputBundle:
-    """The record a run fills in as it goes: per-stage seconds, CSVs, the model and its
-    training report; once the run ends, its ``summary`` (written to ``json_path``) and ``ok``."""
+    """The record a run fills in as it goes: per-stage seconds, the model and its training
+    report; once the run ends, its ``summary`` (written to ``json_path``) and ``ok``."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec, self.ok, self.summary = spec, False, {}
         self.timings: dict[str, float] = {}
         self.open_stage: str | None = None  # the stage running, or the one that raised
-        self.csv_paths: dict[str, Path] = {}
         self.json_path = spec.out_dir / "summary.json"
         self.model_path: Path | None = None
         self.report: TrainReport | None = None
@@ -87,8 +95,8 @@ class OutputBundle:
         self.timings[name], self.open_stage = time.perf_counter() - t, None
 
     def csv(self, name: str, header: list[str], rows: np.ndarray):
-        """Writes ``rows`` to ``<name>.csv`` in the output directory as ``csv_paths[name]``."""
-        path = self.csv_paths[name] = self.spec.out_dir / f"{name}.csv"
+        """Writes ``rows`` to ``<name>.csv`` in the output directory."""
+        path = self.spec.out_dir / f"{name}.csv"
         np.savetxt(path, np.atleast_2d(rows), CSV_FMT, ",", header=",".join(header), comments="")
 
     def train(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +187,15 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     rows = np.array(rows)
     run.csv("interp_sweep", ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
 
-    in_band = (rows[:, 0] >= 0.2 - 1e-9) & (rows[:, 0] <= 0.4 + 1e-9)
+    lo, hi = MARGIN_BAND
+    in_band = (rows[:, 0] >= lo - 1e-9) & (rows[:, 0] <= hi + 1e-9)
     margins = rows[in_band, 1] - rows[in_band, 2]  # none: no swept radius in the band
     metrics = {
         "pinn_below_sh_everywhere": bool(np.all(rows[:, 2] < rows[:, 1])),
         "mean_margin_db_02_04": float(np.mean(margins)) if margins.size else None,
         "window_samples": P,  # the samples every error is taken over
+        "definitions": {"mean_margin_db_02_04": {
+            "sweep_points": SWEEP_POINTS, "margin_band_m": list(MARGIN_BAND)}},
     }
     return metrics, True
 
@@ -219,6 +230,8 @@ def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, 
         "steady_state_gap_db": float(mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()),
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
+        "definitions": {"steady_state_gap_db": {
+            "anc_mu": ANC_MU, "anc_iterations": ANC_ITERATIONS, "eps_window": EPS_WINDOW}},
     }
     return metrics, mp.converged and pn.converged
 
@@ -254,6 +267,9 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
         "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
+        "definitions": {"ear_disk_gap_db": {
+            "ear_disk_radius_m": EAR_DISK_RADIUS, "anc_mu": ANC_MU,
+            "anc_iterations": ANC_ITERATIONS}},
     }
     return metrics, mp.converged and pn.converged
 

@@ -44,10 +44,6 @@ def cart_to_sph(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def sphere_points(radius: float, count: int) -> np.ndarray:
     """Deterministic Fibonacci-lattice points on the origin-centred sphere of ``radius``;
     (count, 3)."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     i = np.arange(count)
     # midpoint offsets keep points away from the poles
     cos_theta = 1.0 - (2.0 * i + 1.0) / count
@@ -65,8 +61,6 @@ def ball_points(radius: float, count: int, seed: int) -> np.ndarray:
     Candidates are drawn three coordinates at a time from one stream, and the
     first ``count`` inside the ball are kept in draw order.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     rng = default_rng(seed)
     accepted = np.empty((0, 3))
     while len(accepted) < count:

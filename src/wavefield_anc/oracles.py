@@ -69,7 +69,8 @@ def derivative_figures() -> dict[str, float]:
     worst_op, h = 0.0, 1e-3
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h**2)  # fourth-order central
     steps = np.arange(2.0, -3.0, -1.0)[:, None, None] * h * np.eye(4)  # (5 steps, 4 axes, 4)
-    operator_coeffs = np.array([-1.0, c_eff**2, c_eff**2, c_eff**2])  # d^2/dtau^2, d^2/dx_i^2
+    c2 = c_eff * c_eff  # as pde_residual squares it
+    operator_coeffs = np.array([-1.0, c2, c2, c2])  # d^2/dtau^2, d^2/dx_i^2
     for trial in range(20):
         p = glorot_init(200 + trial, 8)
         u = rng.normal(scale=0.5, size=4)

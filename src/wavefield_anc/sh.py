@@ -85,8 +85,6 @@ def spherical_bessel_j(U: int, x) -> np.ndarray:
 
 def max_order(f_m: float, r: float, c: float) -> int:
     """Soundfield truncation order ceil(2 pi f r / c)."""
-    if f_m <= 0 or r <= 0 or c <= 0:
-        raise ValueError("all arguments must be positive")
     return int(np.ceil(2.0 * np.pi * f_m * r / c))
 
 
@@ -105,12 +103,6 @@ def sh_fit(positions: np.ndarray, signals: np.ndarray, U: int, sample_rate: floa
     ``signals`` is (Q, T), one row per sensor of the (Q, 3) ``positions``. With so small a
     weight the fit is close to the minimum-norm pseudoinverse solution.
     """
-    P = np.asarray(signals, dtype=float)
-    if P.size == 0:
-        raise ValueError("need non-empty signals")
-    positions = np.asarray(positions, dtype=float)
-    if P.ndim != 2 or positions.shape != (len(P), 3):
-        raise ValueError("need (Q, 3) positions and (Q, T) signals")
     radius = common_radius(positions)
     _, theta, phi = cart_to_sph(positions)
     Y = real_sh(U, theta, phi)  # (Q, (U+1)^2)
@@ -118,7 +110,7 @@ def sh_fit(positions: np.ndarray, signals: np.ndarray, U: int, sample_rate: floa
     lam = RIDGE_WEIGHT * s_svd[0]
     filt = s_svd / (s_svd**2 + lam**2)
     solver = vt.T @ (filt[:, None] * u_svd.T)  # ((U+1)^2, Q)
-    coeffs = solver @ P
+    coeffs = solver @ signals
     return ShCoeffSeries(U, radius, sample_rate, coeffs)
 
 
@@ -148,8 +140,6 @@ def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.n
     the SH basis at the target angles.
     """
     radius = common_radius(targets)
-    if radius <= 0:
-        raise ValueError("target radius must be positive")
     _, theta, phi = cart_to_sph(targets)
     T = series.coeffs.shape[1]
     freqs = rfftfreq(T, d=1.0 / series.sample_rate)

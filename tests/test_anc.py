@@ -179,11 +179,6 @@ def test_run_anc_zero_step_size():
     assert np.allclose(rep.eps_db, 0.0, atol=1e-9)
 
 
-def test_run_anc_rejects_negative_step_size():
-    with pytest.raises(ValueError):
-        multipoint(default_scenario(0), 100, -1e-5)
-
-
 def test_scale_covariance():
     a = multipoint(scaled_scenario(1.0), 800, 1e-7)
     b = multipoint(scaled_scenario(2.0), 800, 0.25e-7)
@@ -228,16 +223,6 @@ def test_weights_are_per_source_newest_lag_first():
     e = step @ ref / (ref @ ref) / mu  # the last error, fitted
     assert np.allclose(step, mu * e * ref, rtol=1e-9, atol=0.0)
     assert abs(e) == pytest.approx(np.sqrt(after.sensor_mse[-1]), rel=1e-9)
-
-
-@pytest.mark.parametrize("rows, samples", [(7, 100), (9, 100), (8, 0)])
-def test_run_anc_rejects_primary_not_matching_sensors(rows, samples):
-    """A primary that is not one 240-sample period at each of the 8 mics: its rows, its
-    samples, or both off."""
-    sc = default_scenario(0)
-    for shape in {(rows, samples), (rows, 240), (8, samples)} - {(8, 240)}:
-        with pytest.raises(ValueError, match="period per sensor"):
-            run_anc(sc, sc.monitoring_positions, np.zeros(shape), 1e-5, 100)
 
 
 def test_ear_truth_is_direct_propagation_for_a_period_not_dividing_the_scenario():
@@ -357,18 +342,29 @@ def test_run_controls_frees_each_filtered_reference_before_the_ears():
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-3.0, 1.0),
     points=st.lists(st.integers(0, 440), min_size=1, max_size=3),
-    far=st.booleans(),
+    layout=st.sampled_from(["near", "far", "short"]),
 )
-@example(seed=0, log_scale=0.0, points=[0, 220, 440], far=False)
-@example(seed=0, log_scale=0.0, points=[0, 220, 440], far=True)
-def test_field_grid_matches_brute_force(seed, log_scale, points, far):
+@example(seed=0, log_scale=0.0, points=[0, 220, 440], layout="near")
+@example(seed=0, log_scale=0.0, points=[0, 220, 440], layout="far")
+@example(seed=0, log_scale=0.0, points=list(range(441)), layout="short")
+def test_field_grid_matches_brute_force(seed, log_scale, points, layout):
     """Each point's power is the last-period mean of the primary plus every secondary
-    source's output, -w_l * x, through its path FIR, by full-length convolution."""
+    source's output, -w_l * x, through its path FIR, by full-length convolution over 40
+    periods, whose last is steady. Far secondaries have path delays near PATH_TAPS, so the
+    oldest controller outputs reach the grid; with 1, 2 and 3 kHz tones too (P = 24), the
+    reference samples that reach those outputs start before the map's PATH_TAPS + 4P."""
     sc = default_scenario(0)
-    if far:  # path delays near PATH_TAPS: the oldest controller outputs reach the grid
-        sc = dataclasses.replace(sc, secondary_positions=[(0.0, 3.0, 0.0), (0.0, -3.0, 0.0)])
+    if layout != "near":
+        y = 3.0 if layout == "far" else 3.2
+        sc = dataclasses.replace(sc, secondary_positions=[(0.0, y, 0.0), (0.0, -y, 0.0)])
+    if layout == "short":
+        src = sc.primary_source
+        tones = tuple(ToneComponent(f, t.amplitude, t.phase)
+                      for f, t in zip((1000.0, 2000.0, 3000.0), src.components))
+        sc = dataclasses.replace(sc, primary_source=TonalSource(src.position, tones))
+        assert sc.period_samples == 24
     fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
-    n_total = PATH_TAPS + 4 * period
+    n_total = PATH_TAPS + 40 * period
     w = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, FILTER_LEN))
     _, power = field_grid_power(sc, [w])
     grid = field_grid()
@@ -583,22 +579,6 @@ def test_a_diverging_controller_stops_while_the_others_run_on():
     assert (pn.iterations, pn.converged) == (221, False)
     assert (mp.iterations, mp.converged) == (2000, True)
     assert mp.ear_residual.shape == (2, 2000) and pn.ear_residual.shape == (2, 221)
-
-
-@pytest.mark.parametrize("lengths", [(), (100, 101), (240, 239)])
-def test_run_controllers_rejects_no_sensing_or_unequal_lengths(lengths):
-    """No sensing, or sensings not of one 240-sample period, the second such sensing
-    checked after the first's arrays are built; and, on one that is, a run of fewer than
-    one iteration."""
-    sc = default_scenario(0)
-    mics = sc.monitoring_positions
-    bad = [n for n in lengths if n != 240]  # the error names the first such shape
-    match = rf"period per sensor: \(8, {bad[0]}\)" if bad else "sensing"
-    with pytest.raises(ValueError, match=match):
-        run_controllers(sc, [(mics, np.zeros((8, n))) for n in lengths], 1e-5, 100)
-    for iterations in (0, -1):
-        with pytest.raises(ValueError, match="at least one iteration"):
-            run_controllers(sc, [(mics, np.zeros((8, 240)))], 1e-5, iterations)
 
 
 @pytest.fixture(scope="module")

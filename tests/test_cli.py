@@ -356,17 +356,23 @@ def test_primary_source_on_a_receiver_is_exit_2(tmp_path, capsys, experiment, po
 
 
 def test_silent_primary_source_is_exit_2(tmp_path, capsys):
-    """Every tone at amplitude 0 leaves nothing to interpolate or cancel, and the field map's
-    powers relative to the primary's peak would be 0 / 0."""
-    d = default_scenario(0).to_dict()
-    for tone in d["primary_source"]["components"]:
-        tone["amplitude"] = 0.0
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(d))
-    args = ["field-map", "--config", str(path), "--epochs", "5", "--out", str(tmp_path / "o")]
-    assert main(args) == 2
-    assert "config error: the primary source is silent" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    """Every tone at amplitude 0, or at 1e-200, whose pressure squares to 0, leaves nothing
+    to interpolate or cancel, and the field map's powers relative to the primary's peak
+    would be 0 / 0. At 1e-200 the sweep used to die in its evaluate stage and
+    anc-convergence to write 0.0 dB with ok: true."""
+    for amplitude in (0.0, 1e-200):
+        d = default_scenario(0).to_dict()
+        for tone in d["primary_source"]["components"]:
+            tone["amplitude"] = amplitude
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        for experiment in experiments.RUNNERS:
+            out = tmp_path / "o"
+            args = [experiment, "--config", str(path), "--epochs", "5", "--out", str(out)]
+            assert main(args) == 2, (amplitude, experiment)
+            err = capsys.readouterr().err
+            assert "config error: the primary source is silent at mic 0 at [-0.15, " in err
+            assert not out.exists()
 
 
 def test_mics_off_one_sphere_are_exit_2_for_the_sweep_only(tmp_path, capsys):
@@ -583,7 +589,7 @@ def test_validate_fails_on_a_flipped_wave_operator(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     pinn_py = copy / "pinn.py"
     text = pinn_py.read_text()
-    anchor = "np.array([-1.0, c_eff**2, c_eff**2, c_eff**2, 0.0])"
+    anchor = "np.array([-1.0, c2, c2, c2, 0.0])"
     assert text.count(anchor) == 1  # the one definition of the operator's coefficients
     pinn_py.write_text(text.replace(anchor, anchor.replace("-1.0", "1.0")))
     out = tmp_path / "v"
@@ -597,7 +603,7 @@ def test_validate_fails_on_a_flipped_wave_operator(tmp_path):
 
 def test_interp_sweep_quick(tmp_path):
     bundle = run_interp_sweep(quick_spec("interp-sweep", tmp_path / "sweep"))
-    csv = bundle.csv_paths["interp_sweep"].read_text().splitlines()
+    csv = (tmp_path / "sweep" / "interp_sweep.csv").read_text().splitlines()
     assert csv[0] == "r_s,eps_sh_dB,eps_pinn_dB"
     assert len(csv) == 4  # header + 3 radii
     summary = read_summary(bundle.json_path)
@@ -626,7 +632,7 @@ def test_sweep_sh_baseline_free_of_window_leakage(tmp_path):
     spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=5, restarts=1),
                           out_dir=tmp_path / "o")
     bundle = run_interp_sweep(spec)
-    rows = np.loadtxt(bundle.csv_paths["interp_sweep"], delimiter=",", skiprows=1)
+    rows = np.loadtxt(spec.out_dir / "interp_sweep.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 0], DEFAULT_RADII)
     assert np.all(rows[:, 1] < 0.0), rows[:, 1]
     assert bundle.summary["metrics"]["window_samples"] == 64
@@ -674,17 +680,16 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
     np.empty((0, 3)),
 ], ids=["floats", "integers", "one-row", "no-rows"])
 def test_csv_bytes_are_the_per_value_join(tmp_path, rows):
-    bundle = experiments.OutputBundle(quick_spec("validate", tmp_path))
-    bundle.csv("t", ["a", "b", "c"], rows)
+    experiments.OutputBundle(quick_spec("validate", tmp_path)).csv("t", ["a", "b", "c"], rows)
     per_value = [",".join(experiments.CSV_FMT % v for v in row) for row in np.atleast_2d(rows)]
     expected = "\n".join(["a,b,c", *per_value]) + "\n"
-    assert bundle.csv_paths["t"].read_bytes() == expected.encode()
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_anc_convergence_quick(tmp_path):
     """One run: criterion 8 in test_acceptance re-runs this spec and compares the bytes."""
     b1 = run_anc_convergence(quick_spec("anc-convergence", tmp_path / "a"))
-    header, first = b1.csv_paths["anc_convergence"].read_text().splitlines()[:2]
+    header, first = (tmp_path / "a" / "anc_convergence.csv").read_text().splitlines()[:2]
     assert header == "iteration,eps_dB_multipoint,eps_dB_pinn"
     # iteration 0: no control applied yet, both modes at ~0 dB
     it, mp0, pn0 = first.split(",")
@@ -703,10 +708,10 @@ def test_train_history_csv_is_the_winners_curve(tmp_path):
                           out_dir=tmp_path / "a")
     bundle = run_interp_sweep(spec)
     assert bundle.report.best_restart == 1  # neither the first restart nor the last
-    rerun = run_interp_sweep(dataclasses.replace(spec, out_dir=tmp_path / "b"))
-    text = bundle.csv_paths["train_history"].read_bytes()
-    assert text == rerun.csv_paths["train_history"].read_bytes()
-    rows = np.loadtxt(bundle.csv_paths["train_history"], delimiter=",", skiprows=1)
+    run_interp_sweep(dataclasses.replace(spec, out_dir=tmp_path / "b"))
+    text = (tmp_path / "a" / "train_history.csv").read_bytes()
+    assert text == (tmp_path / "b" / "train_history.csv").read_bytes()
+    rows = np.loadtxt(tmp_path / "a" / "train_history.csv", delimiter=",", skiprows=1)
     assert text.decode().splitlines()[0] == "epoch,L_data,L_pde"
     assert rows[:, 0].tolist() == [0.0, 100.0, 200.0]
     sc = spec.scenario
@@ -720,10 +725,10 @@ def test_train_history_csv_is_the_winners_curve(tmp_path):
 def test_field_map_quick(tmp_path):
     bundle = run_field_map(quick_spec("field-map", tmp_path / "f"))
     for name in ("field_primary", "field_multipoint", "field_pinn"):
-        lines = bundle.csv_paths[name].read_text().splitlines()
+        lines = (tmp_path / "f" / f"{name}.csv").read_text().splitlines()
         assert lines[0] == "x,y,power_dB"
         assert len(lines) == 442
-    primary = np.loadtxt(bundle.csv_paths["field_primary"], delimiter=",", skiprows=1)
+    primary = np.loadtxt(tmp_path / "f" / "field_primary.csv", delimiter=",", skiprows=1)
     assert primary[:, 2].max() == pytest.approx(0.0, abs=1e-9)
     assert_records_run(read_summary(bundle.json_path), ["train", "anc", "field"])
 
