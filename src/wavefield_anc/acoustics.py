@@ -96,6 +96,23 @@ def _tone_sum(source: TonalSource, delays: np.ndarray, gains: np.ndarray,
     return p
 
 
+def _tone_phasors(source: TonalSource, delays: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """(R, K) amplitudes a of _tone_sum's K tones: tone i is Im(a[:, i] e^{2 pi j f_i t})."""
+    f, amp, phase = np.array([(t.frequency, t.amplitude, t.phase) for t in source.components]).T
+    return amp * gains[:, None] * np.exp(1j * (phase - 2.0 * np.pi * f * delays[:, None]))
+
+
+def tone_table(source: TonalSource, sample_rate: float) -> np.ndarray:
+    """(2, PATH_TAPS, K) cos and sin of 2 pi f_k t / sample_rate at taps t, for the K tones."""
+    omega = 2.0 * np.pi / sample_rate * np.array([t.frequency for t in source.components])
+    return np.stack([trig(np.outer(np.arange(PATH_TAPS), omega)) for trig in (np.cos, np.sin)])
+
+
+def fir_response(firs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(..., K) responses sum_t firs[..., t] e^{-j w_k t} of real FIRs at a tone_table's tones."""
+    return firs @ table[0, : firs.shape[-1]] - 1j * (firs @ table[1, : firs.shape[-1]])
+
+
 def propagate_tonal(source: TonalSource, receivers: np.ndarray, sample_rate: float,
                     c: float) -> np.ndarray:
     """Free-field propagation of a tonal source with exact analytic delay.
@@ -139,10 +156,13 @@ def make_path_fir(
     sources: np.ndarray, receivers: np.ndarray, sample_rate: float, c: float
 ) -> np.ndarray:
     """(S, P, PATH_TAPS) windowed-sinc fractional-delay FIRs with 1/(4 pi d) gain, one per
-    path from the (S, 3) sources to the (P, 3) receivers."""
+    path from the (S, 3) sources to the (P, 3) receivers. The window and the sinc are
+    evaluated only on the taps the window spans, at most 2 SINC_WINDOW_HALF_WIDTH + 1."""
     d = path_distances(sources, receivers, sample_rate, c)[..., None]
     offset = np.arange(PATH_TAPS) - d / c * sample_rate
-    x = np.pi * offset / SINC_WINDOW_HALF_WIDTH  # Blackman window, zero past its half width
-    window = 0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
-    window[np.abs(offset) > SINC_WINDOW_HALF_WIDTH] = 0.0
-    return np.sinc(offset) * window / (4.0 * np.pi * d)
+    live = np.abs(offset) <= SINC_WINDOW_HALF_WIDTH  # Blackman window, zero past its half width
+    x = np.pi * offset[live] / SINC_WINDOW_HALF_WIDTH
+    firs = np.zeros_like(offset)
+    firs[live] = np.sinc(offset[live]) * (0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x))
+    firs /= 4.0 * np.pi * d
+    return firs

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .acoustics import PATH_TAPS, make_path_fir, propagate_tonal
+from .acoustics import (PATH_TAPS, _tone_phasors, fir_response, make_path_fir, propagate_tonal,
+                        separations, tone_table)
 from .scenario import ScenarioConfig
 from .sh import ratio_to_db
 
@@ -203,31 +204,18 @@ def field_grid() -> np.ndarray:
 
 def field_grid_power(scenario: ScenarioConfig, weight_sets: list[np.ndarray]) -> np.ndarray:
     """Signal power on the field_grid, uncontrolled and under each set of frozen controller
-    weights: (1 + len(weight_sets), grid points), row 0 the primary field alone, then one
-    row per weight set. Each is the linear mean-square pressure over one fundamental period
-    after the path transient. The grid is evaluated one row at a time, and each row's path
-    FIRs serve every weight set.
-    """
-    fs, c = scenario.sample_rate, scenario.speed_of_sound
-    src = scenario.primary_source
-    period = scenario.period_samples
-    n_total = PATH_TAPS + 4 * period
-
-    # newest-first secondary outputs that reach the last period: it and PATH_TAPS - 1 before,
-    # from the reference samples that reach those through the controller's FILTER_LEN taps;
-    # for a short period these start before sample 0, where the periodic reference goes on
-    used = period + PATH_TAPS - 1
-    x = src.waveform(fs)[np.arange(n_total - used - FILTER_LEN + 1, n_total) % period]
-    outputs = [-filtered_reference(x, w)[:used] for w in weight_sets]
-    grid = field_grid()
-    power = np.empty((1 + len(outputs), len(grid)))
+    weights: (1 + len(weight_sets), grid points), row 0 the primary field alone. Each is the
+    steady state's sum_k |a_k|^2 / 2, a_k the primary's tone-k amplitude plus each secondary
+    source's path response times its output -W X (W the weights' response, X the reference's)."""
+    fs, c, src = scenario.sample_rate, scenario.speed_of_sound, scenario.primary_source
+    grid, table = field_grid(), tone_table(src, fs)
+    d = separations(src.position[None], grid)[0]
+    primary = _tone_phasors(src, d / c, 1.0 / (4.0 * np.pi * d))  # (G, K)
+    weights = np.array([np.zeros((len(scenario.secondary_positions), FILTER_LEN)), *weight_sets])
+    drives = -fir_response(weights, table) * _tone_phasors(src, np.zeros(1), np.ones(1))
+    power = np.empty((len(weights), len(grid)))
     for row in np.split(np.arange(len(grid)), GRID_POINTS_PER_SIDE):
-        # samples n_total - period, ... are the first period rolled; np.roll keeps rows
-        # C-ordered, so np.mean sums them in the order of the whole signal's slice
-        first = propagate_tonal(src, grid[row], fs, c)
-        primary = np.roll(first, period - n_total, axis=1)
-        firs = make_path_fir(scenario.secondary_positions, grid[row], fs, c)
-        power[0, row] = np.mean(primary**2, axis=1)
-        for k, out in enumerate(outputs, 1):
-            power[k, row] = np.mean((primary + _fir_sum(out, firs)[::-1].T) ** 2, axis=1)
+        paths = fir_response(make_path_fir(scenario.secondary_positions, grid[row], fs, c), table)
+        a = primary[row] + np.einsum("lrk,wlk->wrk", paths, drives)  # (1 + W, row, K)
+        power[:, row] = np.sum(a.real**2 + a.imag**2, axis=-1) / 2
     return power

@@ -31,6 +31,7 @@ SWEEP_POINTS = 400
 MARGIN_BAND = (0.2, 0.4)  # m: the radii that criterion 1's mean margin averages over
 ANC_ITERATIONS = 10_000
 ANC_MU = 1e-5
+STEADY_STATE_STEPS = 1000  # the last steps, whose mean reduction criterion 2 compares
 EAR_DISK_RADIUS = 0.03
 CSV_FMT = "%.9g"
 
@@ -224,14 +225,15 @@ def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, 
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     run.csv("anc_convergence", ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
 
+    mp_db, pn_db = (float(r.eps_db[-STEADY_STATE_STEPS:].mean()) for r in (mp, pn))
     metrics = {
-        "multipoint_last1000_mean_db": float(mp.eps_db[-1000:].mean()),
-        "pinn_last1000_mean_db": float(pn.eps_db[-1000:].mean()),
-        "steady_state_gap_db": float(mp.eps_db[-1000:].mean() - pn.eps_db[-1000:].mean()),
+        "multipoint_last1000_mean_db": mp_db,
+        "pinn_last1000_mean_db": pn_db,
+        "steady_state_gap_db": mp_db - pn_db,
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
-        "definitions": {"steady_state_gap_db": {
-            "anc_mu": ANC_MU, "anc_iterations": ANC_ITERATIONS, "eps_window": EPS_WINDOW}},
+        "definitions": {"steady_state_gap_db": {"anc_mu": ANC_MU, "anc_iterations": ANC_ITERATIONS,
+            "eps_window": EPS_WINDOW, "steady_state_steps": STEADY_STATE_STEPS}},
     }
     return metrics, mp.converged and pn.converged
 

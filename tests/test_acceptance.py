@@ -81,10 +81,17 @@ def test_criterion_1_interpolation_dominance(shipped):
 def test_criterion_2_anc_steady_state_gap(shipped):
     """PINN-assisted beats multiple-point by >= 8 dB over the last 1000 of 10000 steps at
     step size 1e-5, each step's reduction over the 480 steps to it."""
-    _, summary = shipped["anc-convergence"]
+    out, summary = shipped["anc-convergence"]
     metrics = summary["metrics"]
     defined = metrics["definitions"]["steady_state_gap_db"]
-    assert defined == {"anc_mu": 1e-5, "anc_iterations": 10_000, "eps_window": 480}
+    assert defined == {
+        "anc_mu": 1e-5, "anc_iterations": 10_000, "eps_window": 480, "steady_state_steps": 1000
+    }
+    # each steady-state mean is over the last steady_state_steps rows of the written curves
+    rows = np.loadtxt(out / "anc_convergence.csv", delimiter=",", skiprows=1, ndmin=2)
+    steady = rows[-defined["steady_state_steps"] :].mean(axis=0)
+    assert metrics["multipoint_last1000_mean_db"] == pytest.approx(steady[1], abs=1e-6)
+    assert metrics["pinn_last1000_mean_db"] == pytest.approx(steady[2], abs=1e-6)
     assert metrics["multipoint_converged"] and metrics["pinn_converged"]
     gap = metrics["steady_state_gap_db"]
     assert gap >= 8.0, f"steady-state gap {gap:.2f} dB < 8 dB"

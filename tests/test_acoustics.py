@@ -4,8 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavefield_anc.acoustics import (
+    PATH_TAPS,
+    SINC_WINDOW_HALF_WIDTH,
     TonalSource,
     ToneComponent,
+    _tone_phasors,
     make_path_fir,
     path_distances,
     propagate_tonal,
@@ -157,6 +160,71 @@ def test_path_error_names_the_worst_path():
     coincident = r"^source 0 at \[0.0, 0.0, 0.0\] to receiver 1 at \[0.0, 0.0, 0.0\]: 0 m apart"
     with pytest.raises(ValueError, match=coincident):
         path_distances(sources[:1], np.vstack([receivers[:1], sources[:1]]), FS, C)
+
+
+def dense_path_fir(sources, receivers, sample_rate, c):
+    """make_path_fir's formula evaluated on all PATH_TAPS taps: the oracle for its form on
+    the taps each path's window spans."""
+    d = path_distances(sources, receivers, sample_rate, c)[..., None]
+    offset = np.arange(PATH_TAPS) - d / c * sample_rate
+    x = np.pi * offset / SINC_WINDOW_HALF_WIDTH
+    window = 0.42 + 0.5 * np.cos(x) + 0.08 * np.cos(2.0 * x)
+    window[np.abs(offset) > SINC_WINDOW_HALF_WIDTH] = 0.0
+    return np.sinc(offset) * window / (4.0 * np.pi * d)
+
+
+# path delays in samples: under the half width (the window cut at tap 0), mid-range, and
+# in [PATH_TAPS - 17, PATH_TAPS - 16), the longest path_distances accepts, whose window
+# reaches the last tap
+path_delays = st.one_of(
+    st.floats(1e-3, SINC_WINDOW_HALF_WIDTH),
+    st.floats(SINC_WINDOW_HALF_WIDTH, PATH_TAPS - 17),
+    st.floats(PATH_TAPS - 17, PATH_TAPS - 16.001),
+)
+directions = st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, np.pi))
+
+
+@given(
+    sample_rate=st.integers(1_000, 96_000),
+    source=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    paths=st.lists(st.tuples(path_delays, directions), min_size=1, max_size=4),
+)
+@example(24_000, (0.0, 0.0, 0.0), [(239.5, (0.0, 0.0)), (239.0, (1.0, 1.0)), (16.0, (2.0, 2.0))])
+@example(48_000, (0.5, -1.0, 0.2), [(0.25, (0.3, 0.4)), (20.0, (0.0, 0.0)), (223.5, (1.0, 2.0))])
+@settings(max_examples=80, deadline=None)
+def test_path_fir_on_the_live_taps_is_the_dense_formula(sample_rate, source, paths):
+    """Equal to the formula on every tap (np.array_equal: 0.0 == -0.0), from receivers
+    placed at drawn delays from the source, at sample rates path_distances accepts."""
+    fs, source = float(sample_rate), np.array(source)
+    receivers = [source + delay * C / fs * np.array(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        for delay, (phi, theta) in paths]
+    sources, receivers = source[None], np.array(receivers)
+    assert np.array_equal(make_path_fir(sources, receivers, fs, C),
+                          dense_path_fir(sources, receivers, fs, C))
+
+
+@given(
+    tones=st.lists(
+        st.tuples(st.integers(20, 3000), st.floats(0.1, 10.0), st.floats(0.0, 2.0 * np.pi)),
+        min_size=1, max_size=4, unique_by=lambda tone: tone[0],
+    ),
+    receivers=st.lists(st.tuples(*[st.floats(-0.5, 0.5)] * 3), min_size=1, max_size=3),
+)
+@example([(300, 10.0, 1.0), (400, 10.0, 2.0), (500, 10.0, 3.0)], [(0.0, 0.1, 0.0)])
+@settings(max_examples=40, deadline=None)
+def test_tone_phasors_are_the_dft_bins_of_the_period(tones, receivers):
+    """The complex amplitude a of each tone at each receiver is 2j X_k / P, X_k the rfft
+    bin of the tone in the one-period signal that propagate_tonal synthesises."""
+    src = TonalSource(P(0.6, 0.8, 1.0), tuple(ToneComponent(float(f), a, ph) for f, a, ph in tones))
+    receivers = np.array(receivers)
+    d = np.linalg.norm(receivers - src.position, axis=1)
+    amplitudes = _tone_phasors(src, d / C, 1.0 / (4.0 * np.pi * d))
+    signal = propagate_tonal(src, receivers, FS, C)
+    period = signal.shape[1]
+    bins = [round(f * period / FS) for f, _, _ in tones]
+    expected = 2j * np.fft.rfft(signal, axis=1)[:, bins] / period
+    assert amplitudes == pytest.approx(expected, rel=1e-12)
 
 
 # harmonics of FS / P for periods P that mostly do not divide 2 400 (375 Hz: P = 64)

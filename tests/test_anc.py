@@ -271,9 +271,8 @@ def test_field_grid_zero_weights_is_primary():
 
 @pytest.mark.parametrize("freqs", [(300.0, 400.0, 500.0), (375.0,), (250.0, 350.0, 450.0)])
 def test_field_map_primary_is_the_whole_signals_last_period(freqs):
-    """The uncontrolled map is, bit for bit, the mean square of the last period of the whole
-    PATH_TAPS + 4P-sample signal, which the map forms from the first period rolled by 16
-    samples (P = 240), 0 (P = 64) and 256 (P = 480)."""
+    """The uncontrolled map, formed from the tones' amplitudes, is the mean square of the
+    last period of the whole PATH_TAPS + 4P-sample signal, for P = 240, 64 and 480."""
     sc = default_scenario(0)
     comps = sc.primary_source.components
     tones = tuple(ToneComponent(f, c.amplitude, c.phase) for f, c in zip(freqs, comps))
@@ -282,7 +281,7 @@ def test_field_map_primary_is_the_whole_signals_last_period(freqs):
     (power,) = field_grid_power(sc, [])
     first = propagate_tonal(sc.primary_source, field_grid(), fs, c)
     whole = repeat_period(first, PATH_TAPS + 4 * P)
-    assert np.array_equal(power, np.mean(np.ascontiguousarray(whole[:, -P:]) ** 2, axis=1))
+    assert power == pytest.approx(np.mean(whole[:, -P:] ** 2, axis=1), rel=1e-12)
 
 
 def test_field_grid_single_tone_power_is_analytic():
@@ -342,27 +341,29 @@ def test_run_controls_frees_each_filtered_reference_before_the_ears():
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-3.0, 1.0),
     points=st.lists(st.integers(0, 440), min_size=1, max_size=3),
-    layout=st.sampled_from(["near", "far", "short"]),
+    layout=st.sampled_from(["near", "far", "short", "control"]),
 )
 @example(seed=0, log_scale=0.0, points=[0, 220, 440], layout="near")
 @example(seed=0, log_scale=0.0, points=[0, 220, 440], layout="far")
 @example(seed=0, log_scale=0.0, points=list(range(441)), layout="short")
+@example(seed=0, log_scale=0.0, points=[0, 220, 440], layout="control")
 def test_field_grid_matches_brute_force(seed, log_scale, points, layout):
     """Each point's power is the last-period mean of the primary plus every secondary
     source's output, -w_l * x, through its path FIR, by full-length convolution over 40
     periods, whose last is steady. Far secondaries have path delays near PATH_TAPS, so the
     oldest controller outputs reach the grid; with 1, 2 and 3 kHz tones too (P = 24), the
-    reference samples that reach those outputs start before the map's PATH_TAPS + 4P."""
+    reference samples that reach those outputs lie over 14 periods back. "control" is
+    the 250/350/450 Hz tone set of perfbench's workload (P = 480)."""
     sc = default_scenario(0)
-    if layout != "near":
+    if layout in ("far", "short"):
         y = 3.0 if layout == "far" else 3.2
         sc = dataclasses.replace(sc, secondary_positions=[(0.0, y, 0.0), (0.0, -y, 0.0)])
-    if layout == "short":
+    if layout in ("short", "control"):
         src = sc.primary_source
-        tones = tuple(ToneComponent(f, t.amplitude, t.phase)
-                      for f, t in zip((1000.0, 2000.0, 3000.0), src.components))
+        freqs = (1000.0, 2000.0, 3000.0) if layout == "short" else (250.0, 350.0, 450.0)
+        tones = tuple(ToneComponent(f, t.amplitude, t.phase) for f, t in zip(freqs, src.components))
         sc = dataclasses.replace(sc, primary_source=TonalSource(src.position, tones))
-        assert sc.period_samples == 24
+        assert sc.period_samples == (24 if layout == "short" else 480)
     fs, c, period = sc.sample_rate, sc.speed_of_sound, sc.period_samples
     n_total = PATH_TAPS + 40 * period
     w = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, FILTER_LEN))
