@@ -38,13 +38,11 @@ def _tap_major(firs: np.ndarray) -> np.ndarray:
 def _fir_sum(history: np.ndarray, firs: np.ndarray) -> np.ndarray:
     """out[k, ...] = sum_l sum_t firs[l, ..., t] history[k + t, l] for (L, ..., taps) ``firs``
     and a (count + taps - 1, L) ``history``, out and history newest first. Only the span
-    of taps that is non-zero in some FIR is multiplied: the rest are exact zeros (path
-    FIRs hold ~32 live taps of PATH_TAPS). The input windows of each FIR_BLOCK outputs are
-    copied contiguous for one matrix product."""
+    of taps that is non-zero in some FIR (at least one tap is) is multiplied: the rest are
+    exact zeros (path FIRs hold ~32 live taps of PATH_TAPS). The input windows of each
+    FIR_BLOCK outputs are copied contiguous for one matrix product."""
     taps = firs.shape[-1]
     live = np.flatnonzero(np.any(firs != 0, axis=tuple(range(firs.ndim - 1))))
-    if not live.size:
-        return np.zeros((len(history) - taps + 1, *firs.shape[1:-1]))
     t0, t1 = live[0], live[-1] + 1
     history = history[t0 : len(history) - taps + t1]
     rows = _tap_major(firs[..., t0:t1])

@@ -174,16 +174,18 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     params, mics = run.train()
 
     f_max = max(comp.frequency for comp in sc.primary_source.components)
-    U = max_order(f_max, common_radius(sc.monitoring_positions), c)
+    radius = common_radius(sc.monitoring_positions)
+    U = max_order(f_max, radius, c)
     P = sc.period_samples  # the window: one period, so the SH fit's DFT bins hold every tone
     rows = []
     with run.stage("evaluate"):
-        series = sh_fit(sc.monitoring_positions, mics, U, fs)
+        coeffs = sh_fit(sc.monitoring_positions, mics, U)
         for r_s in spec.radii:
             pts = sphere_points(r_s, SWEEP_POINTS)
             truth = propagate_tonal(sc.primary_source, pts, fs, c)
             eps_nn = ratio_to_db(interpolation_error(truth, pinn_predict(params, pts, P, fs)))
-            eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
+            estimate = sh_interpolate(coeffs, radius, pts, fs, c)
+            eps_sh = ratio_to_db(interpolation_error(truth, estimate))
             rows.append((r_s, eps_sh, eps_nn))
     rows = np.array(rows)
     run.csv("interp_sweep", ["r_s", "eps_sh_dB", "eps_pinn_dB"], rows)
@@ -225,17 +227,20 @@ def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, 
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     run.csv("anc_convergence", ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
 
-    mp_db, pn_db = (float(r.eps_db[-STEADY_STATE_STEPS:].mean()) for r in (mp, pn))
+    # a diverged controller has no steady state: its mean and the gap are null
+    ok = mp.converged and pn.converged
+    mp_db, pn_db = (float(r.eps_db[-STEADY_STATE_STEPS:].mean()) if r.converged else None
+                    for r in (mp, pn))
     metrics = {
         "multipoint_last1000_mean_db": mp_db,
         "pinn_last1000_mean_db": pn_db,
-        "steady_state_gap_db": mp_db - pn_db,
+        "steady_state_gap_db": mp_db - pn_db if ok else None,
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
         "definitions": {"steady_state_gap_db": {"anc_mu": ANC_MU, "anc_iterations": ANC_ITERATIONS,
             "eps_window": EPS_WINDOW, "steady_state_steps": STEADY_STATE_STEPS}},
     }
-    return metrics, mp.converged and pn.converged
+    return metrics, ok
 
 
 def ear_disk_mask(points: np.ndarray, ears: np.ndarray) -> np.ndarray:
@@ -259,21 +264,24 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     disk_means = {}
     grid = field_grid()
     mask = ear_disk_mask(grid, sc.virtual_positions)
-    for name, power in (("primary", p_primary), ("multipoint", p_mp), ("pinn", p_pn)):
+    ok = mp.converged and pn.converged
+    maps = (("primary", p_primary, True), ("multipoint", p_mp, mp.converged),
+            ("pinn", p_pn, pn.converged))
+    for name, power, converged in maps:  # a diverged controller's map has no headline: null
         power_db = ratio_to_db(power / ref)
         run.csv(f"field_{name}", ["x", "y", "power_dB"], np.column_stack([grid[:, :2], power_db]))
-        disk_means[name] = ratio_to_db(np.mean(power[mask]) / ref)
+        disk_means[name] = ratio_to_db(np.mean(power[mask]) / ref) if converged else None
 
     metrics = {
         "ear_disk_mean_db": disk_means,
-        "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"],
+        "ear_disk_gap_db": disk_means["multipoint"] - disk_means["pinn"] if ok else None,
         "multipoint_converged": mp.converged,
         "pinn_converged": pn.converged,
         "definitions": {"ear_disk_gap_db": {
             "ear_disk_radius_m": EAR_DISK_RADIUS, "anc_mu": ANC_MU,
             "anc_iterations": ANC_ITERATIONS}},
     }
-    return metrics, mp.converged and pn.converged
+    return metrics, ok
 
 
 @_experiment

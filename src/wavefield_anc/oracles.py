@@ -127,7 +127,7 @@ def sh_figures() -> dict[str, float]:
     _, theta, phi = cart_to_sph(positions)
     mode = 2  # (u, v) = (1, 0)
     signals = np.repeat(real_sh(1, theta, phi)[:, mode, None], 8, axis=1)
-    coeffs = sh_fit(positions, signals, 1, 24_000.0).coeffs[:, 0]
+    coeffs = sh_fit(positions, signals, 1)[:, 0]
     return {
         "sh_gram_max_err": float(np.max(np.abs(gram - np.eye(len(gram))))),
         "sh_mode_coeff_err": float(abs(coeffs[mode] - 1.0)),

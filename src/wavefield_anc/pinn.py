@@ -264,7 +264,7 @@ def train_pinn(
     diverged: dict[int, int] = {}  # restart -> first epoch with a non-finite loss
 
     lr_ratio = LEARNING_RATE_END / LEARNING_RATE
-    lam_ratio = PDE_WEIGHT_END / PDE_WEIGHT if PDE_WEIGHT > 0 else 1.0
+    lam_ratio = PDE_WEIGHT_END / PDE_WEIGHT
     denom = max(cfg.epochs - 1, 1)
     with np.errstate(all="ignore"):  # a diverging restart stays in its own slice
         for epoch in range(cfg.epochs):

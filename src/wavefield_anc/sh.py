@@ -7,8 +7,7 @@ applied per DFT bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
@@ -18,16 +17,6 @@ from .geometry import cart_to_sph
 DB_FLOOR = -300.0
 BESSEL_DENOM_CLAMP = 1e-6
 RIDGE_WEIGHT = 1e-6  # the SH fit's ridge weight, relative to the basis's largest singular value
-
-
-@dataclass
-class ShCoeffSeries:
-    """Per-mode coefficient time series from a fit at one radius."""
-
-    max_order: int
-    fit_radius: float
-    sample_rate: float
-    coeffs: np.ndarray  # shape ((U+1)^2, T), the T samples of the fitted signals
 
 
 def real_sh(U: int, theta, phi) -> np.ndarray:
@@ -97,21 +86,19 @@ def common_radius(positions: np.ndarray) -> float:
     return float(radii.mean())
 
 
-def sh_fit(positions: np.ndarray, signals: np.ndarray, U: int, sample_rate: float) -> ShCoeffSeries:
+def sh_fit(positions: np.ndarray, signals: np.ndarray, U: int) -> np.ndarray:
     """Ridge least-squares fit of SH mode coefficients, per time sample, with RIDGE_WEIGHT.
 
-    ``signals`` is (Q, T), one row per sensor of the (Q, 3) ``positions``. With so small a
-    weight the fit is close to the minimum-norm pseudoinverse solution.
+    Returns the ((U+1)^2, T) coefficients of the (Q, T) ``signals``, one row per sensor of the
+    (Q, 3) ``positions``. With so small a weight the fit is close to the min-norm pseudoinverse.
     """
-    radius = common_radius(positions)
     _, theta, phi = cart_to_sph(positions)
     Y = real_sh(U, theta, phi)  # (Q, (U+1)^2)
     u_svd, s_svd, vt = np.linalg.svd(Y, full_matrices=False)
     lam = RIDGE_WEIGHT * s_svd[0]
     filt = s_svd / (s_svd**2 + lam**2)
     solver = vt.T @ (filt[:, None] * u_svd.T)  # ((U+1)^2, Q)
-    coeffs = solver @ signals
-    return ShCoeffSeries(U, radius, sample_rate, coeffs)
+    return solver @ signals
 
 
 def _radial_ratio(U: int, freqs: np.ndarray, r_from: float, r_to: float, c: float) -> np.ndarray:
@@ -131,9 +118,11 @@ def _radial_ratio(U: int, freqs: np.ndarray, r_from: float, r_to: float, c: floa
     return np.where(k_from < 1e-12, (r_to / r_from) ** np.arange(U + 1)[:, None], ratio)
 
 
-def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.ndarray:
+def sh_interpolate(coeffs: np.ndarray, fit_radius: float, targets: np.ndarray,
+                   sample_rate: float, c: float) -> np.ndarray:
     """Reconstruct the (P, T) pressure signals at the (P, 3) ``targets``, which lie on one
-    origin-centred sphere (common_radius).
+    origin-centred sphere (common_radius), from the sh_fit ``coeffs`` of signals sampled at
+    ``sample_rate`` on the sphere of radius ``fit_radius``.
 
     Each mode's coefficient series is translated radially to that sphere in the DFT
     domain by the spherical-Bessel ratio at each bin's frequency, then recombined with
@@ -141,12 +130,12 @@ def sh_interpolate(series: ShCoeffSeries, targets: np.ndarray, c: float) -> np.n
     """
     radius = common_radius(targets)
     _, theta, phi = cart_to_sph(targets)
-    T = series.coeffs.shape[1]
-    freqs = rfftfreq(T, d=1.0 / series.sample_rate)
-    U = series.max_order
+    T = coeffs.shape[1]
+    freqs = rfftfreq(T, d=1.0 / sample_rate)
+    U = isqrt(len(coeffs)) - 1
     orders = np.repeat(np.arange(U + 1), 2 * np.arange(U + 1) + 1)  # of each mode row
-    ratio = _radial_ratio(U, freqs, series.fit_radius, radius, c)
-    translated = irfft(rfft(series.coeffs, axis=1) * ratio[orders], n=T, axis=1)
+    ratio = _radial_ratio(U, freqs, fit_radius, radius, c)
+    translated = irfft(rfft(coeffs, axis=1) * ratio[orders], n=T, axis=1)
     return real_sh(U, theta, phi) @ translated
 
 

@@ -83,16 +83,16 @@ def fir_one(source_pos, receiver, taps):
     return np.sinc(offset) * window / (4.0 * np.pi * d)
 
 
-def sh_interpolate_one(series, target):
-    """Radial translation of every mode at one target, summed mode by mode on the
-    per-mode Legendre basis formula."""
+def sh_interpolate_one(coeffs, U, fit_radius, target):
+    """Radial translation of every mode of the order-``U`` ``coeffs`` at one target, summed
+    mode by mode on the per-mode Legendre basis formula."""
     r, theta, phi = sph_one(*target)
-    T = series.coeffs.shape[1]
-    freqs = np.fft.rfftfreq(T, d=1.0 / series.sample_rate)
-    spec = np.fft.rfft(series.coeffs, axis=1)
-    ratios = _radial_ratio(series.max_order, freqs, series.fit_radius, r, C)
+    T = coeffs.shape[1]
+    freqs = np.fft.rfftfreq(T, d=1.0 / FS)
+    spec = np.fft.rfft(coeffs, axis=1)
+    ratios = _radial_ratio(U, freqs, fit_radius, r, C)
     out = np.zeros(T)
-    for u in range(series.max_order + 1):
+    for u in range(U + 1):
         for v in range(-u, u + 1):
             translated = np.fft.irfft(spec[u * u + u + v] * ratios[u], n=T)
             out += translated * legendre_real_sh(u, v, theta, phi)
@@ -220,13 +220,14 @@ def test_sh_interpolate_matches_per_point(seed, radii):
     rng = np.random.default_rng(seed)
     sc = default_scenario(0)
     src = random_source(rng)
-    series = sh_fit(
-        sc.monitoring_positions, propagate_tonal(src, sc.monitoring_positions, FS, C), 2, FS
+    coeffs = sh_fit(
+        sc.monitoring_positions, propagate_tonal(src, sc.monitoring_positions, FS, C), 2
     )
     for r in radii:  # one call per sphere
         targets = sphere_points(r, int(rng.integers(1, 8)))
-        out = sh_interpolate(series, targets, C)
-        expected = np.array([sh_interpolate_one(series, p) for p in targets.tolist()])
+        out = sh_interpolate(coeffs, sc.mic_radius, targets, FS, C)
+        expected = np.array([sh_interpolate_one(coeffs, 2, sc.mic_radius, p)
+                             for p in targets.tolist()])
         assert out.shape == expected.shape
         assert rel_err(out, expected) <= 1e-12
 

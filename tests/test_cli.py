@@ -29,7 +29,8 @@ from wavefield_anc.geometry import sphere_points
 from wavefield_anc.oracles import LIMITS
 from wavefield_anc.pinn import TrainConfig, load_params, make_collocation_positions, pinn_predict
 from wavefield_anc.scenario import ScenarioConfig, default_scenario
-from wavefield_anc.sh import interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
+from wavefield_anc.sh import (common_radius, interpolation_error, max_order, ratio_to_db, sh_fit,
+                              sh_interpolate)
 
 from conftest import read_summary
 
@@ -460,6 +461,35 @@ def test_diverged_controller_is_exit_1(tmp_path, monkeypatch, experiment):
     assert not (metrics["multipoint_converged"] and metrics["pinn_converged"])
 
 
+def test_a_diverged_controller_has_no_headline(tmp_path):
+    """At amplitude 30 the multipoint controller diverges and the PINN-assisted one does
+    not: each run exits 1 with its CSVs written, multipoint's steady-state and ear-disk
+    means and both gaps are null, and the PINN's figures stay numbers."""
+    d = default_scenario(0).to_dict()
+    for tone in d["primary_source"]["components"]:
+        tone["amplitude"] = 30.0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    metrics = {}
+    for experiment in ("anc-convergence", "field-map"):
+        out = tmp_path / experiment
+        args = [experiment, "--config", str(path), "--epochs", "10", "--out", str(out)]
+        assert main(args) == 1
+        summary = read_summary(out / "summary.json")
+        assert summary["ok"] is False
+        assert (summary["metrics"]["multipoint_converged"],
+                summary["metrics"]["pinn_converged"]) == (False, True)
+        metrics[experiment] = summary["metrics"]
+    assert (tmp_path / "anc-convergence" / "anc_convergence.csv").exists()
+    assert (tmp_path / "field-map" / "field_multipoint.csv").exists()  # the curves and maps stay
+    anc, field = metrics["anc-convergence"], metrics["field-map"]
+    assert anc["multipoint_last1000_mean_db"] is None and anc["steady_state_gap_db"] is None
+    assert field["ear_disk_mean_db"]["multipoint"] is None and field["ear_disk_gap_db"] is None
+    for value in (anc["pinn_last1000_mean_db"], field["ear_disk_mean_db"]["pinn"],
+                  field["ear_disk_mean_db"]["primary"]):
+        assert isinstance(value, float) and np.isfinite(value)
+
+
 def run_python(code, *args):
     """``python -c code *args`` with this package on the path."""
     src = str(Path(wavefield_anc.__file__).parents[1])
@@ -661,12 +691,13 @@ def test_one_period_sweep_equals_the_full_window(tmp_path, monkeypatch, freqs):
 
     params = load_params(bundle.model_path, window, fs)
     mics = repeat_period(propagate_tonal(sc.primary_source, sc.monitoring_positions, fs, c), T)
-    series = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), sc.mic_radius, c), fs)
+    radius = common_radius(sc.monitoring_positions)
+    coeffs = sh_fit(sc.monitoring_positions, mics, max_order(max(freqs), radius, c))
     full = []
     for r_s in spec.radii:
         pts = sphere_points(r_s, experiments.SWEEP_POINTS)
         truth = repeat_period(propagate_tonal(sc.primary_source, pts, fs, c), T)
-        eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(series, pts, c)))
+        eps_sh = ratio_to_db(interpolation_error(truth, sh_interpolate(coeffs, radius, pts, fs, c)))
         estimate = repeat_period(pinn_predict(params, pts, window, fs), T)
         eps_nn = ratio_to_db(interpolation_error(truth, estimate))
         full.append((r_s, eps_sh, eps_nn))
@@ -747,20 +778,27 @@ def test_run_validate_reports_checks(tmp_path):
 
 def test_sweep_sh_order_follows_the_mics_radius(tmp_path, monkeypatch):
     """Corner mics on a 0.4 m sphere need SH order ceil(2 pi 500 Hz 0.4 m / c) = 4, not the
-    order 3 of the default 0.26 m sphere."""
-    orders, real_fit = [], experiments.sh_fit
+    order 3 of the default 0.26 m sphere, and each radial translation starts from 0.4 m."""
+    orders, fit_radii = [], []
+    real_fit, real_interpolate = experiments.sh_fit, experiments.sh_interpolate
 
-    def recording(positions, signals, U, *args, **kwargs):
+    def fit(positions, signals, U):
         orders.append(U)
-        return real_fit(positions, signals, U, *args, **kwargs)
+        return real_fit(positions, signals, U)
 
-    monkeypatch.setattr(experiments, "sh_fit", recording)
+    def interpolate(coeffs, fit_radius, *args):
+        fit_radii.append(fit_radius)
+        return real_interpolate(coeffs, fit_radius, *args)
+
+    monkeypatch.setattr(experiments, "sh_fit", fit)
+    monkeypatch.setattr(experiments, "sh_interpolate", interpolate)
     sc = default_scenario(0)
     sc = dataclasses.replace(sc, monitoring_positions=sc.monitoring_positions * 0.4 / sc.mic_radius)
     spec = ExperimentSpec("interp-sweep", sc, TrainConfig(epochs=2, restarts=1),
                           radii=(0.2, 0.3), out_dir=tmp_path / "o")
     assert run_interp_sweep(spec).ok
     assert orders == [4]
+    assert fit_radii == pytest.approx([0.4, 0.4], abs=1e-15)
 
 
 def test_bad_radii_rejected(tmp_path):

@@ -14,7 +14,6 @@ from wavefield_anc.geometry import cart_to_sph, sphere_points
 from wavefield_anc.scenario import default_scenario
 from wavefield_anc.sh import (
     _radial_ratio,
-    common_radius,
     interpolation_error,
     max_order,
     ratio_to_db,
@@ -138,9 +137,10 @@ def _constant_field_signals(positions, value, n=32):
 
 def test_fit_constant_field():
     positions = sphere_points(0.26, 12)
-    series = sh_fit(positions, _constant_field_signals(positions, 2.5), 2, FS)
-    assert series.coeffs[0, 0] == pytest.approx(2.5 * np.sqrt(4 * np.pi), rel=1e-6)
-    assert np.max(np.abs(series.coeffs[1:])) < 1e-6
+    coeffs = sh_fit(positions, _constant_field_signals(positions, 2.5), 2)
+    assert coeffs.shape == (9, 32)
+    assert coeffs[0, 0] == pytest.approx(2.5 * np.sqrt(4 * np.pi), rel=1e-6)
+    assert np.max(np.abs(coeffs[1:])) < 1e-6
 
 
 def test_underdetermined_fit_is_min_norm():
@@ -148,34 +148,24 @@ def test_underdetermined_fit_is_min_norm():
     positions = sc.monitoring_positions
     rng = np.random.default_rng(5)
     signals = rng.normal(size=(len(positions), 4))
-    series = sh_fit(positions, signals, 2, FS)
+    coeffs = sh_fit(positions, signals, 2)
     _, th, ph = cart_to_sph(positions)
     Y = real_sh(2, th, ph)
     expected = np.linalg.pinv(Y) @ signals
-    assert np.allclose(series.coeffs, expected, atol=1e-5)
-
-
-def test_fit_radius_mismatch():
-    positions = np.array([[0.26, 0, 0], [0, 0.30, 0]])
-    signals = _constant_field_signals(positions, 1.0)
-    with pytest.raises(ValueError, match="span 0.04 m"):
-        sh_fit(positions, signals, 1, FS)
-    with pytest.raises(ValueError):  # a config error, like the other load-time checks
-        common_radius(positions)
-    assert common_radius(sphere_points(0.26, 8)) == pytest.approx(0.26, abs=1e-15)
+    assert np.allclose(coeffs, expected, atol=1e-5)
 
 
 def test_interpolate_identity_radius():
     sc = default_scenario(0)
     mics = repeat_period(propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, C), 1200)
-    series = sh_fit(sc.monitoring_positions, mics, 2, FS)
+    coeffs = sh_fit(sc.monitoring_positions, mics, 2)
     theta, phi = 1.0, 2.0
     target = sc.mic_radius * np.array(
         [[np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]]
     )
-    (out,) = sh_interpolate(series, target, C)
+    (out,) = sh_interpolate(coeffs, sc.mic_radius, target, FS, C)
     # identity translation: every Bessel ratio is 1; compare with direct synthesis
-    direct = real_sh(2, theta, phi) @ series.coeffs
+    direct = real_sh(2, theta, phi) @ coeffs
     assert np.allclose(out, direct, atol=1e-9)
 
 
@@ -187,7 +177,8 @@ def test_interpolate_linearity():
     targets = sphere_points(0.2, 5)
 
     def interpolate(signals):
-        return sh_interpolate(sh_fit(sc.monitoring_positions, signals, 2, FS), targets, C)
+        coeffs = sh_fit(sc.monitoring_positions, signals, 2)
+        return sh_interpolate(coeffs, sc.mic_radius, targets, FS, C)
 
     out_ab = interpolate(sig_a + sig_b)
     assert np.allclose(out_ab, interpolate(sig_a) + interpolate(sig_b), atol=1e-10)
@@ -198,7 +189,7 @@ def test_sh_interpolate_translates_once_per_sphere(monkeypatch):
     translation serves them all. Targets on two spheres are rejected."""
     sc = default_scenario(0)
     mics = propagate_tonal(sc.primary_source, sc.monitoring_positions, FS, C)
-    series = sh_fit(sc.monitoring_positions, mics, 3, FS)
+    coeffs = sh_fit(sc.monitoring_positions, mics, 3)
     calls = []
 
     def counted(*args):
@@ -206,11 +197,11 @@ def test_sh_interpolate_translates_once_per_sphere(monkeypatch):
         return _radial_ratio(*args)
 
     monkeypatch.setattr(sh, "_radial_ratio", counted)
-    sh_interpolate(series, sphere_points(0.2, 400), C)
+    sh_interpolate(coeffs, sc.mic_radius, sphere_points(0.2, 400), FS, C)
     assert len(calls) == 1
     two_spheres = np.vstack([sphere_points(0.2, 10), sphere_points(0.3, 10)])
     with pytest.raises(ValueError, match="sensor radii span 0.1 m, not one sphere"):
-        sh_interpolate(series, two_spheres, C)
+        sh_interpolate(coeffs, sc.mic_radius, two_spheres, FS, C)
 
 
 def test_dc_bessel_ratio_limit():
@@ -225,10 +216,10 @@ def test_single_tone_baseline_quality():
     sc = default_scenario(0)
     src = TonalSource((0.6, 0.8, 1.0), (ToneComponent(400.0, 1.0, 0.2),))
     mics = repeat_period(propagate_tonal(src, sc.monitoring_positions, FS, C), 2400)
-    series = sh_fit(sc.monitoring_positions, mics, 2, FS)
+    coeffs = sh_fit(sc.monitoring_positions, mics, 2)
     pts = sphere_points(0.1, 400)
     truth = repeat_period(propagate_tonal(src, pts, FS, C), 2400)
-    est = sh_interpolate(series, pts, C)
+    est = sh_interpolate(coeffs, sc.mic_radius, pts, FS, C)
     assert interpolation_error(truth, est) < 0.5
 
 
