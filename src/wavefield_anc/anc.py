@@ -25,7 +25,6 @@ class AncRunReport:
     eps_db: np.ndarray  # per-iteration ear reduction, dB
     sensor_mse: np.ndarray  # per-iteration mean-square error at the active sensors
     weights: np.ndarray  # (L, FILTER_LEN) controller taps, newest lag first
-    ear_residual: np.ndarray  # (V, iterations) controlled pressure at the ears
     converged: bool
     iterations: int
 
@@ -51,13 +50,6 @@ def _fir_sum(history: np.ndarray, firs: np.ndarray) -> np.ndarray:
     for k in range(0, len(windows), FIR_BLOCK):
         out[k : k + FIR_BLOCK] = np.ascontiguousarray(windows[k : k + FIR_BLOCK]) @ rows.T
     return out.reshape(len(windows), *firs.shape[1:-1])
-
-
-def filtered_reference(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
-    """``x`` through every FIR of ``firs`` (..., taps), zero input before ``x[0]``, as
-    (len(x), ...) newest first: with the (L, M, taps) secondary paths, the (N, L, M)
-    filtered reference of FxLMS."""
-    return _fir_sum(np.concatenate([x[::-1], np.zeros(firs.shape[-1] - 1)])[:, None], firs[None])
 
 
 def fxlms_step(
@@ -111,17 +103,17 @@ def run_controllers(
     # Histories run newest first along their first axis: row k holds step
     # iterations - 1 - k and zeros past the end stand for the samples before
     # n = 0, so the latest samples at step n are the contiguous rows from k.
-    x = np.concatenate([np.zeros(FILTER_LEN - 1), repeat_period(src.waveform(fs), iterations)])
+    x = np.zeros(iterations + FILTER_LEN + PATH_TAPS - 2)
+    x[:iterations] = repeat_period(src.waveform(fs), iterations)[::-1]
     refs, paths, errors = [], [], []
     for sensors, primary in sensings:
         firs = make_path_fir(secondaries, sensors, fs, c)  # (L, M, taps)
-        fx = filtered_reference(x, firs).reshape(-1, len(sensors))  # (N + FILTER_LEN - 1) L, M
+        fx = _fir_sum(x[:, None], firs[None]).reshape(-1, len(sensors))  # (N + FILTER_LEN - 1) L, M
         # step n's filtered reference as (FILTER_LEN L, M) rows, in the order of w
         refs.append(sliding_window_view(fx, FILTER_LEN * L, axis=0)[::L][::-1].swapaxes(1, 2))
         paths.append(-_tap_major(firs))  # (M, taps L), matching y[c, k : k + taps].ravel()
         # (N, M), C-ordered, in one allocation; the loop adds the secondary part
         errors.append(primary.T[np.arange(iterations) % period])
-    x = x[::-1].copy()
     y = np.zeros((C, iterations + PATH_TAPS - 1, L))  # sources emit -y: "+mu" descends
     w = np.zeros((C, FILTER_LEN, L))
     w_flat, w_all, update = w.reshape(C, -1), w.reshape(-1), np.empty((C, FILTER_LEN * L))
@@ -133,7 +125,7 @@ def run_controllers(
     # per controller its PATH_TAPS latest outputs raveled, filtered reference and error
     y_wins = [sliding_window_view(y_c.reshape(-1), PATH_TAPS * L)[::L][::-1] for y_c in y]
     steps = zip(
-        sliding_window_view(x, FILTER_LEN)[::-1],
+        sliding_window_view(x, FILTER_LEN)[iterations - 1 :: -1],
         y.transpose(1, 0, 2)[::-1][PATH_TAPS - 1 :],
         zip(*map(zip, y_wins, refs, errors)),
     )
@@ -176,7 +168,6 @@ def run_controllers(
             eps_db=ratio_to_db(ratio),
             sensor_mse=np.mean(np.square(sensed, out=sensed), axis=1),
             weights=weights,
-            ear_residual=ear_resid,
             converged=converged,
             iterations=n_done,
         ))
@@ -193,11 +184,12 @@ def run_anc(
     return run_controllers(scenario, [(sensors, primary)], mu, iterations)[0]
 
 
-def field_grid() -> np.ndarray:
-    """The (GRID_POINTS_PER_SIDE**2, 3) field-map points in the plane z = 0, row by row."""
+def field_grid(scenario: ScenarioConfig) -> np.ndarray:
+    """The (GRID_POINTS_PER_SIDE**2, 3) field-map points, row by row, in the ears' plane:
+    z is that of the first ear, which field-map requires every ear to share."""
     coords = np.linspace(-GRID_HALF_EXTENT, GRID_HALF_EXTENT, GRID_POINTS_PER_SIDE)
-    x, y = np.meshgrid(coords, coords)
-    return np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+    x, y, z = np.meshgrid(coords, coords, scenario.virtual_positions[0, 2:])
+    return np.column_stack([x.ravel(), y.ravel(), z.ravel()])
 
 
 def field_grid_power(scenario: ScenarioConfig, weight_sets: list[np.ndarray]) -> np.ndarray:
@@ -206,7 +198,7 @@ def field_grid_power(scenario: ScenarioConfig, weight_sets: list[np.ndarray]) ->
     steady state's sum_k |a_k|^2 / 2, a_k the primary's tone-k amplitude plus each secondary
     source's path response times its output -W X (W the weights' response, X the reference's)."""
     fs, c, src = scenario.sample_rate, scenario.speed_of_sound, scenario.primary_source
-    grid, table = field_grid(), tone_table(src, fs)
+    grid, table = field_grid(scenario), tone_table(src, fs)
     d = separations(src.position[None], grid)[0]
     primary = _tone_phasors(src, d / c, 1.0 / (4.0 * np.pi * d))  # (G, K)
     weights = np.array([np.zeros((len(scenario.secondary_positions), FILTER_LEN)), *weight_sets])

@@ -67,7 +67,11 @@ class ExperimentSpec:
         if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
             common_radius(sc.monitoring_positions)
         if self.experiment == "field-map":  # the map models every path to its grid too
-            grid = field_grid()
+            z = sc.virtual_positions[:, 2]
+            if np.any(z != z[0]):
+                raise ValueError(f"the field map lies in the ears' plane: ears at unequal z "
+                                 f"{np.round(z, 4).tolist()} m")
+            grid = field_grid(sc)
             path_distances(sc.secondary_positions, grid, fs, c, ("secondary source", "grid point"))
             separations(sc.primary_source.position[None], grid, ("primary source", "grid point"))
             for i, ear in enumerate(sc.virtual_positions):  # the ear-disk metric needs points
@@ -251,7 +255,7 @@ def ear_disk_mask(points: np.ndarray, ears: np.ndarray) -> np.ndarray:
 
 @_experiment
 def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
-    """xy-plane signal-power maps: primary, multipoint residual, PINN residual;
+    """Signal-power maps in the ears' plane: primary, multipoint residual, PINN residual;
     ok=False when either controller diverged."""
     sc = spec.scenario
     params, mics = run.train()
@@ -262,7 +266,7 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
 
     ref = p_primary.max()
     disk_means = {}
-    grid = field_grid()
+    grid = field_grid(sc)
     mask = ear_disk_mask(grid, sc.virtual_positions)
     ok = mp.converged and pn.converged
     maps = (("primary", p_primary, True), ("multipoint", p_mp, mp.converged),

@@ -141,11 +141,7 @@ def sh_interpolate(coeffs: np.ndarray, fit_radius: float, targets: np.ndarray,
 
 def interpolation_error(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Energy ratio sum((p - p_hat)^2) / sum(p^2) over all points and samples."""
-    if np.shape(truth) != np.shape(estimate) or np.size(truth) == 0:
-        raise ValueError("need non-empty signal arrays of one shape")
     den = float(np.sum(np.square(truth)))
-    if den == 0.0:
-        raise ValueError("truth signals are identically zero")
     err = np.subtract(truth, estimate)
     err *= err
     return float(np.sum(err)) / den

@@ -388,15 +388,18 @@ def test_mics_off_one_sphere_are_exit_2_for_the_sweep_only(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("ears, named", [
-    ([[0.0, 0.3, 0.0], [0.0, -0.3, 0.0]], "ear 0 at [0.0, 0.3, 0.0]"),
-    ([[0.0, 0.1, 0.0], [0.1, -0.235, 0.05]], "ear 1 at [0.1, -0.235, 0.05]"),
-    ([[0.0, 0.1, 0.3], [0.0, -0.1, -0.3]], "ear 0 at [0.0, 0.1, 0.3]"),
+@pytest.mark.parametrize("ears, message", [
+    ([[0.0, 0.3, 0.0], [0.0, -0.3, 0.0]],
+     "ear 0 at [0.0, 0.3, 0.0]: no field-map grid point within 0.03 m"),
+    ([[0.0, 0.1, 0.05], [0.1, -0.235, 0.05]],
+     "ear 1 at [0.1, -0.235, 0.05]: no field-map grid point within 0.03 m"),
+    ([[0.0, 0.1, 0.3], [0.0, -0.1, -0.3]],
+     "the field map lies in the ears' plane: ears at unequal z [0.3, -0.3] m"),
 ], ids=["both-off", "one-off", "off-the-plane"])
-def test_ears_off_the_field_map_grid_are_exit_2_for_the_map_only(tmp_path, capsys, ears, named):
-    """The map's ear-disk metric averages the grid points within EAR_DISK_RADIUS of each ear,
-    in 3-D: an ear whose disk holds none would make it NaN, and one above the map's plane,
-    over grid points, would be reported from points it is not near."""
+def test_ears_off_the_field_map_grid_are_exit_2_for_the_map_only(tmp_path, capsys, ears, message):
+    """The map lies in the ears' common plane, and its ear-disk metric averages the grid
+    points within EAR_DISK_RADIUS of each ear: ears of unequal z have no one plane, and an ear
+    whose disk holds no grid point would make the metric NaN."""
     d = default_scenario(0).to_dict()
     d["virtual_positions"] = ears
     path = tmp_path / "scenario.json"
@@ -405,9 +408,21 @@ def test_ears_off_the_field_map_grid_are_exit_2_for_the_map_only(tmp_path, capsy
         ExperimentSpec(experiment, ScenarioConfig.load(path), out_dir=tmp_path / "o")
     args = ["field-map", "--config", str(path), "--epochs", "5", "--out", str(tmp_path / "o")]
     assert main(args) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {named}: no field-map grid point within 0.03 m\n" in err
+    assert f"config error: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_the_field_map_lies_in_the_ears_plane(tmp_path):
+    """Ears 0.3 m above the mics' centre, as a head pose moves them, are mapped in their own
+    plane: the grid at z = 0.3 holds their disks."""
+    sc = dataclasses.replace(default_scenario(0),
+                             virtual_positions=[(0.0, 0.1, 0.3), (0.0, -0.1, 0.3)])
+    path, out = tmp_path / "scenario.json", tmp_path / "o"
+    sc.save(path)
+    assert main(["field-map", "--config", str(path), "--epochs", "5", "--out", str(out)]) == 0
+    disk_means = read_summary(out / "summary.json")["metrics"]["ear_disk_mean_db"]
+    assert sorted(disk_means) == ["multipoint", "pinn", "primary"]
+    assert all(np.isfinite(v) for v in disk_means.values())
 
 
 def test_one_mic_at_the_origin_is_exit_2(tmp_path, capsys):

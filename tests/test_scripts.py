@@ -1,5 +1,6 @@
 """scripts/export_default_config.py and scripts/run_all_experiments.py, run as scripts."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +34,14 @@ def test_run_all_experiments_writes_four_passing_summaries(tmp_path):
     summaries = {p.parent.name: read_summary(p) for p in tmp_path.glob("results/*/summary.json")}
     assert sorted(summaries) == ["anc-convergence", "field-map", "interp-sweep", "validate"]
     assert all(s["ok"] is True for s in summaries.values())
+
+
+def test_every_mutant_applies_to_exactly_one_place():
+    """scripts/mutants.py replaces each old text once: one that moved or went would leave
+    its mutant unapplied, and one that occurs twice would mutate a line it does not name."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)  # the standard library only
+    counts = {(file, old): (ROOT / file).read_text().count(old)
+              for file, old, _, _ in mutants.MUTANTS}
+    assert counts and all(n == 1 for n in counts.values()), counts

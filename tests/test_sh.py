@@ -233,17 +233,6 @@ def test_interpolation_error_examples():
     eps = interpolation_error(truth, scaled)
     assert eps == pytest.approx(0.01, rel=1e-9)
     assert ratio_to_db(eps) == pytest.approx(-20.0, abs=1e-9)
-    with pytest.raises(ValueError, match="identically zero"):
-        interpolation_error(zero, truth)
-
-
-def test_interpolation_error_shape_mismatch():
-    truth = np.ones((3, 10))
-    for estimate in (np.ones((3, 11)), np.ones((2, 10)), np.ones(30)):
-        with pytest.raises(ValueError):
-            interpolation_error(truth, estimate)
-    with pytest.raises(ValueError):
-        interpolation_error(np.ones((0, 10)), np.ones((0, 10)))
 
 
 def test_ratio_to_db_floor():

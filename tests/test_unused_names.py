@@ -1,22 +1,25 @@
 """Every module-level name the package defines, and every field of its dataclasses, is
 used by the program: by the package itself, its scripts or the benchmark harness, and every
 parameter default is both relied on and overridden there. Tests alone do not keep a name
-or a default alive."""
+or a default alive. The benchmark harness's own reads of the package, the functions it
+traces and the scenario files its frozen reference loads, still resolve."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wavefield_anc
+from wavefield_anc.scenario import default_scenario
 
 PACKAGE = Path(wavefield_anc.__file__).parent
 ROOT = PACKAGE.parents[1]
 USERS = [*ROOT.glob("src/**/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
 ALLOWED = {"load_params"}  # reads model.txt back; the planned --model option will call it
 UNREAD_FIELDS = {  # dataclass fields the program writes but does not read, and why they stay
-    "AncRunReport.ear_residual": "the simulated ear pressure; the tests check the ear truth "
-    "through it",
     "ScenarioConfig.rng_seed": "read by nothing but the config echo; kept only because the "
     "benchmark's frozen reference package loads every scenario key",
 }
@@ -154,3 +157,16 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"wavefield_anc.{layer}"), name, None))
     ]
     assert spans.TRACED and missing == []
+
+
+def test_the_frozen_reference_loads_a_saved_scenario(tmp_path):
+    """perfbench times each workload on its frozen reference package too, which loads the
+    scenario file this package saves and requires every key it knew: a key dropped here
+    would otherwise show only when a benchmark run stops on the reference side."""
+    path = tmp_path / "scenario.json"
+    default_scenario(0).save(path)
+    load = "import sys; from wavefield_anc.scenario import ScenarioConfig as S; S.load(sys.argv[1])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "perfbench" / "reference")}
+    run = subprocess.run([sys.executable, "-c", load, str(path)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
