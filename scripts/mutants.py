@@ -44,8 +44,7 @@ MUTANTS = [  # (file, old text, new text, what it breaks)
      "criterion 2's steady-state window, at its use"),
     (P, "PDE_SCORE_WEIGHT = 1e-6", "PDE_SCORE_WEIGHT = 0.0", "restart selection's interior check"),
     (P, "PDE_WEIGHT_END = 3e-7", "PDE_WEIGHT_END = 3e-8",
-     "the PDE weight ramp's end; survives: no test pins this tuning constant (the models "
-     "move, the criteria hold), and summary.json does not record it"),
+     "the PDE weight ramp's end, which summary.json records with the training schedule"),
     (E, "MARGIN_BAND = (0.2, 0.4)", "MARGIN_BAND = (0.1, 0.4)", "criterion 1's margin band"),
     (A, "GRID_POINTS_PER_SIDE = 21", "GRID_POINTS_PER_SIDE = 11", "the field map's grid"),
     # the physics
@@ -69,6 +68,11 @@ MUTANTS = [  # (file, old text, new text, what it breaks)
     (A, "sliding_window_view(x, FILTER_LEN)[iterations - 1 :: -1]",
      "sliding_window_view(x, FILTER_LEN)[iterations :: -1]",
      "the reference window one step late in run_controllers"),
+    (A, "del fx, refs, steps, step, ref", "del fx, refs, steps, step",
+     "the loop's last filtered-reference row view kept alive through the ear stage"),
+    # the load checks
+    ("src/wavefield_anc/scenario.py", "if power.min() < np.finfo(float).tiny:",
+     "if power.min() < 0.0:", "the silent-primary rule"),
 ]
 
 

@@ -52,28 +52,6 @@ def _fir_sum(history: np.ndarray, firs: np.ndarray) -> np.ndarray:
     return out.reshape(len(windows), *firs.shape[1:-1])
 
 
-def fxlms_step(
-    w: np.ndarray,  # (C, filter_len * L) flat weights of C controllers, newest lag first
-    controllers,  # per controller: (M, PATH_TAPS * L) path rows, (M,) buffer, its update row
-    step,  # per controller: recent outputs, (filter_len * L, M) filtered reference, error
-    mu: float,
-    update: np.ndarray,  # (C, filter_len * L) preallocated work buffer
-) -> np.ndarray:
-    """One multichannel FxLMS iteration (Kuo & Morgan 1996, ch. 3) of each controller, in
-    place with no temporaries: returns ``w``. Each error, the primary part on entry, gains
-    the secondary part that the path rows give from the PATH_TAPS latest outputs, raveled
-    newest first; then w_l += mu * sum_m x'_{l,m} e_m, through ``update``, the rows of the
-    filtered reference in the order of w. Each controller's two products are its own, at
-    the shapes it has alone, so stacking leaves its weights bitwise as alone."""
-    for (paths, secondary, out), (recent, refs, e) in zip(controllers, step):
-        # the .dot method skips np.dot's dispatch, and out by position parses faster
-        np.add(e, paths.dot(recent, secondary), e)
-        refs.dot(e, out)
-    update *= mu
-    w += update
-    return w
-
-
 def repeat_period(one_period: np.ndarray, count: int) -> np.ndarray:
     """(..., count) signals from one period's (..., P) samples: sample n is column n mod P."""
     return one_period[..., np.arange(count) % one_period.shape[-1]]
@@ -134,7 +112,14 @@ def run_controllers(
     # overhead dominates, so the controllers share every call that is not their own product
     for n, (x_recent, y_n, step) in enumerate(steps):
         np.matmul(x_recent, w, y_n)
-        fxlms_step(w_flat, controllers, step, mu, update)
+        # FxLMS (Kuo & Morgan 1996, ch. 3): each error, the primary part on entry, gains the
+        # secondary part of the path rows on the latest outputs; then w_l += mu sum_m x'_lm e_m
+        for (rows, secondary, out), (recent, ref, e) in zip(controllers, step):
+            # the .dot method skips np.dot's dispatch, and out by position parses faster
+            np.add(e, rows.dot(recent, secondary), e)
+            ref.dot(e, out)
+        update *= mu
+        w_flat += update
         # below half the squared bound, the squared norm keeps every weight within it
         if not w_all.dot(w_all) <= bound_sq:
             for s in np.flatnonzero(~np.all(np.abs(w) <= WEIGHT_BOUND, axis=(1, 2))):
@@ -144,7 +129,7 @@ def run_controllers(
             if None not in done:
                 break
     done = [d or (iterations, w_s.T.copy(), y_s, True) for d, w_s, y_s in zip(done, w, y)]
-    del fx, refs, steps, step  # the filtered references and their views; the ears need y
+    del fx, refs, steps, step, ref  # the filtered references and their views; the ears need y
 
     # ears, for the reported reduction curves (known to the simulation, not the controller)
     ears = scenario.virtual_positions

@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import path_distances, propagate_tonal, separations
-from .anc import EPS_WINDOW, AncRunReport, field_grid, field_grid_power, run_controllers
+from .anc import (EPS_WINDOW, GRID_HALF_EXTENT, GRID_POINTS_PER_SIDE, AncRunReport, field_grid,
+                  field_grid_power, run_controllers)
 from .geometry import sphere_points
 from .oracles import adam_figures, check, derivative_figures, fxlms_figures, sh_figures
-from .pinn import TrainConfig, TrainReport, pinn_predict, save_params, train_pinn
+from .pinn import (LEARNING_RATE, LEARNING_RATE_END, PDE_SCORE_WEIGHT, PDE_WEIGHT, PDE_WEIGHT_END,
+                   TrainConfig, TrainReport, pinn_predict, save_params, train_pinn)
 from .scenario import ScenarioConfig
 from .sh import common_radius, interpolation_error, max_order, ratio_to_db, sh_fit, sh_interpolate
 
@@ -55,15 +57,6 @@ class ExperimentSpec:
         self.radii = radii
         sc = self.scenario
         fs, c = sc.sample_rate, sc.speed_of_sound
-        # the PINN fits the mics and each reduction is relative to the ears: a primary field
-        # that underflows at any of them leaves nothing to fit or to cancel there
-        for kind, pts in (("mic", sc.monitoring_positions), ("ear", sc.virtual_positions)):
-            power = np.mean(propagate_tonal(sc.primary_source, pts, fs, c) ** 2, axis=1)
-            if power.min() < np.finfo(float).tiny:
-                i = power.argmin()
-                raise ValueError(f"the primary source is silent at {kind} {i} at "
-                                 f"{np.round(pts[i], 4).tolist()}: its mean-square pressure "
-                                 f"over one period is {power[i]:.3g} Pa^2")
         if self.experiment == "interp-sweep":  # the SH baseline fits on the mics' sphere
             common_radius(sc.monitoring_positions)
         if self.experiment == "field-map":  # the map models every path to its grid too
@@ -139,6 +132,10 @@ def _experiment(body):
                 keys = ("restart_scores", "best_restart", "diverged_restarts")
                 metrics |= {k: getattr(run.report, k) for k in keys}
                 metrics["train_fit_db"] = ratio_to_db(run.report.final_data_loss)
+                metrics.setdefault("definitions", {})["train_fit_db"] = {  # the schedule's ends
+                    "learning_rate": [LEARNING_RATE, LEARNING_RATE_END],
+                    "pde_weight": [PDE_WEIGHT, PDE_WEIGHT_END],
+                    "pde_score_weight": PDE_SCORE_WEIGHT}
             blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
             run.summary = {
                 "experiment": spec.experiment,
@@ -207,16 +204,16 @@ def run_interp_sweep(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, boo
     return metrics, True
 
 
-def run_controls(
-    sc: ScenarioConfig, params: np.ndarray, measured: np.ndarray
-) -> tuple[AncRunReport, AncRunReport]:
-    """The two controllers the paper compares, stepped together for ANC_ITERATIONS steps:
-    multiple-point control on the ``measured`` mic signals (M, P) that the network was fit
-    to, and PINN-assisted control on the network's estimate at the ears."""
-    mics, ears = sc.monitoring_positions, sc.virtual_positions
-    estimate = pinn_predict(params, ears, sc.period_samples, sc.sample_rate)
-    multipoint, pinn = run_controllers(sc, [(mics, measured), (ears, estimate)], ANC_MU,
-                                       ANC_ITERATIONS)
+def run_controls(spec: ExperimentSpec, run: OutputBundle) -> tuple[AncRunReport, AncRunReport]:
+    """Trains the network, then steps the two controllers the paper compares together for
+    ANC_ITERATIONS steps, as the "anc" stage: multiple-point control on the mic signals the
+    network was fit to, and PINN-assisted control on its estimate at the ears."""
+    sc = spec.scenario
+    params, mics = run.train()
+    with run.stage("anc"):
+        estimate = pinn_predict(params, sc.virtual_positions, sc.period_samples, sc.sample_rate)
+        sensings = [(sc.monitoring_positions, mics), (sc.virtual_positions, estimate)]
+        multipoint, pinn = run_controllers(sc, sensings, ANC_MU, ANC_ITERATIONS)
     return multipoint, pinn
 
 
@@ -224,9 +221,7 @@ def run_controls(
 def run_anc_convergence(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Ear noise-reduction curves for multiple-point and PINN-assisted control;
     ok=False when either controller diverged."""
-    params, mics = run.train()
-    with run.stage("anc"):
-        mp, pn = run_controls(spec.scenario, params, mics)
+    mp, pn = run_controls(spec, run)
     n = min(mp.iterations, pn.iterations)
     rows = np.column_stack([np.arange(n), mp.eps_db[:n], pn.eps_db[:n]])
     run.csv("anc_convergence", ["iteration", "eps_dB_multipoint", "eps_dB_pinn"], rows)
@@ -258,9 +253,7 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
     """Signal-power maps in the ears' plane: primary, multipoint residual, PINN residual;
     ok=False when either controller diverged."""
     sc = spec.scenario
-    params, mics = run.train()
-    with run.stage("anc"):
-        mp, pn = run_controls(sc, params, mics)
+    mp, pn = run_controls(spec, run)
     with run.stage("field"):
         p_primary, p_mp, p_pn = field_grid_power(sc, [mp.weights, pn.weights])
 
@@ -283,7 +276,8 @@ def run_field_map(spec: ExperimentSpec, run: OutputBundle) -> tuple[dict, bool]:
         "pinn_converged": pn.converged,
         "definitions": {"ear_disk_gap_db": {
             "ear_disk_radius_m": EAR_DISK_RADIUS, "anc_mu": ANC_MU,
-            "anc_iterations": ANC_ITERATIONS}},
+            "anc_iterations": ANC_ITERATIONS, "grid_points_per_side": GRID_POINTS_PER_SIDE,
+            "grid_half_extent_m": GRID_HALF_EXTENT}},
     }
     return metrics, ok
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
-from .acoustics import TonalSource, ToneComponent, path_distances, require_numbers, separations
+from .acoustics import (TonalSource, ToneComponent, path_distances, propagate_tonal,
+                        require_numbers, separations)
 from .geometry import ORIGIN, as_points, distances
 
 MIC_CORNER = 0.15  # monitoring mics at (+-0.15, +-0.15, +-0.15) m
@@ -39,11 +40,19 @@ class ScenarioConfig:
         if self.mic_radius == 0.0:
             raise ValueError("the monitoring mics span no ball: the only one is at the origin")
         self.period_samples  # validates the tone set
-        # every path the controller models must fit its FIR, and no receiver is on the primary
-        sources, fs, c = self.secondary_positions, self.sample_rate, self.speed_of_sound
+        # every path the controller models must fit its FIR, no receiver is on the primary,
+        # and each hears it: the PINN fits the mics and each reduction is relative to the
+        # ears, so a primary field that underflows at one leaves nothing to fit or cancel there
+        src, fs, c = self.primary_source, self.sample_rate, self.speed_of_sound
         for kind, pts in (("mic", self.monitoring_positions), ("ear", self.virtual_positions)):
-            path_distances(sources, pts, fs, c, kinds=("secondary source", kind))
-            separations(self.primary_source.position[None], pts, ("primary source", kind))
+            path_distances(self.secondary_positions, pts, fs, c, ("secondary source", kind))
+            separations(src.position[None], pts, ("primary source", kind))
+            power = np.mean(propagate_tonal(src, pts, fs, c) ** 2, axis=1)
+            if power.min() < np.finfo(float).tiny:
+                i = power.argmin()
+                raise ValueError(f"the primary source is silent at {kind} {i} at "
+                                 f"{np.round(pts[i], 4).tolist()}: its mean-square pressure "
+                                 f"over one period is {power[i]:.3g} Pa^2")
 
     @property
     def mic_radius(self) -> float:

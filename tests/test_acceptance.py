@@ -71,6 +71,9 @@ def test_criterion_1_interpolation_dominance(shipped):
     metrics = summary["metrics"]
     defined = metrics["definitions"]["mean_margin_db_02_04"]
     assert defined == {"sweep_points": 400, "margin_band_m": [0.2, 0.4]}
+    # the schedule of the fit that all three headlines rest on
+    assert metrics["definitions"]["train_fit_db"] == {
+        "learning_rate": [1e-2, 1e-4], "pde_weight": [3e-8, 3e-7], "pde_score_weight": 1e-6}
     rows = np.loadtxt(out / "interp_sweep.csv", delimiter=",", skiprows=1, ndmin=2)
     losing = rows[rows[:, 2] >= rows[:, 1]].tolist()
     assert metrics["pinn_below_sh_everywhere"], f"PINN not below SH: r_s, eps_sh, eps_pinn {losing}"
@@ -100,11 +103,12 @@ def test_criterion_2_anc_steady_state_gap(shipped):
 
 
 def test_criterion_3_ear_region_field_map(shipped):
-    """Mean residual power in the r=0.03 m ear disks >= 5 dB lower for PINN mode, with the
-    weights after 10000 steps at step size 1e-5."""
+    """Mean residual power in the r=0.03 m ear disks of the 21 x 21 map over +-0.2 m >= 5 dB
+    lower for PINN mode, with the weights after 10000 steps at step size 1e-5."""
     _, summary = shipped["field-map"]
     defined = summary["metrics"]["definitions"]["ear_disk_gap_db"]
-    assert defined == {"ear_disk_radius_m": 0.03, "anc_mu": 1e-5, "anc_iterations": 10_000}
+    assert defined == {"ear_disk_radius_m": 0.03, "anc_mu": 1e-5, "anc_iterations": 10_000,
+                       "grid_points_per_side": 21, "grid_half_extent_m": 0.2}
     gap = summary["metrics"]["ear_disk_gap_db"]
     assert gap >= 5.0, f"ear-disk gap {gap:.2f} dB < 5 dB"
 

@@ -15,12 +15,11 @@ from wavefield_anc.anc import (
     _fir_sum,
     field_grid,
     field_grid_power,
-    fxlms_step,
     repeat_period,
     run_anc,
     run_controllers,
 )
-from wavefield_anc.experiments import run_controls
+from wavefield_anc.experiments import ANC_ITERATIONS, ANC_MU
 from wavefield_anc.pinn import TrainConfig, pinn_predict, train_pinn
 from wavefield_anc.scenario import ScenarioConfig, default_scenario
 from wavefield_anc.sh import DB_FLOOR
@@ -120,53 +119,6 @@ def test_fir_kernel_on_the_live_taps_is_the_convolution(firs, samples):
         total = sum(np.convolve(oldest_first[:, l], firs[l, m])[taps - 1 : len(history)]
                     for l in range(L))
         assert out[::-1, m] == pytest.approx(total, rel=1e-12, abs=1e-12)
-
-
-def test_fxlms_zero_error_fixed_point():
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=(1, 32))
-    before = w.copy()  # the update is in place
-    update = np.empty((1, 32))
-    controllers = [(rng.normal(size=(3, 6)), np.empty(3), update[0])]
-    step = [(np.zeros(6), rng.normal(size=(32, 3)), np.zeros(3))]  # silent sources
-    out = fxlms_step(w, controllers, step, 1e-3, update)
-    assert np.array_equal(out, before)
-
-
-def test_fxlms_update_along_reference():
-    w = np.zeros((1, 8))
-    before = w.copy()  # the update is in place
-    x = np.random.default_rng(2).normal(size=8)
-    update = np.empty((1, 8))
-    controllers = [(np.ones((1, 4)), np.empty(1), update[0])]
-    step = [(np.zeros(4), x[:, None], np.array([0.5]))]  # silent sources
-    out = fxlms_step(w, controllers, step, 1e-2, update)
-    assert np.allclose(out[0] - before[0], 1e-2 * 0.5 * x, atol=1e-15)
-
-
-@pytest.mark.parametrize("F, L, M", [(96, 2, 8), (96, 1, 1), (5, 3, 1), (7, 1, 4)])
-@pytest.mark.parametrize("seed", range(5))
-def test_fxlms_step_in_place_is_the_out_of_place_update(F, L, M, seed):
-    """In a stack of controllers of M, 1 and M + 2 sensors, each completes its own error
-    and takes its own update."""
-    rng = np.random.default_rng(seed)
-    sensors, recent_len = (M, 1, M + 2), 3 * L
-    w = rng.normal(size=(len(sensors), F * L))
-    paths = [rng.normal(size=(m, recent_len)) for m in sensors]
-    recent = [rng.normal(size=recent_len) for _ in sensors]
-    refs = [rng.normal(size=(F * L, m)) for m in sensors]
-    e = [rng.normal(size=m) for m in sensors]
-    mu = rng.uniform(1e-6, 1e-2)
-    full = [e_c + p @ r for e_c, p, r in zip(e, paths, recent)]
-    expected = [w_c + mu * (refs_c @ e_c) for w_c, refs_c, e_c in zip(w, refs, full)]
-    given, update = w.copy(), np.empty_like(w)
-    controllers = [(p, np.empty(len(p)), row) for p, row in zip(paths, update)]
-    out = fxlms_step(given, controllers, list(zip(recent, refs, e)), mu, update)
-    assert out is given
-    for e_c, full_c in zip(e, full):  # the errors, completed in place
-        assert np.array_equal(e_c, full_c)
-    for row, expected_row in zip(out, expected):
-        assert np.array_equal(row, expected_row)
 
 
 def test_run_anc_zero_step_size():
@@ -304,10 +256,11 @@ def test_run_anc_frees_the_filtered_reference_before_the_ears():
 
 
 def test_run_controls_frees_each_filtered_reference_before_the_ears():
-    """2.91 MB for both controllers over 10 000 steps on the 250/350/450 Hz tones of
-    default_scenario(1), each sensing one period, the mic signals given; 3.70 MB while each sensing held its
-    primary over every step beside the error buffer, and 5.6 MB while both filtered
-    references outlive the loop and the errors are squared out of place."""
+    """2.90 MB for run_controls' two controllers over 10 000 steps on the 250/350/450 Hz
+    tones of default_scenario(1), each sensing one period, the mic signals and the network's
+    ear estimate given; 3.70 MB while each sensing held its primary over every step beside
+    the error buffer, and 5.6 MB while both filtered references outlive the loop and the
+    errors are squared out of place."""
     sc = default_scenario(1)
     tones = zip((250.0, 350.0, 450.0), sc.primary_source.components)
     src = TonalSource(
@@ -316,7 +269,10 @@ def test_run_controls_frees_each_filtered_reference_before_the_ears():
     sc = dataclasses.replace(sc, primary_source=src)
     mics = truth(sc, sc.monitoring_positions)
     params, _ = train_pinn(sc, mics, TrainConfig(epochs=10, restarts=1))
-    assert traced_peak(lambda: run_controls(sc, params, mics)) < 3.3e6
+    ears = sc.virtual_positions
+    sensings = [(sc.monitoring_positions, mics),
+                (ears, pinn_predict(params, ears, sc.period_samples, sc.sample_rate))]
+    assert traced_peak(lambda: run_controllers(sc, sensings, ANC_MU, ANC_ITERATIONS)) < 3.3e6
 
 
 @settings(max_examples=10, deadline=None)

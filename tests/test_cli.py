@@ -543,7 +543,7 @@ def test_every_restart_diverging_fails_the_train_stage(tmp_path):
     "name, stage, stages",
     [
         ("save_params", None, ["train"]),  # between the train and anc stages
-        ("run_controls", "anc", ["train"]),
+        ("run_controllers", "anc", ["train"]),
         ("field_grid_power", "field", ["train", "anc"]),
     ],
 )

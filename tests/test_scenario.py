@@ -26,13 +26,15 @@ def moved(points, draw):
 @st.composite
 def loadable_configs(draw):
     """default_scenario(0) with 1-4 distinct tones at multiples of 10 Hz below Nyquist (so
-    the period, at most 2 400 samples, fits the 0.1 s duration), any amplitudes, phases and
-    rng_seed, and every position moved by up to 1 cm."""
+    the period, at most 2 400 samples, fits the 0.1 s duration), any phases and rng_seed,
+    amplitudes up to 1e6 with the first at least 1e-3 (so every mic and ear hears the
+    source), and every position moved by up to 1 cm."""
     sc = default_scenario(0)
     freqs = draw(st.lists(st.integers(1, 1199), min_size=1, max_size=4, unique=True))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    tones = tuple(ToneComponent(10.0 * f, draw(st.floats(0.0, 1e6)), draw(finite))
-                  for f in freqs)
+    tones = tuple(ToneComponent(10.0 * f, draw(st.floats(1e-3 if i == 0 else 0.0, 1e6)),
+                                draw(finite))
+                  for i, f in enumerate(freqs))
     source = TonalSource(moved(sc.primary_source.position, draw), tones)
     return dataclasses.replace(
         sc,
@@ -54,6 +56,15 @@ def test_a_saved_config_loads_to_itself(tmp_path_factory, sc):
     saved = path.read_bytes()
     loaded.save(path)
     assert path.read_bytes() == saved
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-200])
+def test_a_scenario_whose_primary_is_silent_is_rejected(amplitude):
+    """Built in Python too: at 1e-200 the pressure squares to 0."""
+    sc = default_scenario(0)
+    tones = tuple(dataclasses.replace(t, amplitude=amplitude) for t in sc.primary_source.components)
+    with pytest.raises(ValueError, match=r"the primary source is silent at mic 0 at \[-0\.15, "):
+        dataclasses.replace(sc, primary_source=TonalSource(sc.primary_source.position, tones))
 
 
 def test_the_keys_are_the_fields_in_field_order():
